@@ -22,8 +22,9 @@ from .terms import (
     var_ids,
 )
 from .rewriting import Rule, Trs, empty_trs, step_at
+# cp, cp_in and pcp_in are called by the names CRITERION_TABLE gives
 from .critical_pairs import ParallelCriticalPair, cp, cp_in, pcp_in
-from .criteria import SHAPES
+from .criteria import CRITERION_TABLE, SHAPES
 from .termination import MalformedCertificate, TerminationCertificate, replay_certificate
 
 FORMAT = "1"
@@ -507,17 +508,21 @@ def parse_certificate(text: str) -> CertificateData:
 # --- verification --------------------------------------------------------------
 
 
-def _pair_families(criterion: str, s: Trs, p: Trs, pp: Trs):
-    fams = {"i": cp(s, s), "iii": cp(s, pp)}
-    if criterion == "linear":
-        fams["ii"] = cp_in(pp, s)
-    elif criterion == "pcp":
-        fams["ii"] = pcp_in(pp, s)
-    elif criterion == "huet":
-        fams["ii"] = cp(pp, s)
-    elif criterion == "parallel":
-        fams["ii"] = []  # handled as an emptiness condition
-    return fams
+def _replay(start: Term, steps, table: Trs):
+    """The end term of the named steps [(position, rule name)] applied in
+    order from start, or a string saying which step fails."""
+    cur = start
+    for pos, rn in steps:
+        try:
+            st = step_at(cur, pos, table.rule(rn))
+        except KeyError:
+            return f"rule {rn!r} is not available"
+        except ValueError:
+            st = None
+        if st is None:
+            return f"step {rn} at {_pos_str(pos)} does not apply"
+        cur = st.target
+    return cur
 
 
 def _replay_segment(seg: SegData, tables: dict, problems: list, label: str):
@@ -534,42 +539,21 @@ def _replay_segment(seg: SegData, tables: dict, problems: list, label: str):
     for op in seg.ops:
         if op[0] == "step":
             _, pos, rn = op
-            try:
-                rule = table.rule(rn)
-            except KeyError:
-                problems.append(f"{label}: rule {rn!r} not available for {seg.rules} steps")
-                return None
-            try:
-                st = step_at(cur, pos, rule)
-            except ValueError:
-                st = None
-            if st is None:
-                problems.append(f"{label}: step {rn} at {_pos_str(pos)} does not apply")
-                return None
-            cur = st.target
+            steps = [(pos, rn)]
             simple += 1
         else:
             _, parts = op
-            positions = [p for (_rn, p) in parts]
+            steps = [(pos, rn) for rn, pos in parts]
+            positions = [pos for pos, _rn in steps]
             if not all_parallel(positions):
                 problems.append(f"{label}: parallel step positions overlap")
                 return None
-            for rn, pos in parts:
-                try:
-                    rule = table.rule(rn)
-                except KeyError:
-                    problems.append(f"{label}: rule {rn!r} not available for parallel step")
-                    return None
-                try:
-                    st = step_at(cur, pos, rule)
-                except ValueError:
-                    st = None
-                if st is None:
-                    problems.append(f"{label}: parallel redex {rn} at {_pos_str(pos)} missing")
-                    return None
-                cur = st.target
             psteps += 1
             par_positions = tuple(positions)
+        cur = _replay(cur, steps, table)
+        if isinstance(cur, str):
+            problems.append(f"{label}: {seg.rules} {cur}")
+            return None
     if cur != goal:
         problems.append(f"{label}: segment does not connect its endpoints")
         return None
@@ -686,29 +670,14 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
             return False, problems
         pp_tab = p_tab.with_inverses()
         if h.kind == "addition":
-            cur = h.lhs
-            ok = True
-            for pos, rn in h.csteps:
-                try:
-                    st = step_at(cur, pos, pp_tab.rule(rn))
-                except (KeyError, ValueError):
-                    st = None
-                if st is None:
-                    problems.append(f"history step {h.name}: conversion step {rn} fails")
-                    ok = False
-                    break
-                cur = st.target
-            if not ok:
+            cur = _replay(h.lhs, h.csteps, pp_tab)
+            if isinstance(cur, str):
+                problems.append(f"history step {h.name}: conversion {cur}")
                 return False, problems
-            for pos, rn in h.ssteps:
-                try:
-                    st = step_at(cur, pos, s_tab.rule(rn))
-                except (KeyError, ValueError):
-                    st = None
-                if st is None:
-                    problems.append(f"history step {h.name}: rewrite step {rn} fails")
-                    return False, problems
-                cur = st.target
+            cur = _replay(cur, h.ssteps, s_tab)
+            if isinstance(cur, str):
+                problems.append(f"history step {h.name}: rewrite {cur}")
+                return False, problems
             if h.yields is not None and cur != h.yields:
                 problems.append(f"history step {h.name}: witness does not yield the stated term")
                 return False, problems
@@ -730,16 +699,12 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
             if len(h.csteps) != 1:
                 problems.append(f"history step {h.name}: replacement needs exactly one step")
                 return False, problems
-            pos, rn = h.csteps[0]
-            try:
-                st = step_at(old.rhs, pos, pp_tab.rule(rn))
-            except (KeyError, ValueError):
-                st = None
-            if st is None:
-                problems.append(f"history step {h.name}: replacement step fails")
+            rhs = _replay(old.rhs, h.csteps, pp_tab)
+            if isinstance(rhs, str):
+                problems.append(f"history step {h.name}: replacement {rhs}")
                 return False, problems
             try:
-                rule = Rule(old.lhs, st.target, h.name)
+                rule = Rule(old.lhs, rhs, h.name)
             except ValueError as exc:
                 problems.append(f"history step {h.name}: invalid rule: {exc}")
                 return False, problems
@@ -768,22 +733,12 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
         except KeyError:
             problems.append(f"reversibility: unknown P rule {name}")
             continue
-        cur = rule.rhs
-        ok = True
-        for pos, rn in steps:
-            try:
-                st = step_at(cur, pos, p.rule(rn))
-            except (KeyError, ValueError):
-                st = None
-            if st is None:
-                problems.append(f"reversibility: step {rn} fails for {name}")
-                ok = False
-                break
-            cur = st.target
-        if ok and cur != rule.lhs:
+        cur = _replay(rule.rhs, steps, p)
+        if isinstance(cur, str):
+            problems.append(f"reversibility: {cur} for {name}")
+        elif cur != rule.lhs:
             problems.append(f"reversibility: sequence for {name} does not reach the left side")
-            ok = False
-        if ok:
+        else:
             covered.add(name)
     missing_rev = {r.name for r in p} - covered
     if missing_rev:
@@ -830,42 +785,40 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
 
     # 5. linearity preconditions
     crit = cert.criterion
-    if crit not in ("linear", "parallel", "pcp", "huet"):
+    if crit not in CRITERION_TABLE:
         return False, problems + [f"unknown criterion {crit!r}"]
-    if crit == "linear" and not (s.linear() and p.linear()):
-        problems.append("linearity precondition violated")
-    if crit in ("parallel", "pcp") and not (s.left_linear() and p.left_linear()):
-        problems.append("left-linearity precondition violated")
-    if crit == "huet" and not s.left_linear():
-        problems.append("left-linearity precondition violated")
+    (prop, linear_classes), conditions = CRITERION_TABLE[crit]
+    classes = {"S": s, "P": p, "PP": pp}
+    if not all(getattr(classes[c], prop)() for c in linear_classes):
+        problems.append(f"{prop.replace('_', '-')}ity precondition violated")
 
     # 6. joins cover all recomputed critical pairs
     sp = s.union(p_prime) if p_prime is not None else s
     tables = {"S": s, "PP": pp, "SP": sp, "P": pp}
-    if crit == "parallel" and cp_in(pp, s):
-        problems.append("inner critical pairs of P∪P⁻¹ into S must be empty")
-    fams = _pair_families(crit, s, p, pp)
-    used = [False] * len(cert.joins)
-    join_keys = []
+    families = []
+    for cond, (gen, left, right), join_name in conditions:
+        pairs = globals()[gen](classes[left], classes[right])
+        if join_name is not None:
+            families.append((cond, pairs))
+        elif pairs:  # parallel's (ii), the one family that must be empty
+            problems.append("inner critical pairs of P∪P⁻¹ into S must be empty")
+    valid = []
+    first_join = {}  # join key -> index of the first valid join with that key
     for j, join in enumerate(cert.joins):
-        if not _check_join(join, crit, tables, problems):
-            join_keys.append(None)
-            continue
-        join_keys.append((join.condition, _join_key(join, crit)))
-    for cond, pairs in fams.items():
+        if _check_join(join, crit, tables, problems):
+            valid.append(j)
+            first_join.setdefault((join.condition, _join_key(join, crit)), j)
+    used = set()
+    for cond, pairs in families:
         for pair in pairs:
-            want = (cond, _pair_key(pair, crit, cond))
-            hit = None
-            for j, jk in enumerate(join_keys):
-                if jk == want:
-                    hit = j
-                    break
+            hit = first_join.get((cond, _pair_key(pair, crit, cond)))
             if hit is None:
                 problems.append(f"no valid join for pair {pair!r} (condition {cond})")
             else:
-                used[hit] = True
-    for j, join in enumerate(cert.joins):
-        if join_keys[j] is not None and not used[j]:
+                used.add(hit)
+    for j in valid:
+        if j not in used:
+            join = cert.joins[j]
             problems.append(
                 f"join <{join.condition},{join.branch}> matches no recomputed pair")
 

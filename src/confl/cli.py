@@ -1,7 +1,7 @@
 """Command line front end: read a rewrite system, decide confluence, print
 YES or MAYBE on the first line, and optionally emit a replayable certificate.
 
-Exit status: 0 for YES, 1 for MAYBE, 2 for errors."""
+Exit status: 0 for YES, 1 for MAYBE, 2 for errors, internal ones included."""
 import argparse
 import random
 import sys
@@ -62,7 +62,15 @@ def main(argv=None) -> int:
     parser.add_argument("--ext-termination", metavar="PATH",
                         help="external termination prover to consult as a last resort")
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:  # exit status 1 would read as MAYBE
+        print("ERROR")
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     try:
         trs = parse_trs_file(args.file)
     except OSError as exc:
@@ -84,6 +92,10 @@ def main(argv=None) -> int:
         rev_bound=args.rev_k,
         hook=args.ext_termination,
     )
+    # before the verdict is printed, so that a failed write leaves only ERROR
+    if args.certificate:
+        with open(args.certificate, "w", encoding="utf-8") as fh:
+            fh.write(certificate_text(trs, result))
     print(result.verdict)
     print(result.reason)
     if result.verdict == "YES" and result.report is not None:
@@ -93,9 +105,6 @@ def main(argv=None) -> int:
         print(f"S = [{s_names}]  P = [{p_names}]")
         if rep.p_prime is not None:
             print(f"P' = [{','.join(r.name for r in rep.p_prime)}]")
-    if args.certificate:
-        with open(args.certificate, "w", encoding="utf-8") as fh:
-            fh.write(certificate_text(trs, result))
     return 0 if result.verdict == "YES" else 1
 
 

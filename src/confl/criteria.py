@@ -7,6 +7,7 @@ searches are bounded; a "fails" outcome therefore means "not established
 within the search budget", never "refuted".
 """
 from dataclasses import dataclass, field
+from functools import partial, partialmethod
 
 from .terms import Term, subterm_at, var_ids
 from .rewriting import (
@@ -18,6 +19,7 @@ from .rewriting import (
     empty_trs,
     is_nf,
     normalize_steps,
+    parallel_step_exists,
     parallel_step_witnesses,
     reach_set_bounded,
     reducts,
@@ -29,8 +31,6 @@ from .termination import (
     prove_termination,
 )
 from .reversibility import ReversibilityWitness, is_reversible
-
-CRITERIA = ("linear", "parallel", "pcp", "huet")
 
 DEFAULT_DEPTH = 10
 PAIR_SCAN_CAP = 40_000
@@ -147,6 +147,41 @@ SHAPES = {
     ("huet", "ii", "A"): (("plus", "S", False), ("conv", "P", False), ("star", "S", True)),
     ("huet", "iii", "A"): (("star", "S", False), ("conv", "P", False), ("plus", "S", True)),
 }
+
+# What each criterion checks, for the prover and the verifier alike:
+# (linearity precondition, conditions).  The precondition is a Trs predicate
+# and the rule classes it must hold for.  Each condition is (condition, pair
+# family, join) and they are checked in this order, which fixes the order of
+# the evidence.  A pair family (generator, left class, right class) names a
+# pair generator of critical_pairs and is labelled generator(left,right) in
+# FailingPair.origin.  Each module calls the generator through its own global
+# of that name, looked up at call time, so that wrappers put on those names
+# see the call.  The join names a _Searcher method; a condition without one
+# requires its family to be empty.
+CRITERION_TABLE = {
+    "linear": (("linear", ("S", "P")), (
+        ("i", ("cp", "S", "S"), "i_linear"),
+        ("ii", ("cp_in", "PP", "S"), "ii_linear"),
+        ("iii", ("cp", "S", "PP"), "iii_step"),
+    )),
+    "parallel": (("left_linear", ("S", "P")), (
+        ("ii", ("cp_in", "PP", "S"), None),
+        ("i", ("cp", "S", "S"), "i_parallel"),
+        ("iii", ("cp", "S", "PP"), "iii_parallel"),
+    )),
+    "pcp": (("left_linear", ("S", "P")), (
+        ("i", ("cp", "S", "S"), "i_parallel"),
+        ("ii", ("pcp_in", "PP", "S"), "ii_pcp"),
+        ("iii", ("cp", "S", "PP"), "iii_parallel"),
+    )),
+    "huet": (("left_linear", ("S",)), (
+        ("i", ("cp", "S", "S"), "huet"),
+        ("ii", ("cp", "PP", "S"), "huet"),
+        ("iii", ("cp", "S", "PP"), "huet"),
+    )),
+}
+
+CRITERIA = tuple(CRITERION_TABLE)
 
 
 class Partition:
@@ -287,7 +322,8 @@ class _Searcher:
         return n <= PAIR_SCAN_CAP
 
     # --- condition (i), single-step middle:  →* ∘ =← ∘ ←* -----------------
-    def join_i_linear(self, crit, u: Term, v: Term):
+    def join_i_linear(self, crit, cond, pair):
+        u, v = pair.left, pair.right
         ru, rv = self._reach(u), self._reach(v)
         if not self._scan_cap_ok(len(ru), len(rv)):
             return None
@@ -315,12 +351,9 @@ class _Searcher:
                     )
         return None
 
-    # --- condition (i)/(iii) with parallel middle --------------------------
-    def _parallel_between(self, src: Term, dst: Term):
-        wits = parallel_step_witnesses(src, dst, self.pp, limit=1)
-        return wits[0] if wits else None
-
-    def join_i_parallel(self, crit, u: Term, v: Term):
+    # --- condition (i) with parallel middle -------------------------------
+    def join_i_parallel(self, crit, cond, pair):
+        u, v = pair.left, pair.right
         ru, rv = self._reach(u), self._reach(v)
         if not self._scan_cap_ok(len(ru), len(rv)):
             return None
@@ -343,13 +376,14 @@ class _Searcher:
             for b, pb in rv.items():
                 if a == b:
                     continue
-                wit = self._parallel_between(b, a)
+                wit = parallel_step_exists(b, a, self.pp)
                 if wit is not None:
                     return ev(a, pa, b, pb, wit)
         return None
 
     # --- linear condition (ii):  (=← ∘ ←*) ∪ (→_S ∘ →* ∘ =← ∘ ←*) ----------
-    def join_ii_linear(self, crit, u: Term, v: Term):
+    def join_ii_linear(self, crit, cond, pair):
+        u, v = pair.left, pair.right
         rv = self._reach(v)
         # branch A: u =←_PP b ←* v
         if u in rv:
@@ -398,7 +432,7 @@ class _Searcher:
         return None
 
     # --- pcp condition (ii): parallel middle with variable condition -------
-    def join_ii_pcp(self, pair):
+    def join_ii_pcp(self, crit, cond, pair):
         u, v, x_ids = pair.left, pair.right, pair.var_limit
         rv = self._reach(v)
 
@@ -447,7 +481,8 @@ class _Searcher:
         return None
 
     # --- condition (iii):  (→* ∘ =→/⇉) ∪ (→* ∘ =→/⇉ ∘ ←* ∘ ←_S) ------------
-    def join_iii(self, crit, u: Term, v: Term, parallel: bool):
+    def join_iii(self, crit, cond, pair, parallel: bool):
+        u, v = pair.left, pair.right
         ru = self._reach(u)
 
         def mid(src, dst):
@@ -456,7 +491,7 @@ class _Searcher:
                 if src == dst:
                     return Segment("parallel", "PP", False, src, dst,
                                    (ParallelStep(src, dst, ()),))
-                wit = self._parallel_between(src, dst)
+                wit = parallel_step_exists(src, dst, self.pp)
                 if wit is None:
                     return None
                 return Segment("parallel", "PP", False, src, dst, (wit,))
@@ -495,8 +530,12 @@ class _Searcher:
                         )
         return None
 
+    join_iii_step = partialmethod(join_iii, parallel=False)
+    join_iii_parallel = partialmethod(join_iii, parallel=True)
+
     # --- Huet-style conditions over S-reachability and P-conversion --------
-    def join_huet(self, cond: str, u: Term, v: Term):
+    def join_huet(self, crit, cond, pair):
+        u, v = pair.left, pair.right
         ru, rv = self._reach_s(u), self._reach_s(v)
         if not self._scan_cap_ok(len(ru), len(rv)):
             return None
@@ -542,28 +581,26 @@ def _base_report(name: str, pt: Partition) -> CriterionReport:
                            s=pt.s, p=pt.p)
 
 
-def _check_shared_preconditions(rep: CriterionReport, pt: Partition, *,
-                                need_linear: bool, depth: int, hook=None) -> bool:
+def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, depth: int,
+                         hook=None) -> bool:
     """Fill in reversibility/termination facts; False if a precondition fails."""
-    if need_linear:
-        if not pt.s.linear():
-            rep.reason = "S is not linear"
-            return False
-        if not pt.p.linear():
-            rep.reason = "P is not linear"
-            return False
-    else:
-        if not pt.s.left_linear():
-            rep.reason = "S is not left-linear"
-            return False
-        if not pt.p.left_linear():
-            rep.reason = "P is not left-linear"
+    prop, classes = linearity
+    for cls in classes:
+        if not getattr(pt.s if cls == "S" else pt.p, prop)():
+            rep.reason = f"{cls} is not {prop.replace('_', '-')}"
             return False
     rev = pt.reversibility(bound=depth)
     if rev is None:
         rep.reason = "P was not shown reversible within the search bound"
         return False
     rep.reversibility = rev
+    if rep.criterion == "huet":
+        rcert, rwhy = pt.relative_termination(pt.p, hook=hook)
+        if rcert is None:
+            rep.reason = f"relative termination of S w.r.t. P not established: {rwhy}"
+            return False
+        rep.relterm_cert = rcert
+        return True
     cert, why = pt.termination(hook=hook)
     if cert is None:
         rep.reason = f"termination of S not established: {why}"
@@ -582,14 +619,14 @@ def _check_shared_preconditions(rep: CriterionReport, pt: Partition, *,
 def _finish(rep: CriterionReport, pt: Partition, hook=None) -> CriterionReport:
     """Resolve the outcome after all pairs were scanned."""
     if rep.failing:
-        rep.outcome = "fails"
         rep.reason = f"{len(rep.failing)} critical pair(s) not joined within the bound"
         return rep
-    if pt.p_prime is None:
+    if rep.criterion == "huet":
+        rep.p_prime = empty_trs()
+    elif pt.p_prime is None:
         used = collect_p_prime(rep.evidence, pt.s)
         rcert, rwhy = pt.relative_termination(used, hook=hook)
         if rcert is None:
-            rep.outcome = "fails"
             rep.reason = f"relative termination of S w.r.t. collected P' failed: {rwhy}"
             return rep
         rep.p_prime = used
@@ -598,137 +635,37 @@ def _finish(rep: CriterionReport, pt: Partition, hook=None) -> CriterionReport:
     return rep
 
 
-def check_linear(pt: Partition, depth: int = DEFAULT_DEPTH, hook=None) -> CriterionReport:
-    rep = _base_report("linear", pt)
-    if not _check_shared_preconditions(rep, pt, need_linear=True, depth=depth, hook=hook):
-        return rep
-    sr = _Searcher(pt, depth, hook=hook)
-    for pair in cp(pt.s, pt.s):
-        ev = sr.join_i_linear("linear", pair.left, pair.right)
-        if ev is None:
-            rep.failing.append(_fail(pair, "cp(S,S)", "i", pt.s))
-        else:
-            rep.evidence.append(ev)
-    for pair in cp_in(pt.pp, pt.s):
-        ev = sr.join_ii_linear("linear", pair.left, pair.right)
-        if ev is None:
-            rep.failing.append(_fail(pair, "cp_in(PP,S)", "ii", pt.s))
-        else:
-            rep.evidence.append(ev)
-    for pair in cp(pt.s, pt.pp):
-        ev = sr.join_iii("linear", pair.left, pair.right, parallel=False)
-        if ev is None:
-            rep.failing.append(_fail(pair, "cp(S,PP)", "iii", pt.s))
-        else:
-            rep.evidence.append(ev)
-    return _finish(rep, pt, hook=hook)
-
-
-def check_parallel(pt: Partition, depth: int = DEFAULT_DEPTH, hook=None) -> CriterionReport:
-    rep = _base_report("parallel", pt)
-    if not _check_shared_preconditions(rep, pt, need_linear=False, depth=depth, hook=hook):
-        return rep
-    inner = list(cp_in(pt.pp, pt.s))
-    if inner:
-        for pair in inner:
-            rep.failing.append(_fail(pair, "cp_in(PP,S)", "ii", pt.s))
-        rep.reason = "inner critical pairs of P∪P⁻¹ into S exist"
-        return rep
-    sr = _Searcher(pt, depth, hook=hook)
-    for pair in cp(pt.s, pt.s):
-        ev = sr.join_i_parallel("parallel", pair.left, pair.right)
-        if ev is None:
-            rep.failing.append(_fail(pair, "cp(S,S)", "i", pt.s))
-        else:
-            rep.evidence.append(ev)
-    for pair in cp(pt.s, pt.pp):
-        ev = sr.join_iii("parallel", pair.left, pair.right, parallel=True)
-        if ev is None:
-            rep.failing.append(_fail(pair, "cp(S,PP)", "iii", pt.s))
-        else:
-            rep.evidence.append(ev)
-    return _finish(rep, pt, hook=hook)
-
-
-def check_pcp(pt: Partition, depth: int = DEFAULT_DEPTH, hook=None) -> CriterionReport:
-    rep = _base_report("pcp", pt)
-    if not _check_shared_preconditions(rep, pt, need_linear=False, depth=depth, hook=hook):
-        return rep
-    sr = _Searcher(pt, depth, hook=hook)
-    for pair in cp(pt.s, pt.s):
-        ev = sr.join_i_parallel("pcp", pair.left, pair.right)
-        if ev is None:
-            rep.failing.append(_fail(pair, "cp(S,S)", "i", pt.s))
-        else:
-            rep.evidence.append(ev)
-    for pair in pcp_in(pt.pp, pt.s):
-        ev = sr.join_ii_pcp(pair)
-        if ev is None:
-            rep.failing.append(_fail(pair, "pcp_in(PP,S)", "ii", pt.s))
-        else:
-            rep.evidence.append(ev)
-    for pair in cp(pt.s, pt.pp):
-        ev = sr.join_iii("pcp", pair.left, pair.right, parallel=True)
-        if ev is None:
-            rep.failing.append(_fail(pair, "cp(S,PP)", "iii", pt.s))
-        else:
-            rep.evidence.append(ev)
-    return _finish(rep, pt, hook=hook)
-
-
-def check_huet(pt: Partition, depth: int = DEFAULT_DEPTH, hook=None) -> CriterionReport:
-    rep = _base_report("huet", pt)
-    if not pt.s.left_linear():
-        rep.reason = "S is not left-linear"
-        return rep
-    rev = pt.reversibility(bound=depth)
-    if rev is None:
-        rep.reason = "P was not shown reversible within the search bound"
-        return rep
-    rep.reversibility = rev
-    rcert, rwhy = pt.relative_termination(pt.p, hook=hook)
-    if rcert is None:
-        rep.reason = f"relative termination of S w.r.t. P not established: {rwhy}"
-        return rep
-    rep.relterm_cert = rcert
-    sr = _Searcher(pt, depth, hook=hook)
-    for pair in cp(pt.s, pt.s):
-        ev = sr.join_huet("i", pair.left, pair.right)
-        if ev is None:
-            rep.failing.append(_fail(pair, "cp(S,S)", "i", pt.s))
-        else:
-            rep.evidence.append(ev)
-    for pair in cp(pt.pp, pt.s):
-        ev = sr.join_huet("ii", pair.left, pair.right)
-        if ev is None:
-            rep.failing.append(_fail(pair, "cp(PP,S)", "ii", pt.s))
-        else:
-            rep.evidence.append(ev)
-    for pair in cp(pt.s, pt.pp):
-        ev = sr.join_huet("iii", pair.left, pair.right)
-        if ev is None:
-            rep.failing.append(_fail(pair, "cp(S,PP)", "iii", pt.s))
-        else:
-            rep.evidence.append(ev)
-    if rep.failing:
-        rep.outcome = "fails"
-        rep.reason = f"{len(rep.failing)} critical pair(s) not joined within the bound"
-        return rep
-    rep.p_prime = empty_trs()
-    rep.outcome = "holds"
-    return rep
-
-
-_CHECKERS = {
-    "linear": check_linear,
-    "parallel": check_parallel,
-    "pcp": check_pcp,
-    "huet": check_huet,
-}
-
-
 def check_criterion(name: str, pt: Partition, depth: int = DEFAULT_DEPTH,
                     hook=None) -> CriterionReport:
-    if name not in _CHECKERS:
+    if name not in CRITERION_TABLE:
         raise ValueError(f"unknown criterion {name!r}; expected one of {CRITERIA}")
-    return _CHECKERS[name](pt, depth=depth, hook=hook)
+    linearity, conditions = CRITERION_TABLE[name]
+    rep = _base_report(name, pt)
+    if not _check_preconditions(rep, pt, linearity, depth, hook=hook):
+        return rep
+    sr = _Searcher(pt, depth, hook=hook)
+    classes = {"S": pt.s, "PP": pt.pp}
+    for cond, family, join in conditions:
+        gen, left, right = family
+        origin = f"{gen}({left},{right})"
+        pairs = globals()[gen](classes[left], classes[right])
+        if join is None:  # parallel's (ii), the one family that must be empty
+            if pairs:
+                rep.failing.extend(_fail(pair, origin, cond, pt.s) for pair in pairs)
+                rep.reason = "inner critical pairs of P∪P⁻¹ into S exist"
+                return rep
+            continue
+        join_pair = getattr(sr, "join_" + join)
+        for pair in pairs:
+            ev = join_pair(name, cond, pair)
+            if ev is None:
+                rep.failing.append(_fail(pair, origin, cond, pt.s))
+            else:
+                rep.evidence.append(ev)
+    return _finish(rep, pt, hook=hook)
+
+
+check_linear = partial(check_criterion, "linear")
+check_parallel = partial(check_criterion, "parallel")
+check_pcp = partial(check_criterion, "pcp")
+check_huet = partial(check_criterion, "huet")

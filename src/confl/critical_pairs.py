@@ -178,23 +178,3 @@ def pcp_in(q_rules: Trs, r_rules: Trs) -> list[ParallelCriticalPair]:
                         )
                     )
     return _dedup(pairs)
-
-
-def pcp_out(q_rules: Trs, r_rules: Trs) -> list[ParallelCriticalPair]:
-    """Outer parallel critical pairs coincide with ordinary root overlaps."""
-    out = []
-    for pr in cp_out(q_rules, r_rules):
-        out.append(
-            ParallelCriticalPair(
-                left=pr.left,
-                right=pr.right,
-                kind="outer",
-                peak=pr.peak,
-                inner_rules=(pr.inner_rule,),
-                outer_rule=pr.outer_rule,
-                positions=((),),
-                mgu=pr.mgu,
-                var_limit=frozenset(var_ids(pr.peak)),
-            )
-        )
-    return out

@@ -72,10 +72,6 @@ def positions_fun(t: Term) -> list[Position]:
     return [p for p in positions(t) if isinstance(subterm_at(t, p), App)]
 
 
-def positions_var(t: Term) -> list[Position]:
-    return [p for p in positions(t) if isinstance(subterm_at(t, p), Var)]
-
-
 def subterm_at(t: Term, p: Position) -> Term:
     for i in p:
         if isinstance(t, Var) or not 1 <= i <= len(t.args):

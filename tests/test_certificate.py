@@ -253,6 +253,16 @@ def test_variable_condition_is_part_of_the_join_identity(cert_r5):
     rejected("\n".join(lines) + "\n", R5)
 
 
+def test_parallel_requires_no_inner_pairs(cert_r3, cert_r5):
+    # R5's ss1/ss2 overlap S from inside, so its pcp joins cannot pass as parallel
+    problems = rejected(mutate(cert_r5, "criterion ", lambda ln: "criterion parallel"), R5)
+    assert "inner critical pairs of P∪P⁻¹ into S must be empty" in problems
+    # R3 has no inner pairs of C and A into S, so parallel genuinely holds
+    relabelled = mutate(cert_r3, "criterion ", lambda ln: "criterion parallel")
+    ok, problems = verify_certificate(relabelled, R3)
+    assert ok, problems
+
+
 def test_huet_certificate_shape(cert_r3_huet):
     cert = parse_certificate(cert_r3_huet)
     assert cert.criterion == "huet"

@@ -84,3 +84,17 @@ def test_ars_fuzz_subcommand(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "checked 40 instances, 0 violation(s)" in out
+
+
+def test_internal_error_exits_2_not_maybe(tmp_path, capsys):
+    # a left side nested 400 deep overflows the recursive term walkers
+    lhs = "x"
+    for _ in range(400):
+        lhs = f"s({lhs})"
+    path = tmp_path / "deep.trs"
+    path.write_text(f"(VAR x)\n(RULES\n  {lhs} -> x\n)\n", encoding="utf-8")
+    rc = main([str(path), "--timeout", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out.splitlines() == ["ERROR"]
+    assert len(captured.err.splitlines()) == 1

@@ -6,7 +6,6 @@ from confl.critical_pairs import (
     cp_in,
     cp_out,
     pcp_in,
-    pcp_out,
 )
 from confl.rewriting import Rule, Trs, replay_steps, step_at
 from confl.terms import App, Var, all_parallel, apply, canonical_tuple, pos_le, replace_parallel, var_ids
@@ -106,7 +105,7 @@ def test_pcp_in_golden_example():
     assert {p.key() for p in got} == expected
     assert len(got) == 3
     # no outer parallel pairs and no pairs the other way around
-    assert pcp_out(q, r_big) == []
+    assert cp_out(q, r_big) == []
     assert cp(r_big, q) == []
 
 
