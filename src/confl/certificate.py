@@ -757,31 +757,19 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
         except ValueError as exc:
             problems.append(f"bad P' set: {exc}")
             p_prime = empty_trs()
-        if cert.term_cert is None:
-            problems.append("missing plain termination certificate for S")
-        else:
-            try:
-                if not replay_certificate(s, empty_trs(), cert.term_cert, hook=hook):
-                    problems.append("plain termination certificate rejected")
-            except MalformedCertificate as exc:
-                problems.append(f"plain termination certificate malformed: {exc}")
-        if cert.relterm_cert is None:
-            problems.append("missing relative termination certificate for S/P'")
-        else:
-            try:
-                if not replay_certificate(s, p_prime, cert.relterm_cert, hook=hook):
-                    problems.append("relative termination certificate rejected")
-            except MalformedCertificate as exc:
-                problems.append(f"relative termination certificate malformed: {exc}")
+        checks = (("plain termination certificate for S", cert.term_cert, empty_trs()),
+                  ("relative termination certificate for S/P'", cert.relterm_cert, p_prime))
     else:
-        if cert.relterm_cert is None:
-            problems.append("missing relative termination certificate for S/P")
-        else:
-            try:
-                if not replay_certificate(s, p, cert.relterm_cert, hook=hook):
-                    problems.append("relative termination certificate rejected")
-            except MalformedCertificate as exc:
-                problems.append(f"relative termination certificate malformed: {exc}")
+        checks = (("relative termination certificate for S/P", cert.relterm_cert, p),)
+    for label, term_cert, p_part in checks:
+        if term_cert is None:
+            problems.append(f"missing {label}")
+            continue
+        try:
+            if not replay_certificate(s, p_part, term_cert, hook=hook):
+                problems.append(f"{label} rejected")
+        except (MalformedCertificate, TypeError, ValueError) as exc:
+            problems.append(f"{label} malformed: {exc}")
 
     # 5. linearity preconditions
     crit = cert.criterion

@@ -8,6 +8,7 @@ import sys
 
 from .trs_format import ParseError, parse_trs_file
 from .completion import COMPLETION_CRITERIA, check_confluence
+from .criteria import CRITERIA
 from .certificate import certificate_text
 from .ars_oracle import IFF_TAGS, TAGS, check_abstract_criterion, precondition_holds, random_ars
 
@@ -47,7 +48,7 @@ def main(argv=None) -> int:
                     "split into a terminating part and a reversible part.")
     parser.add_argument("file", help="rewrite system in the plain (VAR/RULES) format")
     parser.add_argument("--criterion", default="auto",
-                        choices=("auto", "linear", "parallel", "pcp", "huet"),
+                        choices=("auto", *CRITERIA),
                         help="restrict the proof search to one criterion")
     parser.add_argument("--max-steps", type=int, default=20,
                         help="completion expansion budget")

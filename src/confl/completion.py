@@ -128,17 +128,33 @@ def _reverse_steps(steps):
     return tuple(out)
 
 
-def _valid_rule(lhs, rhs, name):
+def _rule_names(trs: Trs):
+    """One name per rule for the whole run: a rule is named by its canonical
+    key, with the input's own name or else the first q<n> no input rule uses.
+    Returns the function that names a rule."""
+    names = {r.key(): r.name for r in trs}
+    taken = {r.name for r in trs}
+    unused = (f"q{i}" for i in itertools.count(1) if f"q{i}" not in taken)
+
+    def named(rule: Rule) -> Rule:
+        key = rule.key()
+        if key not in names:
+            names[key] = next(unused)
+        return Rule(rule.lhs, rule.rhs, names[key])
+    return named
+
+
+def _valid_rule(lhs, rhs, named):
     if lhs == rhs:
         return None
     try:
-        return Rule(lhs, rhs, name)
+        return named(Rule(lhs, rhs))
     except ValueError:
         return None
 
 
 def _addition_candidates(state: SearchState, report: CriterionReport,
-                         fresh, depth: int):
+                         named, depth: int):
     """(big-union candidates, partition-repair candidates) derived from the
     failing pairs: each is a (rule, justification) pair."""
     s, p = state.s, state.p
@@ -164,7 +180,7 @@ def _addition_candidates(state: SearchState, report: CriterionReport,
                 if f.origin == "cp(PP,S)":
                     continue  # mirrored by a cp(S,PP) pair
                 # orient the P-side towards the S-normal form of the S-side
-                rule = _valid_rule(pair.right, f.left_nf, next(fresh))
+                rule = _valid_rule(pair.right, f.left_nf, named)
                 if rule is None:
                     continue
                 inv = _maybe_inverse(pair.outer_rule)
@@ -186,17 +202,17 @@ def _addition_candidates(state: SearchState, report: CriterionReport,
                 conv = conversion_bounded(f.left_nf, f.right_nf, p, depth)
                 if conv is None:
                     continue
-                rule = _valid_rule(f.left_nf, f.right_nf, next(fresh))
+                rule = _valid_rule(f.left_nf, f.right_nf, named)
                 if rule is not None:
                     remember(u_big, rule, conv, ())
-                rule2 = _valid_rule(f.right_nf, f.left_nf, next(fresh))
+                rule2 = _valid_rule(f.right_nf, f.left_nf, named)
                 if rule2 is not None:
                     rconv = _reverse_steps(conv)
                     if rconv is not None:
                         remember(u_big, rule2, rconv, ())
             elif f.origin in ("cp_in(PP,S)", "pcp_in(PP,S)") or (
                     f.origin == "cp(PP,S)" and pair.kind == "inner"):
-                rule = _valid_rule(pair.left, f.right_nf, next(fresh))
+                rule = _valid_rule(pair.left, f.right_nf, named)
                 if rule is None:
                     continue
                 if isinstance(pair, ParallelCriticalPair):
@@ -226,7 +242,7 @@ def _addition_candidates(state: SearchState, report: CriterionReport,
     return u_big, b_singles
 
 
-def _replacement_candidates(state: SearchState, report: CriterionReport, fresh):
+def _replacement_candidates(state: SearchState, report: CriterionReport, named):
     """Rules of S implicated in failures, rewritten one P-step on the right."""
     s, p = state.s, state.p
     pp = p.with_inverses()
@@ -247,7 +263,7 @@ def _replacement_candidates(state: SearchState, report: CriterionReport, fresh):
         if rule.key() not in involved and not cp_in(pp, Trs([rule])):
             continue
         for st in reducts(rule.rhs, pp):
-            new_rule = _valid_rule(rule.lhs, st.target, next(fresh))
+            new_rule = _valid_rule(rule.lhs, st.target, named)
             if new_rule is None or new_rule.key() == rule.key():
                 continue
             if state.system().contains_variant(new_rule):
@@ -258,10 +274,10 @@ def _replacement_candidates(state: SearchState, report: CriterionReport, fresh):
     return out
 
 
-def successors(state: SearchState, report: CriterionReport, fresh,
+def successors(state: SearchState, report: CriterionReport, named,
                rev_bound: int = DEFAULT_DEPTH, depth: int = DEFAULT_DEPTH) -> list:
-    u_big, b_singles = _addition_candidates(state, report, fresh, depth)
-    repls = _replacement_candidates(state, report, fresh)
+    u_big, b_singles = _addition_candidates(state, report, named, depth)
+    repls = _replacement_candidates(state, report, named)
 
     new_systems = []
 
@@ -317,8 +333,7 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
     """Breadth-first completion over (S, P, criterion) states.  Returns YES
     with the successful report and state, or MAYBE with the last reason."""
     start = time.monotonic()
-    counter = itertools.count(1)
-    fresh = (f"q{i}" for i in counter)
+    named = _rule_names(trs)
     queue: deque = deque()
     seen = set()
 
@@ -355,7 +370,7 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
         if explored >= max_steps or not rep.failing:
             continue
         explored += 1
-        for nxt in successors(state, rep, fresh, rev_bound, depth):
+        for nxt in successors(state, rep, named, rev_bound, depth):
             enqueue(nxt)
     return CompletionResult(
         "MAYBE", f"search exhausted after {explored} expansion(s); last: {last_reason}",

@@ -213,18 +213,6 @@ class Partition:
             self._cache[key] = is_reversible(self.p, bound=bound)
         return self._cache[key]
 
-    def termination(self, hook=None):
-        key = "term"
-        if key not in self._cache:
-            self._cache[key] = prove_termination(self.s, hook=hook)
-        return self._cache[key]
-
-    def relative_termination(self, p_part: Trs, hook=None):
-        key = ("relterm", p_part.key())
-        if key not in self._cache:
-            self._cache[key] = prove_relative_termination(self.s, p_part, hook=hook)
-        return self._cache[key]
-
     def pp_safe(self, hook=None) -> Trs:
         """Largest greedily-built subset of P ∪ P⁻¹ relative to which S can be
         shown terminating.  Searching inside S ∪ pp_safe guarantees that any
@@ -234,7 +222,7 @@ class Partition:
             kept: list[Rule] = []
             for r in self.pp:
                 cand = Trs(kept + [r])
-                cert, _ = self.relative_termination(cand, hook=hook)
+                cert, _ = prove_relative_termination(self.s, cand, hook=hook)
                 if cert is not None:
                     kept.append(r)
             self._cache[key] = Trs(kept)
@@ -595,19 +583,19 @@ def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, depth: 
         return False
     rep.reversibility = rev
     if rep.criterion == "huet":
-        rcert, rwhy = pt.relative_termination(pt.p, hook=hook)
+        rcert, rwhy = prove_relative_termination(pt.s, pt.p, hook=hook)
         if rcert is None:
             rep.reason = f"relative termination of S w.r.t. P not established: {rwhy}"
             return False
         rep.relterm_cert = rcert
         return True
-    cert, why = pt.termination(hook=hook)
+    cert, why = prove_termination(pt.s, hook=hook)
     if cert is None:
         rep.reason = f"termination of S not established: {why}"
         return False
     rep.term_cert = cert
     if pt.p_prime is not None:
-        rcert, rwhy = pt.relative_termination(pt.p_prime, hook=hook)
+        rcert, rwhy = prove_relative_termination(pt.s, pt.p_prime, hook=hook)
         if rcert is None:
             rep.reason = f"relative termination of S w.r.t. P' not established: {rwhy}"
             return False
@@ -625,7 +613,7 @@ def _finish(rep: CriterionReport, pt: Partition, hook=None) -> CriterionReport:
         rep.p_prime = empty_trs()
     elif pt.p_prime is None:
         used = collect_p_prime(rep.evidence, pt.s)
-        rcert, rwhy = pt.relative_termination(used, hook=hook)
+        rcert, rwhy = prove_relative_termination(pt.s, used, hook=hook)
         if rcert is None:
             rep.reason = f"relative termination of S w.r.t. collected P' failed: {rwhy}"
             return rep

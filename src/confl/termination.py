@@ -421,72 +421,19 @@ def clear_cache():
     _cache.clear()
 
 
-def _name_map(old: Trs, new: Trs):
-    """Rule-name translation between two systems with equal canonical keys."""
-    pool: dict = {}
-    for r in new:
-        pool.setdefault(r.key(), []).append(r.name)
-    out = {}
-    for r in old:
-        names = pool.get(r.key())
-        if not names:
-            return None
-        out[r.name] = names.pop(0)
-    if any(pool.values()):
-        return None
-    return out
-
-
-def _retarget(entry, s_trs: Trs, p_trs: Trs | None):
-    """Rename a cached result for an isomorphic system; None forces a redo.
-
-    The cache is keyed by canonical rule keys, so a hit may come from a system
-    whose rules carry different names.  The certificate must speak the caller's
-    names or it will not replay against the caller's system.
-    """
-    (cert, why), old_s, old_p = entry
-    if cert is None:
-        return cert, why
-    m = _name_map(old_s, s_trs)
-    if m is None:
-        return None
-    if p_trs is not None:
-        pm = _name_map(old_p, p_trs)
-        if pm is None:
-            return None
-        m.update(pm)
-    if all(k == v for k, v in m.items()):
-        return cert, why
-
-    def dp_name(n):
-        base, _, k = n.rpartition(_MARK)
-        return m[base] + _MARK + k
-
-    renamed = TerminationCertificate(
-        cert.method,
-        tuple(m[n] for n in cert.s_names),
-        tuple(m[n] for n in cert.p_names),
-        cert.precedence,
-        tuple((items, tuple(sorted(m[n] for n in strict)))
-              for items, strict in cert.rounds),
-        tuple((items, tuple(sorted(dp_name(n) for n in strict)))
-              for items, strict in cert.dp_rounds),
-        cert.detail,
-    )
-    return renamed, why
+def _named_key(trs: Trs) -> frozenset:
+    """Cache key of a system: its rules by name and canonical shape.  A
+    certificate is only handed to a system whose rules carry the same names,
+    so it always replays against the caller's system."""
+    return frozenset((r.name, r.key()) for r in trs)
 
 
 def prove_termination(s_trs: Trs, hook: str | None = None):
     """Returns (TerminationCertificate | None, reason string)."""
-    key = ("plain", s_trs.key(), hook)
-    hit = _cache.get(key)
-    if hit is not None:
-        res = _retarget(hit, s_trs, None)
-        if res is not None:
-            return res
-    res = _prove_termination(s_trs, hook)
-    _cache[key] = (res, s_trs, None)
-    return res
+    key = ("plain", _named_key(s_trs), hook)
+    if key not in _cache:
+        _cache[key] = _prove_termination(s_trs, hook)
+    return _cache[key]
 
 
 def _prove_termination(s_trs: Trs, hook):
@@ -515,15 +462,10 @@ def prove_relative_termination(s_trs: Trs, p_trs: Trs, hook: str | None = None):
     counted); returns (TerminationCertificate | None, reason string)."""
     if not p_trs.rules:
         return prove_termination(s_trs, hook)
-    key = ("rel", s_trs.key(), p_trs.key())
-    hit = _cache.get(key)
-    if hit is not None:
-        res = _retarget(hit, s_trs, p_trs)
-        if res is not None:
-            return res
-    res = _prove_relative(s_trs, p_trs)
-    _cache[key] = (res, s_trs, p_trs)
-    return res
+    key = ("rel", _named_key(s_trs), _named_key(p_trs))
+    if key not in _cache:
+        _cache[key] = _prove_relative(s_trs, p_trs)
+    return _cache[key]
 
 
 def _prove_relative(s_trs: Trs, p_trs: Trs):

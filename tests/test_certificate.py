@@ -191,17 +191,24 @@ def test_wild_position_rejected_not_crash(cert_r3):
 
 
 def test_tampered_termination_payload_rejected(cert_r3):
-    def corrupt(ln):
-        head, _, payload = ln.partition(" ")
-        d = json.loads(payload)
-        d["method"] = "mystery"
-        return head + " " + json.dumps(d, sort_keys=True)
+    def corrupt(fields):
+        def change(ln):
+            head, _, payload = ln.partition(" ")
+            d = json.loads(payload)
+            d.update(fields)
+            return head + " " + json.dumps(d, sort_keys=True)
+        return change
 
-    for prefix in ("termcert ", "relterm "):
-        problems = rejected(mutate(cert_r3, prefix, corrupt), R3)
-        assert any("termination" in p for p in problems)
+    # an unknown method, then payloads of the wrong type or shape
+    edits = ({"method": "mystery"}, {"precedence": 5}, {"s_names": 3},
+             {"method": "poly", "rounds": [[1, 2, 3]]})
+    for prefix, label in (("termcert ", "plain termination"),
+                          ("relterm ", "relative termination")):
+        for fields in edits:
+            problems = rejected(mutate(cert_r3, prefix, corrupt(fields)), R3)
+            assert any(label in p for p in problems), (fields, problems)
         problems = rejected(mutate(cert_r3, prefix, None), R3)
-        assert any("termination" in p for p in problems)
+        assert any(label in p for p in problems)
 
 
 def test_tampered_reversibility_rejected(cert_r3):

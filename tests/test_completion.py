@@ -1,8 +1,11 @@
 """Reduction-preserving completion: transformation search with replayable
 side conditions."""
+from confl import termination
+from confl.certificate import certificate_text, verify_certificate
 from confl.completion import CompletionResult, check_confluence, decompose
 from confl.rewriting import Rule, Trs, empty_trs, replay_steps
 from confl.terms import App
+from confl.trs_format import parse_trs
 
 from systems import (
     ADD3,
@@ -108,6 +111,46 @@ def test_r6_completes():
     result = check_confluence(R6, max_steps=20, timeout=60.0)
     assert result.verdict == "YES", result.reason
     replay_history(result, R6)
+
+
+def test_generated_names_avoid_the_input_names():
+    # the input already uses the names completion would generate first
+    q_named = Trs([Rule(r.lhs, r.rhs, f"q{i}") for i, r in enumerate(R6, 1)])
+    result = check_confluence(q_named, max_steps=20, timeout=60.0)
+    assert result.verdict == "YES", result.reason
+    replay_history(result, q_named)
+    ok, problems = verify_certificate(certificate_text(q_named, result), q_named)
+    assert ok, problems
+
+
+def test_no_system_is_proved_twice_up_to_renaming(monkeypatch):
+    # a rule keeps one name for the whole run, so a system met again on
+    # another branch or under another criterion is answered by the cache
+    swap = parse_trs("""(VAR x y z)
+(RULES
+  g(+(a,b)) -> c
+  g(+(b,a)) -> d
+  +(x,y) -> +(y,x)
+  +(+(x,y),z) -> +(x,+(y,z))
+)""")
+    proved = []
+    plain, relative = termination._prove_termination, termination._prove_relative
+
+    def plain_counted(s_trs, hook):
+        proved.append((s_trs.key(), empty_trs().key()))
+        return plain(s_trs, hook)
+
+    def relative_counted(s_trs, p_trs):
+        proved.append((s_trs.key(), p_trs.key()))
+        return relative(s_trs, p_trs)
+
+    monkeypatch.setattr(termination, "_prove_termination", plain_counted)
+    monkeypatch.setattr(termination, "_prove_relative", relative_counted)
+    termination.clear_cache()
+    result = check_confluence(swap)
+    assert result.verdict == "MAYBE"
+    assert proved
+    assert len(proved) == len(set(proved))
 
 
 def test_r8_completes():

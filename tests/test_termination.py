@@ -65,6 +65,25 @@ def test_relative_termination_fails_for_swapping_successor():
     assert why
 
 
+def renamed(trs, prefix):
+    """The same rules under other names, in reverse order."""
+    return Trs([Rule(r.lhs, r.rhs, prefix + r.name) for r in reversed(trs.rules)])
+
+
+def test_certificate_names_the_callers_rules():
+    # a system already proved under other names and in another order: the
+    # certificate handed back must speak the caller's names and replay
+    for p_trs in (empty_trs(), P_CA):
+        first, why = prove_relative_termination(S3, p_trs)
+        assert first is not None, why
+        s2, p2 = renamed(S3, "s_"), renamed(p_trs, "p_")
+        cert, why = prove_relative_termination(s2, p2)
+        assert cert is not None, why
+        assert set(cert.s_names) == {r.name for r in s2}
+        assert set(cert.p_names) == {r.name for r in p2}
+        assert replay_certificate(s2, p2, cert)
+
+
 def test_lpo_ground_facts():
     prec = {"+": 2, "s": 1, "0": 0}
     assert lpo_gt(plus(zero, y), y, prec)
