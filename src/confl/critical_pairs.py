@@ -11,6 +11,16 @@ pcp_in(Q, R) generalizes the inner case to any nonempty set of pairwise
 parallel non-root function positions rewritten simultaneously by rules of Q,
 and records the variable set X occurring in the rewritten part of the peak,
 which downstream joinability conditions constrain.
+
+Enumeration order is part of the contract, because deduplication keeps the
+first provenance, and certificate text and evidence order follow the pair
+order.  cp goes through outer rules, then inner rules, in system order, then
+positions in left-to-right preorder.  pcp_in goes through outer rules in
+system order, then position sets by size and, within a size,
+lexicographically by preorder index, then tuples of inner rules in system
+order, the rule at the first position varying slowest.  pcp_in never builds
+a tuple that cannot unify: a rule is tried at a set of positions only if its
+left side unifies with the subterm at each of them on its own.
 """
 
 from __future__ import annotations
@@ -100,14 +110,15 @@ def cp(r_rules: Trs, q_rules: Trs) -> list[CriticalPair]:
     """Critical pairs of rules from r_rules overlapping into q_rules."""
     pairs = []
     for outer in q_rules:
-        avoid = var_ids(outer.lhs) | var_ids(outer.rhs)
+        subterms = [(p, subterm_at(outer.lhs, p)) for p in positions_fun(outer.lhs)]
         for inner in r_rules:
-            ren = inner.rename_apart(avoid)
+            ren = None  # renamed apart at the first position with its head symbol
             self_overlap = inner.key() == outer.key()
-            for p in positions_fun(outer.lhs):
-                if p == () and self_overlap:
+            for p, sub in subterms:
+                if sub.fn != inner.lhs.fn or (p == () and self_overlap):
                     continue
-                sigma = unify_all([(ren.lhs, subterm_at(outer.lhs, p))])
+                ren = ren or inner.rename_apart()
+                sigma = unify_all([(ren.lhs, sub)])
                 if sigma is None:
                     continue
                 pairs.append(
@@ -133,22 +144,38 @@ def cp_out(r_rules: Trs, q_rules: Trs) -> list[CriticalPair]:
     return [pr for pr in cp(r_rules, q_rules) if pr.kind == "outer"]
 
 
+def _overlapping(q_rules: Trs, outer: Rule) -> list[tuple[Position, list[Rule]]]:
+    """Each inner function position of outer.lhs, in preorder, with the rules
+    of q_rules (renamed apart, in system order) whose left side unifies with
+    the subterm there; positions no rule overlaps are left out."""
+    out = []
+    for p in positions_fun(outer.lhs):
+        if p == ():
+            continue
+        sub = subterm_at(outer.lhs, p)
+        rules = []
+        for r in q_rules:
+            if r.lhs.fn != sub.fn:
+                continue
+            rr = r.rename_apart()
+            if unify_all([(rr.lhs, sub)]) is not None:
+                rules.append(rr)
+        if rules:
+            out.append((p, rules))
+    return out
+
+
 def pcp_in(q_rules: Trs, r_rules: Trs) -> list[ParallelCriticalPair]:
     """Inner parallel critical pairs of q_rules into r_rules."""
     pairs = []
     for outer in r_rules:
-        inner_pos = [p for p in positions_fun(outer.lhs) if p != ()]
-        for n in range(1, len(inner_pos) + 1):
-            for ps in combinations(inner_pos, n):
+        candidates = _overlapping(q_rules, outer)
+        for n in range(1, len(candidates) + 1):
+            for chosen in combinations(candidates, n):
+                ps = [p for p, _ in chosen]
                 if not all_parallel(ps):
                     continue
-                for rules in product(list(q_rules), repeat=n):
-                    avoid = var_ids(outer.lhs) | var_ids(outer.rhs)
-                    renamed = []
-                    for r in rules:
-                        rr = r.rename_apart(avoid)
-                        avoid = avoid | var_ids(rr.lhs) | var_ids(rr.rhs)
-                        renamed.append(rr)
+                for renamed in product(*(rules for _, rules in chosen)):
                     sigma = unify_all(
                         [(rr.lhs, subterm_at(outer.lhs, p)) for rr, p in zip(renamed, ps)]
                     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .terms import (
@@ -52,10 +53,16 @@ class Rule:
 
     def key(self):
         """Identity up to renaming."""
+        return self._key
+
+    @cached_property
+    def _key(self):
+        # stored outside the fields, so == and hash are unaffected
         return canonical_tuple((self.lhs, self.rhs))
 
-    def rename_apart(self, avoid_ids: set[int]) -> Rule:
-        mapping = renaming_apart(avoid_ids, [self.lhs])
+    def rename_apart(self) -> Rule:
+        """A variant on fresh variables."""
+        mapping = renaming_apart([self.lhs])
         return Rule(
             rename_term(self.lhs, mapping), rename_term(self.rhs, mapping), self.name
         )

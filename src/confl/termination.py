@@ -329,7 +329,7 @@ def dp_graph(dps: list[Rule], defined: set) -> set[tuple[int, int]]:
     for i, d1 in enumerate(dps):
         rhs = App(d1.rhs.fn, tuple(_cap_ren(a, defined, fresh) for a in d1.rhs.args))
         for j, d2 in enumerate(dps):
-            lhs = d2.rename_apart(var_ids(rhs)).lhs
+            lhs = d2.rename_apart().lhs
             if unify_all([(rhs, lhs)]) is not None:
                 edges.add((i, j))
     return edges

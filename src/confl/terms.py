@@ -233,8 +233,11 @@ def rename_term(t: Term, mapping: dict[int, Var]) -> Term:
     return App(t.fn, tuple(rename_term(a, mapping) for a in t.args))
 
 
-def renaming_apart(avoid_ids: set[int], ts) -> dict[int, Var]:
-    """Fresh-variable renaming for every variable occurring in terms ts."""
+def renaming_apart(ts) -> dict[int, Var]:
+    """Fresh-variable renaming for every variable occurring in terms ts.
+
+    Fresh ids come from one global counter, so the renamed terms share no
+    variable with any term built before."""
     mapping: dict[int, Var] = {}
     for t in ts:
         for v in term_vars(t):
@@ -248,7 +251,7 @@ def rename_apart(t1: Term, t2: Term) -> tuple[Term, dict[int, Var]]:
 
     The mapping is a bijection onto fresh variables, so t2' is a variant.
     """
-    mapping = renaming_apart(var_ids(t1), [t2])
+    mapping = renaming_apart([t2])
     return rename_term(t2, mapping), mapping
 
 

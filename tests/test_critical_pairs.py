@@ -7,10 +7,28 @@ from confl.critical_pairs import (
     cp_out,
     pcp_in,
 )
-from confl.rewriting import Rule, Trs, replay_steps, step_at
-from confl.terms import App, Var, all_parallel, apply, canonical_tuple, pos_le, replace_parallel, var_ids
+from itertools import combinations, product
 
-from systems import P5, P_CA, R3, S2, S3, f2, g1, h1, plus, s, x, y, z, zero
+from confl import critical_pairs
+from confl.rewriting import Rule, Trs, replay_steps, step_at
+from confl.terms import (
+    App,
+    Var,
+    all_parallel,
+    apply,
+    canonical_tuple,
+    pos_le,
+    positions_fun,
+    rename_apart,
+    rename_term,
+    replace_at,
+    replace_parallel,
+    subterm_at,
+    unify_all,
+    var_ids,
+)
+
+from systems import P5, P8, P_CA, R3, S2, S3, S4, S6, S8, SS1, SS2, f2, g1, h1, plus, s, x, y, z, zero
 
 
 def keyset(pairs):
@@ -169,3 +187,151 @@ def test_dedup_is_up_to_renaming():
     # variants collapse: same pairs as from a single copy
     single = cp(Trs([Rule(plus(zero, y), y, "a1")]), P_CA.with_inverses())
     assert keyset(got) == keyset(single)
+
+
+# --- the brute-force enumeration, kept as an oracle for order and content ---
+
+
+def _fresh(rule, avoid):
+    lhs, mapping = rename_apart(avoid, rule.lhs)
+    return Rule(lhs, rename_term(rule.rhs, mapping), rule.name)
+
+
+def brute_cp(r_rules, q_rules):
+    """cp without any pre-filter: every rule at every function position."""
+    pairs = []
+    for outer in q_rules:
+        for inner in r_rules:
+            ren = _fresh(inner, outer.lhs)
+            self_overlap = inner.key() == outer.key()
+            for p in positions_fun(outer.lhs):
+                if p == () and self_overlap:
+                    continue
+                sigma = unify_all([(ren.lhs, subterm_at(outer.lhs, p))])
+                if sigma is None:
+                    continue
+                pairs.append(CriticalPair(
+                    left=apply(sigma, replace_at(outer.lhs, p, ren.rhs)),
+                    right=apply(sigma, outer.rhs),
+                    kind="outer" if p == () else "inner",
+                    peak=apply(sigma, outer.lhs),
+                    inner_rule=ren, outer_rule=outer, position=p, mgu=sigma,
+                ))
+    return critical_pairs._dedup(pairs)
+
+
+def brute_pcp_in(q_rules, r_rules):
+    """pcp_in over every subset of inner positions times every rule tuple."""
+    pairs = []
+    for outer in r_rules:
+        inner_pos = [p for p in positions_fun(outer.lhs) if p != ()]
+        for n in range(1, len(inner_pos) + 1):
+            for ps in combinations(inner_pos, n):
+                if not all_parallel(ps):
+                    continue
+                for rules in product(list(q_rules), repeat=n):
+                    renamed = [_fresh(r, outer.lhs) for r in rules]
+                    sigma = unify_all(
+                        [(rr.lhs, subterm_at(outer.lhs, p)) for rr, p in zip(renamed, ps)]
+                    )
+                    if sigma is None:
+                        continue
+                    peak = apply(sigma, outer.lhs)
+                    left = apply(sigma, replace_parallel(
+                        outer.lhs, [(p, rr.rhs) for rr, p in zip(renamed, ps)]))
+                    pairs.append(ParallelCriticalPair(
+                        left=left, right=apply(sigma, outer.rhs), kind="inner",
+                        peak=peak, inner_rules=tuple(renamed), outer_rule=outer,
+                        positions=tuple(ps), mgu=sigma,
+                        var_limit=frozenset(
+                            v for p in ps for v in var_ids(subterm_at(peak, p))),
+                    ))
+    return critical_pairs._dedup(pairs)
+
+
+def cp_trail(pairs):
+    return [(pr.key(), pr.position, pr.inner_rule.name, pr.outer_rule.name) for pr in pairs]
+
+
+def pcp_trail(pairs):
+    return [
+        (pr.key(), pr.positions, tuple(r.name for r in pr.inner_rules), pr.outer_rule.name)
+        for pr in pairs
+    ]
+
+
+def _const(name):
+    return App(name, ())
+
+
+def _sum(terms):
+    out = terms[-1]
+    for t in reversed(terms[:-1]):
+        out = plus(t, out)
+    return out
+
+
+def _chain(n):
+    return Trs([Rule(g1(_sum([_const(f"a{i}") for i in range(n)])), _const("c"), "g")])
+
+
+def _wide(k):
+    xs = [Var(10 + i, f"x{i}") for i in range(k)]
+    ys = [Var(20 + i, f"y{i}") for i in range(k)]
+    return Trs([Rule(App("f", tuple(plus(a, b) for a, b in zip(xs, ys))), _const("c"), "w")])
+
+
+def _deep(n):
+    t = x
+    for _ in range(n):
+        t = s(t)
+    return Trs([Rule(h1(t), h1(x), "d")]).union(S3)
+
+
+SWAP = Trs([
+    Rule(g1(plus(_const("a"), _const("b"))), _const("c"), "g1"),
+    Rule(g1(plus(_const("b"), _const("a"))), _const("d"), "g2"),
+])
+
+# (S, P) of R1-R8, then systems shaped like the benchmark's search and
+# parallel inputs
+PARTITIONS = [
+    (Trs([]), P_CA),
+    (S2, P_CA),
+    (S3, P_CA),
+    (S4, P_CA),
+    (S3, P5),
+    (S6, P_CA),
+    (S4, Trs(list(P_CA) + [SS1, SS2])),
+    (S8, P8),
+    (_chain(3), P_CA),
+    (_chain(4), P_CA),
+    (_wide(3), P_CA),
+    (SWAP, P_CA),
+    (_deep(4), P_CA),
+]
+
+
+def test_pcp_in_and_cp_match_brute_force():
+    for s_rules, p_rules in PARTITIONS:
+        pp = p_rules.with_inverses()
+        for q, r in [(pp, s_rules), (s_rules, s_rules), (s_rules, pp)]:
+            assert pcp_trail(pcp_in(q, r)) == pcp_trail(brute_pcp_in(q, r))
+            assert cp_trail(cp(q, r)) == cp_trail(brute_cp(q, r))
+
+
+def test_pcp_in_skips_non_unifying_tuples(monkeypatch):
+    pp = P_CA.with_inverses()
+    chain = _chain(4)
+    expected = pcp_trail(brute_pcp_in(pp, chain))
+    calls = []
+
+    def counting(eqs):
+        calls.append(eqs)
+        return unify_all(eqs)
+
+    monkeypatch.setattr(critical_pairs, "unify_all", counting)
+    got = pcp_in(pp, chain)
+    # the brute force tries 318 tuples here, nearly all doomed
+    assert len(calls) <= 30
+    assert pcp_trail(got) == expected

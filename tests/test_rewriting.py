@@ -21,7 +21,7 @@ from confl.rewriting import (
     replay_steps,
     step_at,
 )
-from confl.terms import App, Var, all_parallel, apply, match_term, positions_fun, replace_parallel, subterm_at
+from confl.terms import App, Var, all_parallel, apply, canonical_tuple, match_term, positions_fun, replace_parallel, subterm_at
 
 from systems import ADD1, ADD2, ADD3, ADD4, A, C, P_CA, R2, R3, S2, S3, plus, s, x, y, z, zero
 
@@ -247,3 +247,37 @@ def test_reducts_enumerates_every_redex():
     assert ((), "add3") in got
     assert ((1,), "add1") in got
     assert all(st.source == t for st in reducts(t, S3))
+
+
+def test_rule_key_cache_is_invisible():
+    def fresh_c():
+        return Rule(plus(x, y), plus(y, x), "C")
+
+    r, twin = fresh_c(), fresh_c()
+    before = hash(r)
+    assert r == twin
+    assert r.key() == canonical_tuple((r.lhs, r.rhs))
+    # a computed key changes neither equality nor hashing
+    assert hash(r) == before == hash(twin)
+    assert r == twin and twin == r
+    assert len({r, twin}) == 1
+    # variants share a key, yet stay distinct rules
+    variant = Rule(plus(y, z), plus(z, y), "C")
+    renamed = Rule(plus(x, y), plus(y, x), "C2")
+    assert variant.key() == renamed.key() == r.key()
+    assert variant != r and renamed != r
+    assert len({r, variant, renamed}) == 3
+    # the system operations built on keys answer as they did before caching
+    s2 = Trs([ADD1, ADD2])
+    flipped = Rule(plus(zero, z), z, "other")
+    assert s2.contains_variant(flipped)
+    assert not s2.contains_variant(ADD3)
+    merged = s2.union(Trs([flipped, Rule(plus(s(x), y), s(plus(x, y)), "add1"), ADD3]))
+    assert [(m.name, m.lhs, m.rhs) for m in merged] == [
+        ("add1", ADD1.lhs, ADD1.rhs),
+        ("add2", ADD2.lhs, ADD2.rhs),
+        ("add3", ADD3.lhs, ADD3.rhs),
+    ]
+    clash = s2.union(Trs([Rule(plus(x, zero), x, "add1")]))
+    assert [m.name for m in clash] == ["add1", "add2", "add1'"]
+    assert Trs([variant]) == Trs([r]) and hash(Trs([variant])) == hash(Trs([r]))
