@@ -623,17 +623,6 @@ def _check_join(join: JoinData, criterion: str, tables: dict, problems: list) ->
     return True
 
 
-def _join_key(join: JoinData, criterion: str):
-    return _witness_key(criterion, join.condition, join.left, join.right,
-                        join.peak, join.x_ids)
-
-
-def _pair_key(pair, criterion: str, condition: str):
-    if criterion == "pcp" and condition == "ii":
-        return pair.key()
-    return canonical_tuple((pair.left, pair.right))
-
-
 def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     """Replay a certificate.  Returns (ok, problems)."""
     problems: list[str] = []
@@ -784,9 +773,9 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     sp = s.union(p_prime) if p_prime is not None else s
     tables = {"S": s, "PP": pp, "SP": sp, "P": pp}
     families = []
-    for cond, (gen, left, right), join_name in conditions:
+    for cond, (gen, left, right) in conditions:
         pairs = globals()[gen](classes[left], classes[right])
-        if join_name is not None:
+        if (crit, cond, "A") in SHAPES:
             families.append((cond, pairs))
         elif pairs:  # parallel's (ii), the one family that must be empty
             problems.append("inner critical pairs of P∪P⁻¹ into S must be empty")
@@ -795,11 +784,15 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     for j, join in enumerate(cert.joins):
         if _check_join(join, crit, tables, problems):
             valid.append(j)
-            first_join.setdefault((join.condition, _join_key(join, crit)), j)
+            key = _witness_key(crit, join.condition, join.left, join.right,
+                               join.peak, join.x_ids)
+            first_join.setdefault((join.condition, key), j)
     used = set()
     for cond, pairs in families:
         for pair in pairs:
-            hit = first_join.get((cond, _pair_key(pair, crit, cond)))
+            key = _witness_key(crit, cond, pair.left, pair.right, pair.peak,
+                               getattr(pair, "var_limit", None))
+            hit = first_join.get((cond, key))
             if hit is None:
                 problems.append(f"no valid join for pair {pair!r} (condition {cond})")
             else:

@@ -5,8 +5,10 @@ kind of obstacle (precondition vs unjoined pairs) so regressions stay loud.
 """
 import pytest
 
+from confl import completion
 from confl.criteria import (
     CRITERIA,
+    SHAPES,
     Partition,
     PreconditionViolation,
     check_criterion,
@@ -24,6 +26,8 @@ from systems import (
     P8,
     P_CA,
     PPRIME_SS2,
+    R6,
+    R8,
     S3,
     S4,
     S6,
@@ -37,14 +41,20 @@ from systems import (
 
 
 def segments_replay(rep):
-    """Every evidence segment must chain and replay over its declared rules."""
+    """Every evidence must have its SHAPES row, and every segment must chain
+    and replay over its declared rules.  A failing auto-mode report has no
+    collected P', so its SP segments replay over S ∪ P ∪ P⁻¹."""
+    pp = rep.p.with_inverses()
     tables = {
         "S": rep.s,
-        "PP": rep.p.with_inverses(),
-        "SP": rep.s.union(rep.p_prime) if rep.p_prime is not None else rep.s,
-        "P": rep.p.with_inverses(),
+        "PP": pp,
+        "SP": rep.s.union(rep.p_prime if rep.p_prime is not None else pp),
+        "P": pp,
     }
     for ev in rep.evidence:
+        assert ev.criterion == rep.criterion
+        shape = tuple((seg.rel, seg.rules, seg.reverse) for seg in ev.segments)
+        assert shape == SHAPES[(rep.criterion, ev.condition, ev.branch)]
         cur = ev.pair_left
         for seg in ev.segments:
             assert seg.start == cur
@@ -98,6 +108,18 @@ def test_r3_explicit_empty_p_prime_holds():
         assert rep.holds(), f"{name}: {rep.reason}"
         assert rep.p_prime is not None and len(rep.p_prime) == 0
         assert "P'=[]" in rep.tag
+
+
+def test_auto_p_prime_collects_nothing_on_r3_and_r4():
+    # Which join is found first decides which P' rules auto mode collects.
+    # With the scan order _Searcher documents, R3 and R4 need none, so lpo proves
+    # S terminating relative to the empty P'.
+    for s_rules, names in ((S3, ("linear", "parallel", "pcp")), (S4, ("parallel", "pcp"))):
+        for name in names:
+            rep = check_criterion(name, Partition(s_rules, P_CA))
+            assert rep.holds(), f"{name}: {rep.reason}"
+            assert rep.p_prime is not None and len(rep.p_prime) == 0, name
+            assert rep.relterm_cert.method == "lpo", name
 
 
 # --- R4: duplication forces the parallel route --------------------------------
@@ -233,6 +255,26 @@ def test_r8_huet_blocked():
     rep = check_huet(Partition(S8, P8))
     assert not rep.holds()
     assert "relative termination" in rep.reason
+
+
+# --- every report of a completion run -------------------------------------------
+
+
+def test_every_report_of_a_completion_run_has_its_shapes(monkeypatch):
+    # failing criteria and non-final states leave evidence no certificate shows
+    reports = []
+
+    def recording(*args, **kwargs):
+        rep = check_criterion(*args, **kwargs)
+        reports.append(rep)
+        return rep
+
+    monkeypatch.setattr(completion, "check_criterion", recording)
+    for trs in (R6, R8):
+        assert completion.check_confluence(trs).verdict == "YES"
+    assert any(not rep.holds() and rep.evidence for rep in reports)
+    for rep in reports:
+        segments_replay(rep)
 
 
 # --- structural ----------------------------------------------------------------
