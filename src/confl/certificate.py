@@ -1,11 +1,17 @@
 """Self-contained, replayable proof certificates.
 
 A YES certificate records the input system, every completion transformation
-with its conversion witness, the final S/P split, the reversibility witness,
-termination certificates, and one join witness per critical pair.  The
-verifier replays all of it without performing any search: steps are applied
-positionally, termination certificates are checked arithmetically, and the
-critical-pair sets are recomputed and matched against the supplied joins.
+with its witness, the final S/P split, the reversibility witness, termination
+certificates, and one join witness per critical pair.  The verifier replays
+all of it without performing any search: steps are applied positionally,
+termination certificates are checked arithmetically, and the critical-pair
+sets are recomputed and matched against the supplied joins.
+
+A history step is a forward derivation in the current system Q, named by
+Q's rule names: an addition l -> r gives l →*_Q r, a replacement of l -> r by
+l -> r' gives r →*_Q r' and, as ``back`` steps, r' →*_Q' r in the system Q'
+after it.  So every transformation keeps →* unchanged, and the final system
+is confluent exactly when the input is.
 """
 import json
 from dataclasses import asdict, dataclass, field
@@ -27,7 +33,7 @@ from .critical_pairs import ParallelCriticalPair, cp, cp_in, pcp_in
 from .criteria import CRITERION_TABLE, SHAPES
 from .termination import MalformedCertificate, TerminationCertificate, replay_certificate
 
-FORMAT = "1"
+FORMAT = "2"
 
 
 # --- term scope: stable local variable names per block ------------------------
@@ -198,29 +204,23 @@ def certificate_text(problem: Trs, result) -> str:
         lines.append(_rule_line("rule", r))
 
     if state.history:
-        # resolve witness rules against the partitions recorded per step
+        # witness steps are named by the rules of the system they rewrite in
         q = problem
-        hist_lines = ["section history"]
+        lines.append("section history")
         for j in state.history:
-            s_tab = Trs([q.rule(n) for n in j.s_names])
-            p_tab = Trs([q.rule(n) for n in j.p_names])
-            pp_tab = p_tab.with_inverses()
             if j.kind == "addition":
                 sc = _Scope()
-                hist_lines.append(f"addition {j.rule.name}: {sc.print_term(j.rule.lhs)}")
-                hist_lines.append(f"with S={','.join(j.s_names)} P={','.join(j.p_names)}")
-                hist_lines.extend(_step_lines("cstep", j.conv_steps, pp_tab, "conversion"))
-                hist_lines.extend(_step_lines("sstep", j.s_steps, s_tab, "rewrite"))
-                hist_lines.append(f"yields {sc.print_term(j.rule.rhs)}")
-                hist_lines.append("endadd")
+                lines.append(f"addition {j.rule.name}: {sc.print_term(j.rule.lhs)}")
+                lines.extend(_step_lines("step", j.steps, q, "history"))
+                lines.append(f"yields {sc.print_term(j.rule.rhs)}")
+                lines.append("endadd")
                 q = q.union(Trs([j.rule]))
             else:
-                hist_lines.append(f"replace {j.old_rule.name} with {j.rule.name}")
-                hist_lines.append(f"with S={','.join(j.s_names)} P={','.join(j.p_names)}")
-                hist_lines.extend(_step_lines("cstep", j.conv_steps, pp_tab, "conversion"))
-                hist_lines.append("endreplace")
+                lines.append(f"replace {j.old_rule.name} with {j.rule.name}")
+                lines.extend(_step_lines("step", j.steps, q, "history"))
                 q = Trs([r for r in q if r.key() != j.old_rule.key()] + [j.rule])
-        lines.extend(hist_lines)
+                lines.extend(_step_lines("back", j.back, q, "history"))
+                lines.append("endreplace")
 
     lines.append("section partition")
     lines.append(f"final-s {','.join(r.name for r in rep.s)}")
@@ -329,10 +329,8 @@ class HistoryData:
     old_name: str = ""
     lhs: Term = None
     yields: Term = None
-    s_names: tuple = ()
-    p_names: tuple = ()
-    csteps: list = field(default_factory=list)
-    ssteps: list = field(default_factory=list)
+    steps: list = field(default_factory=list)  # [(pos, rulename)], forward in Q
+    back: list = field(default_factory=list)  # replacements: new rhs back to old in Q'
 
 
 @dataclass
@@ -417,18 +415,10 @@ def parse_certificate(text: str) -> CertificateData:
             cur_scope = None
             cur_hist = HistoryData("replacement", new.strip(), old_name=old.strip())
             cert.history.append(cur_hist)
-        elif word == "with" and section == "history":
-            s_part, _, p_part = rest.partition(" P=")
-            if not s_part.startswith("S="):
-                raise CertificateError(f"malformed partition line: {line!r}")
-            cur_hist.s_names = _parse_names(s_part[2:])
-            cur_hist.p_names = _parse_names(p_part)
-        elif word == "cstep" and section == "history":
+        elif word in ("step", "back") and section == "history":
             pos_s, _, rn = rest.partition(" ")
-            cur_hist.csteps.append((_parse_pos(pos_s), rn.strip()))
-        elif word == "sstep" and section == "history":
-            pos_s, _, rn = rest.partition(" ")
-            cur_hist.ssteps.append((_parse_pos(pos_s), rn.strip()))
+            getattr(cur_hist, "steps" if word == "step" else "back").append(
+                (_parse_pos(pos_s), rn.strip()))
         elif word == "yields" and section == "history":
             cur_hist.yields = parse_term(rest, cur_scope)
         elif word in ("endadd", "endreplace") and section == "history":
@@ -643,61 +633,38 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     if problem is not None and q.key() != problem.key():
         problems.append("certificate input differs from the supplied problem")
 
-    # 1. replay the completion history
+    # 1. replay the completion history: each step is a forward derivation in
+    # the current system q (and a replacement's back steps one in the next),
+    # so every transformation keeps →* unchanged
     for h in cert.history:
-        names = {r.name for r in q}
-        if not set(h.s_names) <= names or not set(h.p_names) <= names:
-            problems.append(f"history step {h.name}: partition names not in the system")
-            return False, problems
-        if set(h.s_names) & set(h.p_names):
-            problems.append(f"history step {h.name}: S and P overlap")
-            return False, problems
-        s_tab = Trs([q.rule(n) for n in h.s_names])
-        p_tab = Trs([q.rule(n) for n in h.p_names])
-        if not p_tab.bidirectional():
-            problems.append(f"history step {h.name}: P part is not bidirectional")
-            return False, problems
-        pp_tab = p_tab.with_inverses()
-        if h.kind == "addition":
-            cur = _replay(h.lhs, h.csteps, pp_tab)
-            if isinstance(cur, str):
-                problems.append(f"history step {h.name}: conversion {cur}")
-                return False, problems
-            cur = _replay(cur, h.ssteps, s_tab)
-            if isinstance(cur, str):
-                problems.append(f"history step {h.name}: rewrite {cur}")
-                return False, problems
-            if h.yields is not None and cur != h.yields:
-                problems.append(f"history step {h.name}: witness does not yield the stated term")
-                return False, problems
-            try:
-                rule = Rule(h.lhs, cur, h.name)
-            except ValueError as exc:
-                problems.append(f"history step {h.name}: invalid rule: {exc}")
-                return False, problems
-            if h.name in names:
-                problems.append(f"history step {h.name}: duplicate rule name")
-                return False, problems
-            q = Trs(list(q) + [rule])
-        else:
+        label = f"history step {h.name}"
+        old = None
+        if h.kind == "replacement":
             try:
                 old = q.rule(h.old_name)
             except KeyError:
-                problems.append(f"history step {h.name}: unknown rule {h.old_name}")
+                problems.append(f"{label}: unknown rule {h.old_name}")
                 return False, problems
-            if len(h.csteps) != 1:
-                problems.append(f"history step {h.name}: replacement needs exactly one step")
+        lhs, start = (h.lhs, h.lhs) if old is None else (old.lhs, old.rhs)
+        rhs = _replay(start, h.steps, q)
+        if isinstance(rhs, str):
+            problems.append(f"{label}: {rhs}")
+            return False, problems
+        if h.yields is not None and rhs != h.yields:
+            problems.append(f"{label}: witness does not yield the stated term")
+            return False, problems
+        rest = [r for r in q if old is None or r.key() != old.key()]
+        try:
+            q = Trs(rest + [Rule(lhs, rhs, h.name)])
+        except ValueError as exc:
+            problems.append(f"{label}: invalid rule: {exc}")
+            return False, problems
+        if old is not None:
+            back = _replay(rhs, h.back, q)
+            if back != old.rhs:
+                why = back if isinstance(back, str) else "steps do not reach the old right side"
+                problems.append(f"{label}: back {why}")
                 return False, problems
-            rhs = _replay(old.rhs, h.csteps, pp_tab)
-            if isinstance(rhs, str):
-                problems.append(f"history step {h.name}: replacement {rhs}")
-                return False, problems
-            try:
-                rule = Rule(old.lhs, rhs, h.name)
-            except ValueError as exc:
-                problems.append(f"history step {h.name}: invalid rule: {exc}")
-                return False, problems
-            q = Trs([r for r in q if r.key() != old.key()] + [rule])
 
     # 2. the final partition
     if not cert.has_partition:

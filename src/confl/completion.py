@@ -1,7 +1,8 @@
 """Reduction-preserving completion: search for an extension of the input
 system, built from rewrites of existing rules, on which one of the
 critical-pair criteria applies.  Additions and replacements are justified by
-replayable conversion witnesses, so a YES verdict can be certified."""
+forward rewrite sequences in the current system, which show that the
+transformation keeps →* unchanged, so a YES verdict can be certified."""
 import itertools
 import time
 from collections import deque
@@ -34,21 +35,22 @@ MAX_SUCCESSORS = 24
 
 @dataclass(frozen=True)
 class Justification:
-    """One system transformation together with its side-condition witness.
+    """One transformation of the current system Q, witnessed by forward
+    rewrite steps (history steps are derivations, not conversions).
 
-    addition:    new ``rule`` with   rule.lhs ↔*_P mid →*_S rule.rhs
-                 (conv_steps chain lhs to mid, s_steps chain mid to rhs)
-    replacement: ``old_rule`` becomes ``rule`` (same lhs); conv_steps is the
-                 single P∪P⁻¹ step old_rule.rhs → rule.rhs
+    addition:    new ``rule`` l -> r with ``steps`` l →*_Q r
+    replacement: ``old_rule`` l -> r becomes ``rule`` l -> r' with ``steps``
+                 r →*_Q r' and ``back`` r' →*_Q' r, Q' the system after it
+
+    Either way →*_Q' = →*_Q, so the final system is confluent exactly when
+    the input is.
     """
 
     kind: str  # "addition" | "replacement"
-    s_names: tuple
-    p_names: tuple
     rule: Rule
     old_rule: Rule | None = None
-    conv_steps: tuple = ()
-    s_steps: tuple = ()
+    steps: tuple = ()
+    back: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,23 @@ def _reverse_steps(steps):
     return tuple(out)
 
 
+def _forward(steps, p: Trs, rev) -> tuple:
+    """The P∪P⁻¹ steps as forward P steps: each P⁻¹ step is replaced by its P
+    rule's reversal sequence from the witness rev, shifted to its position."""
+    fwd = {r.key(): r for r in p}
+    undo = {r.inverse().key(): rev.sequence(r.name) for r in p}
+    out = []
+    for st in steps:
+        rule = fwd.get(st.rule.key())
+        chain = ([(st.position, rule)] if rule is not None else
+                 [(st.position + rs.position, rs.rule) for rs in undo[st.rule.key()]])
+        cur = st.source
+        for pos, rl in chain:
+            out.append(step_at(cur, pos, rl))
+            cur = out[-1].target
+    return tuple(out)
+
+
 def _rule_names(trs: Trs):
     """One name per rule for the whole run: a rule is named by its canonical
     key, with the input's own name or else the first q<n> no input rule uses.
@@ -157,9 +176,7 @@ def _addition_candidates(state: SearchState, report: CriterionReport,
                          named, depth: int):
     """(big-union candidates, partition-repair candidates) derived from the
     failing pairs: each is a (rule, justification) pair."""
-    s, p = state.s, state.p
-    s_names = tuple(r.name for r in s)
-    p_names = tuple(r.name for r in p)
+    s, p, rev = state.s, state.p, report.reversibility
     u_big, b_singles = [], []
     seen_keys = set()
 
@@ -169,9 +186,8 @@ def _addition_candidates(state: SearchState, report: CriterionReport,
         if state.system().contains_variant(rule):
             return
         seen_keys.add(rule.key())
-        bucket.append((rule, Justification(
-            "addition", s_names, p_names, rule,
-            conv_steps=tuple(conv_steps), s_steps=tuple(s_steps))))
+        steps = _forward(conv_steps, p, rev) + tuple(s_steps)
+        bucket.append((rule, Justification("addition", rule, steps=steps)))
 
     for f in report.failing:
         pair = f.pair
@@ -244,10 +260,8 @@ def _addition_candidates(state: SearchState, report: CriterionReport,
 
 def _replacement_candidates(state: SearchState, report: CriterionReport, named):
     """Rules of S implicated in failures, rewritten one P-step on the right."""
-    s, p = state.s, state.p
+    s, p, rev = state.s, state.p, report.reversibility
     pp = p.with_inverses()
-    s_names = tuple(r.name for r in s)
-    p_names = tuple(r.name for r in p)
     involved = set()
     for f in report.failing:
         pair = f.pair
@@ -269,8 +283,9 @@ def _replacement_candidates(state: SearchState, report: CriterionReport, named):
             if state.system().contains_variant(new_rule):
                 continue
             out.append((rule, new_rule, Justification(
-                "replacement", s_names, p_names, new_rule,
-                old_rule=rule, conv_steps=(st,))))
+                "replacement", new_rule, old_rule=rule,
+                steps=_forward((st,), p, rev),
+                back=_forward(_reverse_steps((st,)), p, rev))))
     return out
 
 

@@ -6,6 +6,7 @@ then corrupt certificates line by line; every corruption must come back as a
 clean (False, problems) rejection, never an exception.
 """
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,11 +16,24 @@ from confl.certificate import (
     parse_certificate,
     verify_certificate,
 )
-from confl.completion import check_confluence
+from confl.completion import (
+    SearchState,
+    _replacement_candidates,
+    _rule_names,
+    check_confluence,
+    decompose,
+)
+from confl.criteria import Partition, check_criterion
 from confl.rewriting import Rule, Trs
 from confl.terms import App
+from confl.trs_format import parse_trs
 
 from systems import R2, R3, R5, R8
+
+# the non-confluent fork, and the confluent system with g(x) -> h(x) added
+FORK = parse_trs("(VAR x)\n(RULES\n  f(x) -> g(x)\n  f(x) -> h(x)\n)\n")
+FORK_CLOSED = parse_trs(
+    "(VAR x)\n(RULES\n  f(x) -> g(x)\n  f(x) -> h(x)\n  g(x) -> h(x)\n)\n")
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +71,13 @@ def cert_r3_huet():
     return certificate_text(R3, result)
 
 
+@pytest.fixture(scope="module")
+def cert_fork_closed():
+    result = check_confluence(FORK_CLOSED)
+    assert result.verdict == "YES"
+    return certificate_text(FORK_CLOSED, result)
+
+
 def mutate(text, prefix, change=None, which=0):
     """Rewrite (or drop, when change is None) the which-th line with prefix."""
     lines = text.splitlines()
@@ -74,6 +95,19 @@ def rejected(text, problem=None):
     assert not ok
     assert problems
     return problems
+
+
+def with_history(text, block, drop_input=()):
+    """The certificate with a history section of the given lines placed
+    before its partition, and the named input rules left out."""
+    lines = [ln for ln in text.splitlines()
+             if not any(ln.startswith(f"rule {n}:") for n in drop_input)]
+    at = lines.index("section partition")
+    return "\n".join(lines[:at] + ["section history", *block] + lines[at:]) + "\n"
+
+
+def history_problems(problems, name):
+    return [p for p in problems if p.startswith(f"history step {name}")]
 
 
 def test_yes_certificates_verify(cert_r3, cert_r2, cert_r5, cert_r8, cert_r3_huet):
@@ -223,16 +257,10 @@ def test_history_replays_and_rejects_tampering(cert_r2):
     cert = parse_certificate(cert_r2)
     assert cert.history  # this system genuinely needs transformations
     assert {h.kind for h in cert.history} <= {"addition", "replacement"}
-    lines = cert_r2.splitlines()
-    target = next(p for p in ("cstep ", "sstep ")
-                  if any(ln.startswith(p) for ln in lines))
-    bad = mutate(cert_r2, target, lambda ln: ln.rsplit(" ", 1)[0] + " nosuchrule")
+    # the first "step " line is a history step: history precedes the joins
+    bad = mutate(cert_r2, "step ", lambda ln: ln.rsplit(" ", 1)[0] + " nosuchrule")
     problems = rejected(bad, R2)
     assert any("history" in p for p in problems)
-    # a name that is not part of the current system cannot enter the split
-    bad = mutate(cert_r2, "with S=", lambda ln: ln + ",ghost")
-    problems = rejected(bad, R2)
-    assert any("not in the system" in p for p in problems)
 
 
 def test_p_prime_rules_checked_against_p(cert_r5):
@@ -279,3 +307,59 @@ def test_huet_certificate_shape(cert_r3_huet):
     assert any("relative termination" in p for p in problems)
     # swapping the criterion invalidates every join shape
     rejected(mutate(cert_r3_huet, "criterion ", lambda ln: "criterion linear"), R3)
+
+
+@pytest.mark.parametrize("steps", [["step e r1~", "step e r2"], ["step e r2"], []],
+                         ids=["inverse-then-r2", "r2-alone", "no-steps"])
+def test_forged_history_cannot_make_a_fork_confluent(cert_fork_closed, steps):
+    assert check_confluence(FORK).verdict == "MAYBE"
+    ok, problems = verify_certificate(cert_fork_closed, FORK_CLOSED)
+    assert ok, problems
+    # g(x) -> h(x) is only convertible in the fork (g ← f → h), not derivable
+    block = ["addition r3: g(?v1)", *steps, "yields h(?v1)", "endadd"]
+    problems = rejected(with_history(cert_fork_closed, block, ["r3"]), FORK)
+    assert history_problems(problems, "r3"), problems
+
+
+def test_format_1_forgery_rejected(cert_fork_closed):
+    # format 1 replayed this step as a conversion over a P it never checked
+    # for reversibility, and accepted the certificate
+    block = ["addition r3: g(?v1)", "with S=r2 P=r1", "cstep e r1~", "sstep e r2",
+             "yields h(?v1)", "endadd"]
+    forged = with_history(cert_fork_closed, block, ["r3"])
+    rejected(forged.replace("format 2", "format 1"), FORK)
+    rejected(forged, FORK)
+
+
+def test_replacement_name_clash_rejected_not_raised(cert_r3):
+    block = ["replace add2 with add1", "step 1 C", "back 1 C", "endreplace"]
+    problems = rejected(with_history(cert_r3, block), R3)
+    assert history_problems(problems, "add1"), problems
+
+
+def test_replacement_needs_its_back_steps(cert_r3):
+    honest = ["replace add2 with q1", "step 1 C", "back 1 C", "endreplace"]
+    text = mutate(with_history(cert_r3, honest), "final-s ",
+                  lambda ln: ln.replace("add2", "q1"))
+    ok, problems = verify_certificate(text, R3)
+    assert not history_problems(problems, "q1"), problems
+    # without back steps nothing shows that the old rule stays derivable
+    forged = ["replace add2 with q1", "step 1 C", "endreplace"]
+    problems = rejected(with_history(cert_r3, forged), R3)
+    assert history_problems(problems, "q1"), problems
+
+
+def test_rendered_replacement_replays(cert_r3):
+    # a replacement the prover offers on R2 (add2's right side one C-step
+    # on), rendered as the history of R3, which has add2 too
+    s2, p2 = decompose(R2)[0]
+    report = check_criterion("pcp", Partition(s2, p2))
+    old, new, just = _replacement_candidates(
+        SearchState(s2, p2, "pcp"), report, _rule_names(R2))[0]
+    assert old.name == "add2"
+    result = check_confluence(R3)
+    text = certificate_text(R3, SimpleNamespace(
+        verdict="YES", report=result.report, state=SimpleNamespace(history=(just,))))
+    assert f"replace add2 with {new.name}" in text and "\nback " in text
+    ok, problems = verify_certificate(text, R3)
+    assert not history_problems(problems, new.name), problems

@@ -1,6 +1,8 @@
 """End-to-end runs of the command line front end."""
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 from confl.certificate import verify_certificate
 from confl.cli import main
@@ -9,6 +11,7 @@ from confl.trs_format import parse_trs, print_trs
 from systems import R3
 
 MAYBE_SOURCE = "(RULES\n  f -> a\n  f -> b\n)\n"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_system(tmp_path, trs, name="sys.trs"):
@@ -98,3 +101,17 @@ def test_internal_error_exits_2_not_maybe(tmp_path, capsys):
     assert rc == 2
     assert captured.out.splitlines() == ["ERROR"]
     assert len(captured.err.splitlines()) == 1
+
+
+def test_readme_example_matches_the_cli(tmp_path, capsys, monkeypatch):
+    blocks = re.findall(r"```text\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    source = next(b for b in blocks if b.startswith("(VAR"))
+    command, *expected = next(b for b in blocks if b.startswith("$ confl ")).splitlines()
+    assert command == "$ confl add.trs --certificate add.cert"
+    (tmp_path / "add.trs").write_text(source, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    rc = main(["add.trs", "--certificate", "add.cert"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == expected
+    ok, problems = verify_certificate((tmp_path / "add.cert").read_text(), parse_trs(source))
+    assert ok, problems

@@ -2,14 +2,26 @@
 side conditions."""
 from confl import termination
 from confl.certificate import certificate_text, verify_certificate
-from confl.completion import CompletionResult, check_confluence, decompose
-from confl.rewriting import Rule, Trs, empty_trs, replay_steps
+from confl.completion import (
+    COMPLETION_CRITERIA,
+    CompletionResult,
+    SearchState,
+    _forward,
+    _replacement_candidates,
+    _rule_names,
+    check_confluence,
+    decompose,
+)
+from confl.criteria import Partition, check_criterion
+from confl.reversibility import is_reversible
+from confl.rewriting import Rule, Trs, empty_trs, replay_steps, step_at
 from confl.terms import App
 from confl.trs_format import parse_trs
 
 from systems import (
     ADD3,
     ADD4,
+    A,
     P5,
     P_CA,
     R1,
@@ -54,24 +66,61 @@ def test_decompose_prunes_oriented_leftovers():
     assert (q, empty_trs()) == outs[-1] or len(outs[0][1]) == 1
 
 
+def replaced(q: Trs, old: Rule, new: Rule) -> Trs:
+    return Trs([r for r in q if r.key() != old.key()] + [new])
+
+
 def replay_history(result: CompletionResult, initial: Trs):
-    """Every transformation's side condition must replay: additions need
-    lhs ↔*_P mid →*_S rhs, replacements a single P-step on the rhs."""
+    """Every transformation replays forward in the system Q it transforms:
+    an addition l -> r as l →*_Q r, a replacement of l -> r by l -> r' as
+    r →*_Q r' and back r' →*_Q' r; the last Q is the final system."""
     assert result.state is not None
+    q = initial
     for j in result.history:
         if j.kind == "addition":
-            mid = replay_steps(j.rule.lhs, j.conv_steps)
-            assert replay_steps(mid, j.s_steps) == j.rule.rhs
-            for st in j.conv_steps:
-                assert st.rule.name in j.p_names or st.rule.name.rstrip("~") in {
-                    n.rstrip("~") for n in j.p_names
-                }
+            assert replay_steps(j.rule.lhs, j.steps, q) == j.rule.rhs
+            q = q.union(Trs([j.rule]))
         else:
             assert j.kind == "replacement"
-            assert j.old_rule is not None
             assert j.rule.lhs == j.old_rule.lhs
-            assert len(j.conv_steps) == 1
-            assert replay_steps(j.old_rule.rhs, j.conv_steps) == j.rule.rhs
+            assert replay_steps(j.old_rule.rhs, j.steps, q) == j.rule.rhs
+            q = replaced(q, j.old_rule, j.rule)
+            assert replay_steps(j.rule.rhs, j.back, q) == j.old_rule.rhs
+    assert q.key() == result.state.system().key()
+
+
+def test_replacement_candidates_replay_both_ways():
+    # no final history of the reference systems holds a replacement, so take
+    # every candidate the failing initial states of R2, R6 and R8 offer
+    count = 0
+    for trs in (R2, R6, R8):
+        named = _rule_names(trs)
+        for s0, p0 in decompose(trs):
+            for crit in COMPLETION_CRITERIA:
+                state = SearchState(s0, p0, crit)
+                rep = check_criterion(crit, Partition(s0, p0))
+                if rep.holds():
+                    continue
+                q = state.system()
+                for old, new, j in _replacement_candidates(state, rep, named):
+                    assert replay_steps(old.rhs, j.steps, q) == new.rhs
+                    assert replay_steps(new.rhs, j.back, replaced(q, old, new)) == old.rhs
+                    count += 1
+    assert count >= 8
+
+
+def test_forward_expands_inverse_steps_by_the_reversal_witness():
+    rev = is_reversible(P_CA)
+    a_inv = Rule(A.rhs, A.lhs, "A~")
+    t = s(plus(zero, plus(s(zero), plus(x, y))))
+    st = step_at(t, (1,), a_inv)
+    fwd = _forward((st,), P_CA, rev)
+    assert len(fwd) == len(rev.sequence("A")) > 1
+    assert all(f.position[:1] == (1,) for f in fwd)
+    assert replay_steps(t, fwd, P_CA) == st.target
+    # forward P steps are kept as they are
+    c_step = step_at(t, (1,), P_CA.rule("C"))
+    assert _forward((c_step,), P_CA, rev) == (c_step,)
 
 
 def test_r2_completes_to_yes_with_add3_add4():
