@@ -12,7 +12,7 @@ holds under the well-foundedness precondition.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Relation = frozenset  # of (int, int) pairs
 

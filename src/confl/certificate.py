@@ -24,13 +24,15 @@ from .terms import (
     all_parallel,
     canonical_tuple,
     fresh_id,
+    pos_str,
     subterm_at,
     var_ids,
 )
-from .rewriting import Rule, Trs, empty_trs, step_at
+from .rewriting import Rule, Trs, empty_trs, replay
 # cp, cp_in and pcp_in are called by the names CRITERION_TABLE gives
 from .critical_pairs import ParallelCriticalPair, cp, cp_in, pcp_in
 from .criteria import CRITERION_TABLE, SHAPES
+from .reversibility import reversal_problems
 from .termination import MalformedCertificate, TerminationCertificate, replay_certificate
 
 FORMAT = "2"
@@ -110,10 +112,6 @@ def parse_term(text: str, scope: _ParseScope) -> Term:
     return t
 
 
-def _pos_str(p: Position) -> str:
-    return "e" if not p else ".".join(map(str, p))
-
-
 def _parse_pos(s: str) -> Position:
     if s == "e":
         return ()
@@ -171,7 +169,7 @@ def _rule_line(prefix: str, r: Rule) -> str:
 
 
 def _step_lines(kind: str, steps, table: Trs, what: str):
-    return [f"{kind} {_pos_str(st.position)} {_resolve_name(st.rule, table, what)}"
+    return [f"{kind} {pos_str(st.position)} {_resolve_name(st.rule, table, what)}"
             for st in steps]
 
 
@@ -237,7 +235,7 @@ def certificate_text(problem: Trs, result) -> str:
         for name, steps in wit.sequences:
             if steps:
                 parts = "; ".join(
-                    f"{_pos_str(st.position)} {_resolve_name(st.rule, p_tab, 'reversal')}"
+                    f"{pos_str(st.position)} {_resolve_name(st.rule, p_tab, 'reversal')}"
                     for st in steps)
             else:
                 parts = "-"
@@ -285,8 +283,8 @@ def certificate_text(problem: Trs, result) -> str:
                 wit = seg.steps[0]
                 if wit.parts:
                     body = ",".join(
-                        f"{_resolve_name(rl, table, 'parallel')}@{_pos_str(p)}"
-                        for (p, rl, _sub) in wit.parts)
+                        f"{_resolve_name(rl, table, 'parallel')}@{pos_str(p)}"
+                        for p, rl in wit.parts)
                 else:
                     body = "-"
                 lines.append(f"pstep {body}")
@@ -501,18 +499,12 @@ def parse_certificate(text: str) -> CertificateData:
 def _replay(start: Term, steps, table: Trs):
     """The end term of the named steps [(position, rule name)] applied in
     order from start, or a string saying which step fails."""
-    cur = start
-    for pos, rn in steps:
-        try:
-            st = step_at(cur, pos, table.rule(rn))
-        except KeyError:
-            return f"rule {rn!r} is not available"
-        except ValueError:
-            st = None
-        if st is None:
-            return f"step {rn} at {_pos_str(pos)} does not apply"
-        cur = st.target
-    return cur
+    try:
+        return replay(start, ((pos, table.rule(rn)) for pos, rn in steps))
+    except KeyError as exc:
+        return f"rule {exc.args[0]!r} is not available"
+    except ValueError as exc:
+        return str(exc)
 
 
 def _replay_segment(seg: SegData, tables: dict, problems: list, label: str):
@@ -615,6 +607,14 @@ def _check_join(join: JoinData, criterion: str, tables: dict, problems: list) ->
 
 def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     """Replay a certificate.  Returns (ok, problems)."""
+    try:
+        return _verify(text, problem, hook)
+    except RecursionError:
+        # the term walkers recurse once per nesting level
+        return False, ["a term is nested too deeply to check"]
+
+
+def _verify(text: str, problem: Trs | None, hook):
     problems: list[str] = []
     try:
         cert = parse_certificate(text)
@@ -682,23 +682,7 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     # 3. reversibility of P
     if len(p) and not cert.has_reversibility:
         return False, problems + ["missing reversibility section"]
-    covered = set()
-    for name, steps in cert.rev_seqs:
-        try:
-            rule = p.rule(name)
-        except KeyError:
-            problems.append(f"reversibility: unknown P rule {name}")
-            continue
-        cur = _replay(rule.rhs, steps, p)
-        if isinstance(cur, str):
-            problems.append(f"reversibility: {cur} for {name}")
-        elif cur != rule.lhs:
-            problems.append(f"reversibility: sequence for {name} does not reach the left side")
-        else:
-            covered.add(name)
-    missing_rev = {r.name for r in p} - covered
-    if missing_rev:
-        problems.append(f"reversibility: no valid sequence for {sorted(missing_rev)}")
+    problems.extend(reversal_problems(p, cert.rev_seqs))
 
     # 4. P' and termination certificates
     p_prime = None

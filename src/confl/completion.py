@@ -375,7 +375,8 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
         except PreconditionViolation as exc:
             last_reason = str(exc)
             continue
-        rep = check_criterion(state.criterion, pt, depth=depth, hook=hook)
+        rep = check_criterion(state.criterion, pt, depth=depth, hook=hook,
+                              rev_bound=rev_bound)
         if rep.holds():
             return CompletionResult(
                 "YES", f"criterion {rep.tag} holds after {len(state.history)} "

@@ -14,7 +14,6 @@ from .rewriting import (
     FuelExhausted,
     ParallelStep,
     Rule,
-    Step,
     Trs,
     empty_trs,
     is_nf,
@@ -236,10 +235,6 @@ class Partition:
         return self.s.union(self.pp_safe(hook=hook))
 
 
-def _is_s_rule(step: Step, s: Trs) -> bool:
-    return s.contains_variant(step.rule)
-
-
 def collect_p_prime(evidence: list, s: Trs) -> Trs:
     """The P'-rules actually used inside →*_{S∪P'} segments of the evidence."""
     seen: dict = {}
@@ -248,7 +243,7 @@ def collect_p_prime(evidence: list, s: Trs) -> Trs:
             if seg.rules != "SP":
                 continue
             for st in seg.steps:
-                if not _is_s_rule(st, s):
+                if not s.contains_variant(st.rule):
                     if st.rule.key() not in seen:
                         seen[st.rule.key()] = st.rule
     return Trs(list(seen.values()))
@@ -444,7 +439,7 @@ def _base_report(name: str, pt: Partition) -> CriterionReport:
                            s=pt.s, p=pt.p)
 
 
-def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, depth: int,
+def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, rev_bound: int,
                          hook=None) -> bool:
     """Fill in reversibility/termination facts; False if a precondition fails."""
     prop, classes = linearity
@@ -452,7 +447,7 @@ def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, depth: 
         if not getattr(pt.s if cls == "S" else pt.p, prop)():
             rep.reason = f"{cls} is not {prop.replace('_', '-')}"
             return False
-    rev = pt.reversibility(bound=depth)
+    rev = pt.reversibility(bound=rev_bound)
     if rev is None:
         rep.reason = "P was not shown reversible within the search bound"
         return False
@@ -499,12 +494,14 @@ def _finish(rep: CriterionReport, pt: Partition, hook=None) -> CriterionReport:
 
 
 def check_criterion(name: str, pt: Partition, depth: int = DEFAULT_DEPTH,
-                    hook=None) -> CriterionReport:
+                    hook=None, rev_bound: int = DEFAULT_DEPTH) -> CriterionReport:
+    """Check criterion `name` on the partition: P must be shown reversible
+    within rev_bound steps, and each critical pair joined within depth."""
     if name not in CRITERION_TABLE:
         raise ValueError(f"unknown criterion {name!r}; expected one of {CRITERIA}")
     linearity, conditions = CRITERION_TABLE[name]
     rep = _base_report(name, pt)
-    if not _check_preconditions(rep, pt, linearity, depth, hook=hook):
+    if not _check_preconditions(rep, pt, linearity, rev_bound, hook=hook):
         return rep
     sr = _Searcher(pt, depth, hook=hook)
     classes = {"S": pt.s, "PP": pt.pp}

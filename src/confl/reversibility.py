@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rewriting import Trs, reach_bounded, replay_steps
+from .rewriting import Trs, reach_bounded, replay
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,35 @@ def is_reversible(p_trs: Trs, bound: int = 10) -> ReversibilityWitness | None:
     return ReversibilityWitness(bound, tuple(sequences))
 
 
+def reversal_problems(p_trs: Trs, sequences) -> list[str]:
+    """What keeps named reversal sequences from showing p_trs reversible;
+    empty if nothing does.  `sequences` is [(rule name, [(position, rule
+    name)])]: each must rewrite its rule's right side back to its left side
+    with rules of p_trs, and every rule of p_trs needs one."""
+    problems = []
+    covered = set()
+    for name, moves in sequences:
+        try:
+            rule = p_trs.rule(name)
+            end = replay(rule.rhs, ((pos, p_trs.rule(rn)) for pos, rn in moves))
+        except KeyError as exc:
+            problems.append(f"reversibility: P rule {exc.args[0]!r} is not available for {name}")
+            continue
+        except ValueError as exc:
+            problems.append(f"reversibility: {exc} for {name}")
+            continue
+        if end != rule.lhs:
+            problems.append(f"reversibility: sequence for {name} does not reach the left side")
+        else:
+            covered.add(name)
+    missing = {r.name for r in p_trs} - covered
+    if missing:
+        problems.append(f"reversibility: no valid sequence for {sorted(missing)}")
+    return problems
+
+
 def replay_reversibility(p_trs: Trs, witness: ReversibilityWitness) -> bool:
     """Re-check a reversibility witness step by step."""
-    names = {r.name for r in p_trs}
-    if {n for n, _ in witness.sequences} != names:
-        return False
-    for name, steps in witness.sequences:
-        rule = p_trs.rule(name)
-        try:
-            end = replay_steps(rule.rhs, steps, p_trs)
-        except ValueError:
-            return False
-        if end != rule.lhs:
-            return False
-    return True
+    return not reversal_problems(p_trs, [
+        (name, [(st.position, st.rule.name) for st in steps])
+        for name, steps in witness.sequences])

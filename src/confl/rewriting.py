@@ -1,36 +1,32 @@
 """Rewrite rules, rule systems, single/parallel steps and bounded searches.
 
-A Step is a checked witness: constructing one verifies that the claimed rule,
-position and substitution really send the source to the target, so stored
-evidence can always be replayed without trusting the search that found it.
+Steps are plain records built from a match (by `step_at` and
+`parallel_step_witnesses`).  A step is checked when it is replayed, by
+`replay`, the one routine that re-applies (position, rule) moves.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 
 from .terms import (
     App,
     Position,
-    Subst,
     Term,
     Var,
-    all_parallel,
     apply,
     canonical_tuple,
-    fresh_id,
     is_var,
     match_term,
+    pos_str,
     positions_fun,
     rename_term,
     renaming_apart,
     replace_at,
-    replace_parallel,
     subterm_at,
-    term_vars,
     var_ids,
 )
 
@@ -190,30 +186,39 @@ def empty_trs() -> Trs:
 
 @dataclass(frozen=True)
 class Step:
+    """One rewrite step, as `step_at` builds it."""
+
     source: Term
     target: Term
     position: Position
     rule: Rule
-    subst: Subst = field(compare=False)
-
-    def __post_init__(self):
-        lhs_inst = apply(self.subst, self.rule.lhs)
-        if subterm_at(self.source, self.position) != lhs_inst:
-            raise ValueError("step does not match its rule at its position")
-        rhs_inst = apply(self.subst, self.rule.rhs)
-        if replace_at(self.source, self.position, rhs_inst) != self.target:
-            raise ValueError("step target does not follow from rule application")
 
     def __repr__(self):
-        p = ".".join(map(str, self.position)) or "e"
-        return f"{self.source!r} -[{self.rule.name}@{p}]-> {self.target!r}"
+        at = f"{self.rule.name}@{pos_str(self.position)}"
+        return f"{self.source!r} -[{at}]-> {self.target!r}"
 
 
 def step_at(t: Term, p: Position, rule: Rule) -> Step | None:
+    """The step of `rule` at position p of t, or None if it does not apply
+    there; raises ValueError if p is not a position of t."""
     m = match_term(rule.lhs, subterm_at(t, p))
     if m is None:
         return None
-    return Step(t, replace_at(t, p, apply(m, rule.rhs)), p, rule, m)
+    return Step(t, replace_at(t, p, apply(m, rule.rhs)), p, rule)
+
+
+def replay(t: Term, moves) -> Term:
+    """The end term of the moves [(position, rule)] applied in order from t.
+    Raises ValueError naming the first move that does not apply."""
+    for pos, rule in moves:
+        try:
+            st = step_at(t, pos, rule)
+        except ValueError:  # the position is not in the term
+            st = None
+        if st is None:
+            raise ValueError(f"step {rule.name} at {pos_str(pos)} does not apply")
+        t = st.target
+    return t
 
 
 def reducts(t: Term, trs: Trs) -> list[Step]:
@@ -290,30 +295,19 @@ def normalize(t: Term, trs: Trs, fuel: int = 10_000) -> Term:
 
 @dataclass(frozen=True)
 class ParallelStep:
-    """Simultaneous contraction of pairwise parallel redexes (possibly none)."""
+    """Simultaneous contraction of pairwise parallel redexes (possibly none),
+    as `parallel_step_witnesses` builds it."""
 
     source: Term
     target: Term
-    parts: tuple  # of (position, rule, subst)
-
-    def __post_init__(self):
-        ps = [p for p, _, _ in self.parts]
-        if not all_parallel(ps):
-            raise ValueError(f"parallel step positions overlap: {ps}")
-        repl = []
-        for p, rule, subst in self.parts:
-            if subterm_at(self.source, p) != apply(subst, rule.lhs):
-                raise ValueError("parallel step part does not match its rule")
-            repl.append((p, apply(subst, rule.rhs)))
-        if replace_parallel(self.source, repl) != self.target:
-            raise ValueError("parallel step target mismatch")
+    parts: tuple  # of (position, rule)
 
     @property
     def positions(self) -> tuple[Position, ...]:
-        return tuple(p for p, _, _ in self.parts)
+        return tuple(p for p, _ in self.parts)
 
     def __repr__(self):
-        ps = ",".join(".".join(map(str, p)) or "e" for p in self.positions)
+        ps = ",".join(pos_str(p) for p in self.positions)
         return f"{self.source!r} =[{ps}]=> {self.target!r}"
 
 
@@ -325,7 +319,7 @@ def _parallel_options(s: Term, t: Term, trs: Trs, limit: int):
     for rule in trs:
         m = match_term(rule.lhs, s)
         if m is not None and apply(m, rule.rhs) == t:
-            options.append([((), rule, m)])
+            options.append([((), rule)])
     if (
         isinstance(s, App)
         and isinstance(t, App)
@@ -344,7 +338,7 @@ def _parallel_options(s: Term, t: Term, trs: Trs, limit: int):
             for combo in product(*per_arg):
                 parts = []
                 for i, sub in enumerate(combo, start=1):
-                    parts.extend(((i,) + p, r, m) for p, r, m in sub)
+                    parts.extend(((i,) + p, r) for p, r in sub)
                 if parts:  # bare identity already covered when s == t
                     options.append(parts)
                 if len(options) > limit:
@@ -353,7 +347,7 @@ def _parallel_options(s: Term, t: Term, trs: Trs, limit: int):
     seen = set()
     out = []
     for parts in options:
-        key = tuple((p, r.name) for p, r, _ in parts)
+        key = tuple((p, r.name) for p, r in parts)
         if key not in seen:
             seen.add(key)
             out.append(parts)
@@ -365,7 +359,7 @@ def parallel_step_witnesses(
 ) -> list[ParallelStep]:
     """Every parallel step from s to t (distinct redex sets), small first."""
     opts = _parallel_options(s, t, trs, limit)
-    opts.sort(key=lambda parts: (len(parts), [p for p, _, _ in parts]))
+    opts.sort(key=lambda parts: (len(parts), [p for p, _ in parts]))
     return [ParallelStep(s, t, tuple(parts)) for parts in opts[:limit]]
 
 
@@ -433,10 +427,11 @@ def conversion_bounded(s: Term, t: Term, p_rules: Trs, depth: int, cap: int = 40
 
 
 def replay_steps(s: Term, steps, trs: Trs | None = None) -> Term:
-    """Re-check a step sequence starting at s; returns the end term.
+    """Re-check a Step sequence starting at s; returns the end term.
 
-    Each Step re-validates itself on construction, so here we only need
-    chaining, membership of the rules, and source equality.
+    Each step must start where the previous one ended, use a rule of trs
+    (when given), and reach its stored target when replayed; otherwise
+    ValueError.
     """
     cur = s
     keys = {r.key() for r in trs} if trs is not None else None
@@ -445,7 +440,8 @@ def replay_steps(s: Term, steps, trs: Trs | None = None) -> Term:
             raise ValueError("step sequence does not chain")
         if keys is not None and st.rule.key() not in keys:
             raise ValueError(f"step uses foreign rule {st.rule.name}")
-        # reconstruct to force the checked-constructor validation
-        Step(st.source, st.target, st.position, st.rule, st.subst)
-        cur = st.target
+        cur = replay(cur, [(st.position, st.rule)])
+        if cur != st.target:
+            raise ValueError(f"step {st.rule.name} at {pos_str(st.position)} "
+                             f"does not reach its stated target")
     return cur

@@ -25,11 +25,11 @@ re-checks every claim without searching.
 from __future__ import annotations
 
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, permutations, product
 
 from .rewriting import Rule, Trs
-from .terms import App, Term, Var, apply, is_var, match_term, positions, subterm_at, var_ids
+from .terms import App, Term, Var, is_var, match_term, positions, subterm_at, var_ids
 
 
 class MalformedCertificate(Exception):

@@ -52,12 +52,6 @@ def is_var(t: Term) -> bool:
     return isinstance(t, Var)
 
 
-def term_size(t: Term) -> int:
-    if isinstance(t, Var):
-        return 1
-    return 1 + sum(term_size(a) for a in t.args)
-
-
 def positions(t: Term) -> list[Position]:
     """All positions of t, root first, in left-to-right preorder."""
     out: list[Position] = [()]
@@ -70,6 +64,11 @@ def positions(t: Term) -> list[Position]:
 def positions_fun(t: Term) -> list[Position]:
     """Positions whose subterm is a function application."""
     return [p for p in positions(t) if isinstance(subterm_at(t, p), App)]
+
+
+def pos_str(p: Position) -> str:
+    """A position as text: "e" for the root, else dotted indexes."""
+    return ".".join(map(str, p)) or "e"
 
 
 def subterm_at(t: Term, p: Position) -> Term:

@@ -47,10 +47,6 @@ class _Scanner:
         self.skip_ws()
         return self.pos >= len(self.text)
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def expect(self, ch: str):
         self.skip_ws()
         if self.pos >= len(self.text) or self.text[self.pos] != ch:

@@ -298,6 +298,24 @@ def test_parallel_requires_no_inner_pairs(cert_r3, cert_r5):
     assert ok, problems
 
 
+def test_overlapping_parallel_positions_rejected(cert_r5):
+    # parallel steps are plain records; the verifier checks their positions
+    bad = mutate(cert_r5, "pstep C@1", lambda ln: "pstep C@1,C@1.1")
+    problems = rejected(bad, R5)
+    assert any("parallel step positions overlap" in p for p in problems)
+
+
+@pytest.mark.parametrize("nesting", [700, 1200])
+def test_deeply_nested_input_rule_rejected_not_raised(cert_r3, nesting):
+    # 700 used to overflow the stack in Trs.key, 1200 already in the parser
+    deep = "h(" + "s(" * nesting + "?v1" + ")" * nesting + ") -> h(?v1)"
+    bad = mutate(cert_r3, "section input", lambda ln: f"{ln}\nrule deep: {deep}")
+    for problem in (R3, None):
+        ok, problems = verify_certificate(bad, problem)
+        assert not ok and problems
+    assert any("nested too deeply" in p for p in rejected(bad, R3))
+
+
 def test_huet_certificate_shape(cert_r3_huet):
     cert = parse_certificate(cert_r3_huet)
     assert cert.criterion == "huet"

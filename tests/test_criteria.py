@@ -17,15 +17,17 @@ from confl.criteria import (
     check_parallel,
     check_pcp,
 )
-from confl.rewriting import Rule, Trs, empty_trs, replay_steps
+from confl.rewriting import Rule, Trs, empty_trs, replay, replay_steps
 from confl.reversibility import replay_reversibility
 from confl.termination import replay_certificate
+from confl.terms import all_parallel
 
 from systems import (
     P5,
     P8,
     P_CA,
     PPRIME_SS2,
+    R3,
     R6,
     R8,
     S3,
@@ -59,13 +61,15 @@ def segments_replay(rep):
         for seg in ev.segments:
             assert seg.start == cur
             rules = tables[seg.rules]
+            src, dst = (seg.end, seg.start) if seg.reverse else (seg.start, seg.end)
             if seg.rel == "parallel":
-                src, dst = (seg.end, seg.start) if seg.reverse else (seg.start, seg.end)
-                wit = seg.steps[0] if seg.steps else None
-                assert wit is not None
+                (wit,) = seg.steps
                 assert wit.source == src and wit.target == dst
+                # parallel redexes contract one after another to the same end
+                assert all_parallel(wit.positions)
+                assert all(rules.contains_variant(rule) for _, rule in wit.parts)
+                assert replay(src, wit.parts) == dst
             else:
-                src, dst = (seg.end, seg.start) if seg.reverse else (seg.start, seg.end)
                 assert replay_steps(src, seg.steps, rules) == dst
                 if seg.rel == "step":
                     assert len(seg.steps) == 1
@@ -120,6 +124,18 @@ def test_auto_p_prime_collects_nothing_on_r3_and_r4():
             assert rep.holds(), f"{name}: {rep.reason}"
             assert rep.p_prime is not None and len(rep.p_prime) == 0, name
             assert rep.relterm_cert.method == "lpo", name
+
+
+def test_reversibility_witness_takes_rev_bound_not_depth():
+    # undoing A takes five steps, so a join depth of 4 must not cut its witness
+    rep = check_criterion("linear", Partition(S3, P_CA), depth=4, rev_bound=10)
+    assert rep.holds(), rep.reason
+    assert rep.reversibility.bound == 10
+    result = completion.check_confluence(R3, depth=4, rev_bound=10)
+    assert result.verdict == "YES", result.reason
+    assert result.report.reversibility.bound == 10
+    rep = check_criterion("linear", Partition(S3, P_CA), rev_bound=4)
+    assert rep.reason == "P was not shown reversible within the search bound"
 
 
 # --- R4: duplication forces the parallel route --------------------------------
