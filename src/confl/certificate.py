@@ -22,15 +22,15 @@ from .terms import (
     Term,
     Var,
     all_parallel,
-    canonical_tuple,
     fresh_id,
     pos_str,
+    shape_key,
     subterm_at,
     var_ids,
 )
 from .rewriting import Rule, Trs, empty_trs, replay
 # cp, cp_in and pcp_in are called by the names CRITERION_TABLE gives
-from .critical_pairs import ParallelCriticalPair, cp, cp_in, pcp_in
+from .critical_pairs import cp, cp_in, parallel_key, pcp_in
 from .criteria import CRITERION_TABLE, SHAPES
 from .reversibility import reversal_problems
 from .termination import MalformedCertificate, TerminationCertificate, replay_certificate
@@ -177,12 +177,8 @@ def _witness_key(criterion: str, condition: str, left, right, peak, var_limit):
     """Identity of a join witness: the pair up to renaming (plus peak and
     variable constraint where the criterion distinguishes by them)."""
     if criterion == "pcp" and condition == "ii":
-        probe = ParallelCriticalPair(
-            left=left, right=right, kind="inner", peak=peak,
-            inner_rules=(), outer_rule=None, positions=(), mgu={},
-            var_limit=var_limit)
-        return probe.key()
-    return canonical_tuple((left, right))
+        return parallel_key(left, right, peak, var_limit)
+    return shape_key((left, right))[0]
 
 
 def certificate_text(problem: Trs, result) -> str:

@@ -7,6 +7,13 @@ peak l2 s.  Root overlaps of a rule with its own variant are skipped.  Pairs
 are deduplicated up to variable renaming, separately per kind; the first
 provenance found is kept.
 
+A pair's key is its identity up to renaming: the kind and the flat
+`terms.shape_key` of (left, right), built in one walk without new terms.  A
+parallel pair's key adds the indexes of its constrained variables, numbered
+through left, right and then peak, so the peak counts only through the
+variables it constrains.  The verifier matches joins to pairs by the same
+keys (`parallel_key`).
+
 pcp_in(Q, R) generalizes the inner case to any nonempty set of pairwise
 parallel non-root function positions rewritten simultaneously by rules of Q,
 and records the variable set X occurring in the rewritten part of the peak,
@@ -35,12 +42,11 @@ from .terms import (
     Term,
     all_parallel,
     apply,
-    canonical_tuple,
-    positions_fun,
+    fun_subterms,
     replace_at,
     replace_parallel,
+    shape_key,
     subterm_at,
-    term_vars,
     unify_all,
     var_ids,
 )
@@ -58,7 +64,7 @@ class CriticalPair:
     mgu: Subst = field(compare=False)
 
     def key(self):
-        return (self.kind,) + canonical_tuple((self.left, self.right))
+        return (self.kind, shape_key((self.left, self.right))[0])
 
     def __repr__(self):
         return f"<{self.left!r}, {self.right!r}> ({self.kind})"
@@ -77,22 +83,23 @@ class ParallelCriticalPair:
     var_limit: frozenset = frozenset()  # ids of the constrained variables X
 
     def key(self):
-        # peak last so the (left, right) canonical forms are unaffected by it
-        canon = canonical_tuple((self.left, self.right, self.peak))
-        mapping = {}
-        for t, c in zip((self.left, self.right, self.peak), canon):
-            for v, cv in zip(term_vars(t), term_vars(c)):
-                mapping[v.id] = cv.id
-        return (
-            self.kind,
-            canon[0],
-            canon[1],
-            frozenset(mapping[x] for x in self.var_limit),
-        )
+        return (self.kind,) + parallel_key(
+            self.left, self.right, self.peak, self.var_limit)
 
     def __repr__(self):
         xs = "{" + ",".join(map(str, sorted(self.var_limit))) + "}"
         return f"<{self.left!r}, {self.right!r}>_{xs} ({self.kind})"
+
+
+def parallel_key(left: Term, right: Term, peak: Term, var_limit) -> tuple:
+    """The pair <left, right> up to renaming, with the indexes of its
+    constrained variables.  Variables are numbered through left, right, then
+    peak, so the peak only fixes the numbering of constrained variables that
+    occur in neither side."""
+    flat, index = shape_key((left, right))
+    for v in shape_key((peak,))[1]:
+        index.setdefault(v, len(index))
+    return flat, frozenset(index[x] for x in var_limit)
 
 
 def _dedup(pairs):
@@ -110,7 +117,7 @@ def cp(r_rules: Trs, q_rules: Trs) -> list[CriticalPair]:
     """Critical pairs of rules from r_rules overlapping into q_rules."""
     pairs = []
     for outer in q_rules:
-        subterms = [(p, subterm_at(outer.lhs, p)) for p in positions_fun(outer.lhs)]
+        subterms = fun_subterms(outer.lhs)
         for inner in r_rules:
             ren = None  # renamed apart at the first position with its head symbol
             self_overlap = inner.key() == outer.key()
@@ -149,10 +156,7 @@ def _overlapping(q_rules: Trs, outer: Rule) -> list[tuple[Position, list[Rule]]]
     of q_rules (renamed apart, in system order) whose left side unifies with
     the subterm there; positions no rule overlaps are left out."""
     out = []
-    for p in positions_fun(outer.lhs):
-        if p == ():
-            continue
-        sub = subterm_at(outer.lhs, p)
+    for p, sub in fun_subterms(outer.lhs)[1:]:
         rules = []
         for r in q_rules:
             if r.lhs.fn != sub.fn:

@@ -19,10 +19,10 @@ from .terms import (
     Var,
     apply,
     canonical_tuple,
+    fun_subterms,
     is_var,
     match_term,
     pos_str,
-    positions_fun,
     rename_term,
     renaming_apart,
     replace_at,
@@ -201,7 +201,12 @@ class Step:
 def step_at(t: Term, p: Position, rule: Rule) -> Step | None:
     """The step of `rule` at position p of t, or None if it does not apply
     there; raises ValueError if p is not a position of t."""
-    m = match_term(rule.lhs, subterm_at(t, p))
+    return _step(t, p, subterm_at(t, p), rule)
+
+
+def _step(t: Term, p: Position, sub: Term, rule: Rule) -> Step | None:
+    """`step_at` for the subterm sub of t at p."""
+    m = match_term(rule.lhs, sub)
     if m is None:
         return None
     return Step(t, replace_at(t, p, apply(m, rule.rhs)), p, rule)
@@ -224,20 +229,17 @@ def replay(t: Term, moves) -> Term:
 def reducts(t: Term, trs: Trs) -> list[Step]:
     """All one-step rewrites of t, positions in preorder, rules in order."""
     out = []
-    for p in positions_fun(t):
+    for p, sub in fun_subterms(t):
         for rule in trs:
-            s = step_at(t, p, rule)
-            if s is not None:
-                out.append(s)
+            if rule.lhs.fn == sub.fn:
+                st = _step(t, p, sub, rule)
+                if st is not None:
+                    out.append(st)
     return out
 
 
 def is_nf(t: Term, trs: Trs) -> bool:
-    return all(
-        match_term(rule.lhs, subterm_at(t, p)) is None
-        for p in positions_fun(t)
-        for rule in trs
-    )
+    return not reducts(t, trs)
 
 
 def _positions_postorder(t: Term, at: Position = ()):

@@ -61,9 +61,23 @@ def positions(t: Term) -> list[Position]:
     return out
 
 
+def fun_subterms(t: Term) -> list[tuple[Position, App]]:
+    """(position, subterm) for every function application in t, in
+    left-to-right preorder, from one walk of t."""
+    out = []
+    stack = [((), t)] if isinstance(t, App) else []
+    while stack:
+        p, u = stack.pop()
+        out.append((p, u))
+        for i in range(len(u.args), 0, -1):
+            if isinstance(u.args[i - 1], App):
+                stack.append(((*p, i), u.args[i - 1]))
+    return out
+
+
 def positions_fun(t: Term) -> list[Position]:
     """Positions whose subterm is a function application."""
-    return [p for p in positions(t) if isinstance(subterm_at(t, p), App)]
+    return [p for p, _ in fun_subterms(t)]
 
 
 def pos_str(p: Position) -> str:
@@ -155,20 +169,6 @@ def apply(sigma: Subst, t: Term) -> Term:
     return App(t.fn, tuple(apply(sigma, a) for a in t.args))
 
 
-def compose(sigma: Subst, tau: Subst) -> Subst:
-    """Composition: apply(compose(s,t), u) == apply(t, apply(s, u))."""
-    out = {x: apply(tau, s) for x, s in sigma.items()}
-    for x, s in tau.items():
-        out.setdefault(x, s)
-    return {x: s for x, s in out.items() if not (isinstance(s, Var) and s.id == x)}
-
-
-def occurs(x: int, t: Term) -> bool:
-    if isinstance(t, Var):
-        return t.id == x
-    return any(occurs(x, a) for a in t.args)
-
-
 def match_term(pattern: Term, subject: Term) -> Subst | None:
     """Substitution sigma with apply(sigma, pattern) == subject, or None.
 
@@ -200,27 +200,59 @@ def unify(s: Term, t: Term) -> Subst | None:
 
 
 def unify_all(eqs: list[tuple[Term, Term]]) -> Subst | None:
-    """Simultaneous mgu of a list of equations, or None."""
-    sigma: Subst = {}
+    """Simultaneous mgu of a list of equations, or None.
+
+    Bindings stay triangular (a bound term may mention variables bound
+    later) and are resolved once at the end.  Every decision falls out as
+    if the substitution were applied to each equation as it is taken up,
+    so the idempotent mgu and the order of its keys are the same."""
+    bound: Subst = {}
+
+    def deref(u: Term) -> Term:
+        while isinstance(u, Var) and u.id in bound:
+            u = bound[u.id]
+        return u
+
+    def occurs(x: int, u: Term) -> bool:
+        stack = [u]
+        while stack:
+            u = deref(stack.pop())
+            if isinstance(u, Var):
+                if u.id == x:
+                    return True
+            else:
+                stack.extend(u.args)
+        return False
+
     work = list(eqs)
     while work:
         s, t = work.pop()
-        s, t = apply(sigma, s), apply(sigma, t)
-        if s == t:
-            continue
+        s, t = deref(s), deref(t)
         if isinstance(s, Var):
+            if isinstance(t, Var) and s.id == t.id:
+                continue
             if occurs(s.id, t):
                 return None
-            bind = {s.id: t}
-            sigma = {x: apply(bind, u) for x, u in sigma.items()}
-            sigma[s.id] = t
+            bound[s.id] = t
         elif isinstance(t, Var):
             work.append((t, s))
         else:
             if s.fn != t.fn or len(s.args) != len(t.args):
                 return None
             work.extend(zip(s.args, t.args))
-    return sigma
+
+    resolved: Subst = {}
+
+    def resolve(u: Term) -> Term:
+        if isinstance(u, Var):
+            if u.id not in bound:
+                return u
+            if u.id not in resolved:
+                resolved[u.id] = resolve(bound[u.id])
+            return resolved[u.id]
+        return App(u.fn, tuple(resolve(a) for a in u.args))
+
+    return {x: resolve(u) for x, u in bound.items()}
 
 
 # --- renaming ----------------------------------------------------------------
@@ -279,6 +311,26 @@ def canonical_tuple(ts: tuple) -> tuple:
         return App(u.fn, tuple(walk(a) for a in u.args))
 
     return tuple(walk(t) for t in ts)
+
+
+def shape_key(ts) -> tuple[tuple, dict[int, int]]:
+    """The terms ts up to renaming, as one flat tuple, with the index each
+    variable id got.  One preorder walk: a function symbol is followed by
+    its arity, a variable is -1 - index, indexes counting variables in order
+    of first occurrence.  The code is prefix-free, so two tuples of terms
+    have equal keys iff their canonical tuples are equal."""
+    flat: list = []
+    index: dict[int, int] = {}
+    stack = list(reversed(ts))
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Var):
+            flat.append(-1 - index.setdefault(u.id, len(index)))
+        else:
+            flat.append(u.fn)
+            flat.append(len(u.args))
+            stack.extend(reversed(u.args))
+    return tuple(flat), index
 
 
 def canonical(t: Term) -> Term:

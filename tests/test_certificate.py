@@ -5,7 +5,9 @@ without any search.  The tests here cover the happy path for all criteria and
 then corrupt certificates line by line; every corruption must come back as a
 clean (False, problems) rejection, never an exception.
 """
+import hashlib
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -118,6 +120,26 @@ def test_yes_certificates_verify(cert_r3, cert_r2, cert_r5, cert_r8, cert_r3_hue
         # also standalone, without the cross-check against the problem
         ok, problems = verify_certificate(text)
         assert ok, problems
+
+
+# sha256 of each certificate above: a change that should leave the prover's
+# output alone (a speed-up, a refactor) must leave these bytes alone too
+GOLDEN_DIGESTS = {
+    "cert_r2": "4e57e6f6ea348e44b4e9f8a3c621cf2f3c8ef009f3eb0c7670993ebf2bbc81a1",
+    "cert_r3": "f810f499853776614fa32d980e771f81fc7f9d4507cbc5bb6061ac9b6756cd4b",
+    "cert_r5": "dd1d1c8632c79e87099aa2453de32c59205a314c0e739c4521efb14fc658bb7f",
+    "cert_r8": "587512951132abe752e776c6a7e449474413cfa1c476d169a51c83eb83225072",
+    "cert_r3_huet": "cc837f44c93621e10d409b132d6cbda42cc564af11d345d409e68871ff139d1d",
+    "cert_fork_closed": "ff1274b0aae3cdb7179b35e301e0823a25c724e9f1c102cc43d1f86c36a68db0",
+}
+
+
+def test_certificate_bytes_are_pinned(cert_r2, cert_r3, cert_r5, cert_r8, cert_r3_huet,
+                                      cert_fork_closed):
+    texts = dict(cert_r2=cert_r2, cert_r3=cert_r3, cert_r5=cert_r5, cert_r8=cert_r8,
+                 cert_r3_huet=cert_r3_huet, cert_fork_closed=cert_fork_closed)
+    got = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert got == GOLDEN_DIGESTS
 
 
 def test_round_trip_structure(cert_r3):
@@ -286,6 +308,27 @@ def test_variable_condition_is_part_of_the_join_identity(cert_r5):
     assert idx  # at least one inner pair carries a real variable constraint
     lines[idx[0]] = "jx -"
     rejected("\n".join(lines) + "\n", R5)
+
+
+def test_constrained_variables_are_part_of_the_pair_key(cert_r5):
+    # a jx line widened to more variables of its own pair and peak still
+    # meets the variable condition, so the join checks; but the recomputed
+    # pair constrains fewer variables, so the join matches no pair
+    lines = cert_r5.splitlines()
+    for i, ln in enumerate(lines):
+        if not ln.startswith("jx ") or ln == "jx -":
+            continue
+        assert lines[i - 2].startswith("jpair ") and lines[i - 1].startswith("jpeak ")
+        xs = set(ln[3:].split(","))
+        wider = set(re.findall(r"\?\w+", lines[i - 2] + lines[i - 1])) | xs
+        if wider > xs:
+            lines[i] = "jx " + ",".join(sorted(wider))
+            break
+    else:
+        pytest.fail("no jx line can be widened")
+    problems = rejected("\n".join(lines) + "\n", R5)
+    assert not any("variable condition violated" in p for p in problems)
+    assert any(p.endswith("matches no recomputed pair") for p in problems)
 
 
 def test_parallel_requires_no_inner_pairs(cert_r3, cert_r5):

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from confl import criteria
+from confl.completion import check_confluence
 from confl.rewriting import (
     FuelExhausted,
     Rule,
@@ -21,9 +23,15 @@ from confl.rewriting import (
     replay_steps,
     step_at,
 )
-from confl.terms import App, Var, all_parallel, apply, canonical_tuple, match_term, positions_fun, replace_parallel, subterm_at
+from confl.terms import App, Var, all_parallel, apply, canonical_tuple, match_term, positions, positions_fun, replace_parallel, subterm_at
+from confl.trs_format import parse_trs
 
 from systems import ADD1, ADD2, ADD3, ADD4, A, C, P_CA, R2, R3, S2, S3, plus, s, x, y, z, zero
+
+# every AC variant of the sum reaches the redex by P steps; 20 expansions
+CHAIN3 = parse_trs(
+    "(VAR x y z)\n(RULES\n  g(+(a0,+(a1,a2))) -> c\n"
+    "  +(x,y) -> +(y,x)\n  +(+(x,y),z) -> +(x,+(y,z))\n)\n")
 
 
 def num(n):
@@ -246,6 +254,33 @@ def test_reducts_enumerates_every_redex():
     assert ((), "add3") in got
     assert ((1,), "add1") in got
     assert all(st.source == t for st in reducts(t, S3))
+
+
+def scanned_reducts(t, trs):
+    """reducts as first written: step_at for every function position (each
+    found again from the root) and every rule."""
+    ps = [p for p in positions(t) if isinstance(subterm_at(t, p), App)]
+    steps = (step_at(t, p, rule) for p in ps for rule in trs)
+    return [st for st in steps if st is not None]
+
+
+@pytest.mark.parametrize("trs", [R2, CHAIN3], ids=["R2", "chain3"])
+def test_reducts_walk_lists_the_steps_of_the_scan(trs, monkeypatch):
+    seen = set()
+
+    def recording(t, rules, depth, cap=4000):
+        ends = reach_set_bounded(t, rules, depth, cap)
+        seen.update((u, rules) for u in ends)
+        return ends
+
+    monkeypatch.setattr(criteria, "reach_set_bounded", recording)
+    assert check_confluence(trs).verdict == "YES"
+    assert len(seen) >= 200
+    for u, rules in seen:
+        got = [(st.target, st.position, st.rule) for st in reducts(u, rules)]
+        want = [(st.target, st.position, st.rule) for st in scanned_reducts(u, rules)]
+        assert got == want, u
+        assert is_nf(u, rules) == (not want)
 
 
 def test_rule_key_cache_is_invisible():

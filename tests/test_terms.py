@@ -17,6 +17,7 @@ from confl.terms import (
     rename_apart,
     replace_at,
     replace_parallel,
+    shape_key,
     subterm_at,
     term_vars,
     unify,
@@ -224,3 +225,114 @@ def test_var_identity_ignores_display_name():
     assert Var(1, "x") == Var(1, "zzz")
     assert Var(1, "x") != Var(2, "x")
     assert App("f", (Var(1, "x"),)) == App("f", (Var(1, "other"),))
+
+
+def eager_unify_all(eqs):
+    """unify_all as it was first written: every popped equation is rewritten
+    by the whole substitution, and every binding rewrites the substitution."""
+
+    def occurs(x, t):
+        if isinstance(t, Var):
+            return t.id == x
+        return any(occurs(x, a) for a in t.args)
+
+    sigma = {}
+    work = list(eqs)
+    while work:
+        s, t = work.pop()
+        s, t = apply(sigma, s), apply(sigma, t)
+        if s == t:
+            continue
+        if isinstance(s, Var):
+            if occurs(s.id, t):
+                return None
+            bind = {s.id: t}
+            sigma = {x: apply(bind, u) for x, u in sigma.items()}
+            sigma[s.id] = t
+        elif isinstance(t, Var):
+            work.append((t, s))
+        else:
+            if s.fn != t.fn or len(s.args) != len(t.args):
+                return None
+            work.extend(zip(s.args, t.args))
+    return sigma
+
+
+def random_equations(rng):
+    """A few equations over up to five variables; sharing variables across
+    equations makes bindings chain, so triangular resolution is exercised."""
+    names = "xyzwv"
+    pool = [Var(i, names[i]) for i in range(rng.randint(1, 5))]
+
+    def term(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(pool) if rng.random() < 0.7 else App(rng.choice("ab"), ())
+        fn, ar = rng.choice(FUNS[2:])
+        return App(fn, tuple(term(depth - 1) for _ in range(ar)))
+
+    return [(term(rng.randint(0, 3)), term(rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 4))]
+
+
+def assert_same_as_eager(eqs):
+    want, got = eager_unify_all(eqs), unify_all(eqs)
+    assert (want is None) == (got is None), eqs
+    if want is not None:
+        assert got == want, eqs
+        assert list(got) == list(want), eqs  # the same binding order
+    return want is not None
+
+
+def test_unify_all_agrees_with_the_eager_algorithm():
+    rng = random.Random(8)
+    unified = sum(assert_same_as_eager(random_equations(rng)) for _ in range(4000))
+    assert unified >= 500  # both outcomes are exercised
+
+
+TERMS = st.recursive(
+    st.sampled_from([Var(i, n) for i, n in enumerate("xyzw")] + [App("a", ()), App("b", ())]),
+    lambda sub: st.builds(lambda a: App("s", (a,)), sub)
+    | st.builds(lambda a, b: App("f", (a, b)), sub, sub),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(TERMS, TERMS), min_size=1, max_size=4))
+def test_unify_all_agrees_with_the_eager_algorithm_hypothesis(eqs):
+    assert_same_as_eager(eqs)
+
+
+def test_shape_key_equality_is_canonical_equality():
+    rng = random.Random(19)
+    equal = 0
+    for _ in range(2000):
+        ts = tuple(random_term(rng, 2) for _ in range(rng.randint(1, 3)))
+        if rng.random() < 0.5:
+            # a consistent renaming, possibly merging nothing: equal keys
+            shift = {v.id: Var(v.id + 50, "r") for v in VARS}
+            us = tuple(apply(shift, t) for t in ts)
+        else:
+            us = tuple(random_term(rng, 2) for _ in ts)
+        same = canonical_tuple(ts) == canonical_tuple(us)
+        assert (shape_key(ts)[0] == shape_key(us)[0]) == same
+        equal += same
+    assert equal >= 900
+
+
+def test_shape_key_numbers_variables_by_first_occurrence():
+    x, y = VARS[0], VARS[1]
+    flat, index = shape_key((App("f", (y, x)), x))
+    assert flat == ("f", 2, -1, -2, -2)
+    assert index == {2: 0, 1: 1}
+
+
+def test_shape_key_separates_what_canonical_forms_separate():
+    a, b = App("a", ()), App("b", ())
+    # a variable is never mistaken for a constant of the same name
+    assert shape_key((Var(1, "x"),))[0] != shape_key((App("x", ()),))[0]
+    # arities keep the nesting: f(g(a),b) is not f(g(a,b))
+    assert (shape_key((App("f", (App("g", (a,)), b)),))[0]
+            != shape_key((App("f", (App("g", (a, b)),)),))[0])
+    # a term cannot end where another would go on
+    assert shape_key((App("s", (a,)), b))[0] != shape_key((App("s", (a, b)),))[0]
