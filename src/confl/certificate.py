@@ -665,8 +665,7 @@ def _verify(text: str, problem: Trs | None, hook):
     # 2. the final partition
     if not cert.has_partition:
         return False, problems + ["missing partition section"]
-    names = {r.name for r in q}
-    if set(cert.s_names) | set(cert.p_names) != names or set(cert.s_names) & set(cert.p_names):
+    if sorted(cert.s_names + cert.p_names) != sorted(r.name for r in q):
         problems.append("final S/P is not a partition of the final system")
         return False, problems
     s = Trs([q.rule(n) for n in cert.s_names])

@@ -16,7 +16,6 @@ from .rewriting import (
     Rule,
     Trs,
     empty_trs,
-    is_nf,
     normalize_steps,
     parallel_step_exists,
     parallel_step_witnesses,
@@ -67,7 +66,6 @@ class JoinEvidence:
     pair_left: Term
     pair_right: Term
     segments: tuple
-    par_positions: tuple = ()  # parallel positions V (variable-condition checks)
     var_limit: frozenset = frozenset()
     peak: Term | None = None  # pair provenance, needed to re-identify pcp pairs
 
@@ -79,7 +77,6 @@ class FailingPair:
     condition: str
     left_nf: Term
     right_nf: Term
-    right_is_nf: bool  # the "b" flag used by completion bookkeeping
 
 
 @dataclass
@@ -206,28 +203,17 @@ class Partition:
                         f"P' rule {r.name or r} is not a variant of a rule in P or P inverse"
                     )
         self.p_prime = p_prime
-        self._cache: dict = {}
-
-    def reversibility(self, bound: int = DEFAULT_DEPTH) -> ReversibilityWitness | None:
-        key = ("rev", bound)
-        if key not in self._cache:
-            self._cache[key] = is_reversible(self.p, bound=bound)
-        return self._cache[key]
 
     def pp_safe(self, hook=None) -> Trs:
         """Largest greedily-built subset of P ∪ P⁻¹ relative to which S can be
         shown terminating.  Searching inside S ∪ pp_safe guarantees that any
         collected P' admits the same relative termination proof."""
-        key = "pp_safe"
-        if key not in self._cache:
-            kept: list[Rule] = []
-            for r in self.pp:
-                cand = Trs(kept + [r])
-                cert, _ = prove_relative_termination(self.s, cand, hook=hook)
-                if cert is not None:
-                    kept.append(r)
-            self._cache[key] = Trs(kept)
-        return self._cache[key]
+        kept: list[Rule] = []
+        for r in self.pp:
+            cert, _ = prove_relative_termination(self.s, Trs(kept + [r]), hook=hook)
+            if cert is not None:
+                kept.append(r)
+        return Trs(kept)
 
     def search_rules(self, hook=None) -> Trs:
         if self.p_prime is not None:
@@ -387,8 +373,7 @@ class _Searcher:
                         in zip(shape, terms, terms[1:], steps))
                     extra = {}
                     if x_ids is not None:
-                        extra = dict(par_positions=mid[0].positions, var_limit=x_ids,
-                                     peak=pair.peak)
+                        extra = dict(var_limit=x_ids, peak=pair.peak)
                     return JoinEvidence(crit, cond, branch, pair.left, pair.right,
                                         segments, **extra)
         return None
@@ -423,8 +408,7 @@ def _inwards(side: tuple, st, end: Term, path) -> tuple:
 def _fail(pair, origin, condition, s: Trs) -> FailingPair:
     left_nf = _nf_with_fallback(pair.left, s)
     right_nf = _nf_with_fallback(pair.right, s)
-    return FailingPair(pair, origin, condition, left_nf, right_nf,
-                       is_nf(pair.right, s))
+    return FailingPair(pair, origin, condition, left_nf, right_nf)
 
 
 def _tag(name: str, pt: Partition) -> str:
@@ -447,7 +431,7 @@ def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, rev_bou
         if not getattr(pt.s if cls == "S" else pt.p, prop)():
             rep.reason = f"{cls} is not {prop.replace('_', '-')}"
             return False
-    rev = pt.reversibility(bound=rev_bound)
+    rev = is_reversible(pt.p, bound=rev_bound)
     if rev is None:
         rep.reason = "P was not shown reversible within the search bound"
         return False

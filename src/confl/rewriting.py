@@ -3,6 +3,12 @@
 Steps are plain records built from a match (by `step_at` and
 `parallel_step_witnesses`).  A step is checked when it is replayed, by
 `replay`, the one routine that re-applies (position, rule) moves.
+
+Reach sets and goal searches are one breadth-first walk, `_walk`.  Its cap
+rule: a reach set holds at most `cap` terms, and the walk stops at the first
+new term past the cap, even mid-expansion; a goal search tests the start term
+first and each new term before the cap, so a goal found as term cap+1 is still
+returned.  `normalize_steps` is the one normalizer.
 """
 
 from __future__ import annotations
@@ -242,54 +248,41 @@ def is_nf(t: Term, trs: Trs) -> bool:
     return not reducts(t, trs)
 
 
-def _positions_postorder(t: Term, at: Position = ()):
-    if isinstance(t, App):
-        for i, a in enumerate(t.args, start=1):
-            yield from _positions_postorder(a, at + (i,))
-    yield at
-
-
 def normalize_steps(t: Term, trs: Trs, fuel: int = 10_000):
-    """Leftmost-innermost normalization returning (normal form, steps)."""
+    """Leftmost-innermost normalization returning (normal form, steps):
+    arguments left to right, then the rules at the root in order; after a
+    rewrite the walk goes on inside the new subterm."""
     steps = []
-    changed = True
-    while changed:
-        changed = False
-        for p in _positions_postorder(t):
-            if isinstance(subterm_at(t, p), Var):
-                continue
+    whole = t
+
+    def go(u: Term, p: Position) -> Term:
+        nonlocal whole
+        while isinstance(u, App):
+            args = []
+            for i, a in enumerate(u.args, start=1):
+                args.append(go(a, (*p, i)))
+            u = App(u.fn, tuple(args))
             for rule in trs:
-                st = step_at(t, p, rule)
-                if st is not None:
-                    if len(steps) >= fuel:
-                        raise FuelExhausted(f"no normal form within {fuel} steps")
-                    steps.append(st)
-                    t = st.target
-                    changed = True
-                    break
-            if changed:
-                break
-    return t, steps
+                if rule.lhs.fn == u.fn:
+                    m = match_term(rule.lhs, u)
+                    if m is not None:
+                        break
+            else:
+                return u
+            if len(steps) >= fuel:
+                raise FuelExhausted(f"no normal form within {fuel} steps")
+            u = apply(m, rule.rhs)
+            target = replace_at(whole, p, u)
+            steps.append(Step(whole, target, p, rule))
+            whole = target
+        return u
+
+    return go(t, ()), steps
 
 
 def normalize(t: Term, trs: Trs, fuel: int = 10_000) -> Term:
     """Leftmost-innermost normal form; raises FuelExhausted if fuel runs out."""
-    budget = [fuel]
-
-    def go(u: Term) -> Term:
-        if isinstance(u, Var):
-            return u
-        u = App(u.fn, tuple(go(a) for a in u.args))
-        for rule in trs:
-            m = match_term(rule.lhs, u)
-            if m is not None:
-                if budget[0] <= 0:
-                    raise FuelExhausted(f"no normal form within {fuel} steps")
-                budget[0] -= 1
-                return go(apply(m, rule.rhs))
-        return u
-
-    return go(t)
+    return normalize_steps(t, trs, fuel)[0]
 
 
 # --- parallel steps -----------------------------------------------------------
@@ -374,24 +367,37 @@ def parallel_step_exists(s: Term, t: Term, trs: Trs) -> ParallelStep | None:
 # --- bounded reachability -----------------------------------------------------
 
 
-def reach_set_bounded(
-    s: Term, trs: Trs, depth: int, cap: int = 4000
-) -> dict[Term, tuple[Step, ...]]:
-    """Breadth-first reachable set within `depth` steps, with shortest
-    witness paths; iteration order is discovery order (s itself first)."""
+def _walk(s: Term, trs: Trs, depth: int, cap: int, want=None):
+    """(paths, found): shortest paths to the terms reached in discovery
+    order, and the path to the first term `want` accepts, or None."""
     paths: dict[Term, tuple[Step, ...]] = {s: ()}
+    if want is not None and want(s):
+        return paths, ()
     frontier = deque([(s, 0)])
     while frontier:
         t, d = frontier.popleft()
         if d >= depth:
             continue
         for step in reducts(t, trs):
-            if step.target not in paths:
-                if len(paths) >= cap:
-                    return paths
-                paths[step.target] = paths[t] + (step,)
-                frontier.append((step.target, d + 1))
-    return paths
+            u = step.target
+            if u in paths:
+                continue
+            path = paths[t] + (step,)
+            if want is not None and want(u):
+                return paths, path
+            if len(paths) >= cap:
+                return paths, None
+            paths[u] = path
+            frontier.append((u, d + 1))
+    return paths, None
+
+
+def reach_set_bounded(
+    s: Term, trs: Trs, depth: int, cap: int = 4000
+) -> dict[Term, tuple[Step, ...]]:
+    """Breadth-first reachable set within `depth` steps, with shortest
+    witness paths; iteration order is discovery order (s itself first)."""
+    return _walk(s, trs, depth, cap)[0]
 
 
 def reach_bounded(s: Term, goal, trs: Trs, depth: int, cap: int = 4000):
@@ -400,25 +406,8 @@ def reach_bounded(s: Term, goal, trs: Trs, depth: int, cap: int = 4000):
     `goal` is a term or a predicate on terms; the empty sequence is allowed.
     """
     want = goal if callable(goal) else (lambda t: t == goal)
-    if want(s):
-        return []
-    paths: dict[Term, tuple[Step, ...]] = {s: ()}
-    frontier = deque([(s, 0)])
-    while frontier:
-        t, d = frontier.popleft()
-        if d >= depth:
-            continue
-        for step in reducts(t, trs):
-            if step.target in paths:
-                continue
-            path = paths[t] + (step,)
-            if want(step.target):
-                return list(path)
-            if len(paths) >= cap:
-                return None
-            paths[step.target] = path
-            frontier.append((step.target, d + 1))
-    return None
+    found = _walk(s, trs, depth, cap, want)[1]
+    return None if found is None else list(found)
 
 
 def conversion_bounded(s: Term, t: Term, p_rules: Trs, depth: int, cap: int = 4000):

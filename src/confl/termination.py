@@ -29,7 +29,8 @@ from dataclasses import dataclass
 from itertools import count, permutations, product
 
 from .rewriting import Rule, Trs
-from .terms import App, Term, Var, is_var, match_term, positions, subterm_at, var_ids
+from .terms import App, Term, Var, fun_subterms, funs, is_var, match_term, unify_all, var_ids
+from .trs_format import print_trs
 
 
 class MalformedCertificate(Exception):
@@ -85,8 +86,6 @@ def _find_lpo(rules) -> tuple | None:
 
 
 def _rule_funs(r: Rule):
-    from .terms import funs
-
     return funs(r.lhs) | funs(r.rhs)
 
 
@@ -303,9 +302,8 @@ def dependency_pairs(s_trs: Trs) -> list[Rule]:
     dps = []
     for r in s_trs:
         k = 0
-        for p in positions(r.rhs):
-            u = subterm_at(r.rhs, p)
-            if isinstance(u, App) and u.fn in defined:
+        for _, u in fun_subterms(r.rhs):
+            if u.fn in defined:
                 k += 1
                 dps.append(Rule(_mark(r.lhs), _mark(u), f"{r.name}{_MARK}{k}"))
     return dps
@@ -322,8 +320,6 @@ def _cap_ren(t: Term, defined: set, fresh) -> Term:
 
 def dp_graph(dps: list[Rule], defined: set) -> set[tuple[int, int]]:
     """Estimated edges i -> j between dependency pairs (by index)."""
-    from .terms import unify_all
-
     edges = set()
     fresh = count(5_000_000)
     for i, d1 in enumerate(dps):
@@ -396,11 +392,7 @@ def homeomorphic_embeds(s: Term, t: Term) -> bool:
 
 def _rule_loops(r: Rule) -> bool:
     """Right-hand side contains an instance of the left-hand side."""
-    return any(
-        isinstance(subterm_at(r.rhs, p), App)
-        and match_term(r.lhs, subterm_at(r.rhs, p)) is not None
-        for p in positions(r.rhs)
-    )
+    return any(match_term(r.lhs, u) is not None for _, u in fun_subterms(r.rhs))
 
 
 def _failure_reason(rules) -> str:
@@ -486,8 +478,6 @@ def _prove_relative(s_trs: Trs, p_trs: Trs):
 
 def run_external_prover(path: str, s_trs: Trs, timeout: float = 10.0) -> bool:
     """Feed the system to an external prover; YES on the first line wins."""
-    from .trs_format import print_trs
-
     try:
         proc = subprocess.run(
             [path],

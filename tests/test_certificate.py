@@ -205,6 +205,13 @@ def test_renamed_rule_breaks_the_partition(cert_r3):
     assert any("partition" in p for p in problems)
 
 
+@pytest.mark.parametrize("prefix, repeated", [("final-s ", "add2"), ("final-p ", "C")],
+                         ids=["final-s", "final-p"])
+def test_repeated_partition_name_rejected_not_raised(cert_r3, prefix, repeated):
+    bad = mutate(cert_r3, prefix, lambda ln: ln + "," + repeated)
+    assert "final S/P is not a partition of the final system" in rejected(bad, R3)
+
+
 def test_nonreversible_rule_in_p_rejected(cert_r3):
     def strip_add1(ln):
         names = [n for n in ln.split(" ", 1)[1].split(",") if n != "add1"]

@@ -1,9 +1,10 @@
 """Rules, rewrite steps, parallel steps and bounded searches."""
 import random
+from collections import deque
 
 import pytest
 
-from confl import criteria
+from confl import completion, criteria
 from confl.completion import check_confluence
 from confl.rewriting import (
     FuelExhausted,
@@ -264,23 +265,158 @@ def scanned_reducts(t, trs):
     return [st for st in steps if st is not None]
 
 
-@pytest.mark.parametrize("trs", [R2, CHAIN3], ids=["R2", "chain3"])
-def test_reducts_walk_lists_the_steps_of_the_scan(trs, monkeypatch):
-    seen = set()
+@pytest.fixture(scope="module")
+def searched():
+    """Per system, the (term, rules) of every reach-set term and of every
+    normalize_steps call in a completion run of it."""
+    out = {}
+    for name, trs in (("R2", R2), ("chain3", CHAIN3)):
+        reached, normalized = set(), set()
 
-    def recording(t, rules, depth, cap=4000):
-        ends = reach_set_bounded(t, rules, depth, cap)
-        seen.update((u, rules) for u in ends)
-        return ends
+        def recording_reach(t, rules, depth, cap=4000):
+            ends = reach_set_bounded(t, rules, depth, cap)
+            reached.update((u, rules) for u in ends)
+            return ends
 
-    monkeypatch.setattr(criteria, "reach_set_bounded", recording)
-    assert check_confluence(trs).verdict == "YES"
-    assert len(seen) >= 200
-    for u, rules in seen:
+        def recording_normalize(t, rules, fuel=10_000):
+            normalized.add((t, rules))
+            return normalize_steps(t, rules, fuel)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(criteria, "reach_set_bounded", recording_reach)
+            mp.setattr(criteria, "normalize_steps", recording_normalize)
+            mp.setattr(completion, "normalize_steps", recording_normalize)
+            assert check_confluence(trs).verdict == "YES"
+        out[name] = (reached, normalized)
+    return out
+
+
+@pytest.mark.parametrize("name", ["R2", "chain3"])
+def test_reducts_walk_lists_the_steps_of_the_scan(name, searched):
+    reached, _ = searched[name]
+    assert len(reached) >= 200
+    for u, rules in reached:
         got = [(st.target, st.position, st.rule) for st in reducts(u, rules)]
         want = [(st.target, st.position, st.rule) for st in scanned_reducts(u, rules)]
         assert got == want, u
         assert is_nf(u, rules) == (not want)
+
+
+# The searches as they were written before they shared one walk and one
+# normalizer: the oracles of the equivalence tests below.
+
+def two_loop_reach_set(s, trs, depth, cap=4000):
+    paths = {s: ()}
+    frontier = deque([(s, 0)])
+    while frontier:
+        t, d = frontier.popleft()
+        if d >= depth:
+            continue
+        for step in reducts(t, trs):
+            if step.target not in paths:
+                if len(paths) >= cap:
+                    return paths
+                paths[step.target] = paths[t] + (step,)
+                frontier.append((step.target, d + 1))
+    return paths
+
+
+def two_loop_reach(s, goal, trs, depth, cap=4000):
+    want = goal if callable(goal) else (lambda t: t == goal)
+    if want(s):
+        return []
+    paths = {s: ()}
+    frontier = deque([(s, 0)])
+    while frontier:
+        t, d = frontier.popleft()
+        if d >= depth:
+            continue
+        for step in reducts(t, trs):
+            if step.target in paths:
+                continue
+            path = paths[t] + (step,)
+            if want(step.target):
+                return list(path)
+            if len(paths) >= cap:
+                return None
+            paths[step.target] = path
+            frontier.append((step.target, d + 1))
+    return None
+
+
+def postorder(t, at=()):
+    if isinstance(t, App):
+        for i, a in enumerate(t.args, start=1):
+            yield from postorder(a, at + (i,))
+    yield at
+
+
+def restarting_normalize_steps(t, trs, fuel=10_000):
+    steps = []
+    changed = True
+    while changed:
+        changed = False
+        for p in postorder(t):
+            if isinstance(subterm_at(t, p), Var):
+                continue
+            for rule in trs:
+                st = step_at(t, p, rule)
+                if st is not None:
+                    if len(steps) >= fuel:
+                        raise FuelExhausted(f"no normal form within {fuel} steps")
+                    steps.append(st)
+                    t = st.target
+                    changed = True
+                    break
+            if changed:
+                break
+    return t, steps
+
+
+# every k-th reach-set term, in repr order: checking all 11k of R2's takes
+# minutes (it passes)
+SAMPLE = {"R2": 100, "chain3": 1}
+
+
+@pytest.mark.parametrize("name", ["R2", "chain3"])
+def test_one_walk_reaches_what_the_two_loops_reached(name, searched):
+    reached, _ = searched[name]
+    never = App("never", ())
+    for u, rules in sorted(reached, key=repr)[::SAMPLE[name]]:
+        for depth in range(4):
+            for cap in (1, 2, 3, 50):
+                got = reach_set_bounded(u, rules, depth, cap)
+                want = two_loop_reach_set(u, rules, depth, cap)
+                assert list(got.items()) == list(want.items()), (u, depth, cap)
+        ends = list(two_loop_reach_set(u, rules, 3, 50))
+        goals = [ends[-1], never, lambda t, later=set(ends[2::3]): t in later]
+        for cap in (1, 2, 3, 50):
+            if cap < len(ends):  # the (cap+1)-th term found is still returned
+                found = reach_bounded(u, ends[cap], rules, 3, cap)
+                assert found is not None
+                assert found == two_loop_reach(u, ends[cap], rules, 3, cap)
+            for goal in goals:
+                assert reach_bounded(u, goal, rules, 3, cap) == \
+                    two_loop_reach(u, goal, rules, 3, cap), (u, goal, cap)
+
+
+@pytest.mark.parametrize("name", ["R2", "chain3"])
+def test_one_normalizer_takes_the_restarting_steps(name, searched):
+    reached, normalized = searched[name]
+    systems = {rules for _, rules in normalized}  # the S parts of the run
+    terms = [u for u, _ in sorted(reached, key=repr)[::SAMPLE[name]]]
+    cases = [*normalized, *((u, rules) for u in terms for rules in systems)]
+    assert any(restarting_normalize_steps(t, rules)[1] for t, rules in cases)
+    for t, rules in cases:
+        nf, steps = normalize_steps(t, rules, fuel=2_000)
+        assert (nf, steps) == restarting_normalize_steps(t, rules, fuel=2_000)
+        assert normalize(t, rules, fuel=2_000) == nf
+        assert normalize_steps(t, rules, fuel=len(steps)) == (nf, steps)
+        if steps:
+            with pytest.raises(FuelExhausted):
+                normalize_steps(t, rules, fuel=len(steps) - 1)
+            with pytest.raises(FuelExhausted):
+                restarting_normalize_steps(t, rules, fuel=len(steps) - 1)
 
 
 def test_rule_key_cache_is_invisible():

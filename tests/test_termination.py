@@ -4,19 +4,21 @@ import stat
 
 import pytest
 
+from confl.completion import decompose
 from confl.rewriting import Rule, Trs, empty_trs
 from confl.termination import (
     MalformedCertificate,
     TerminationCertificate,
     clear_cache,
+    dependency_pairs,
     lpo_gt,
     prove_relative_termination,
     prove_termination,
     replay_certificate,
 )
-from confl.terms import App
+from confl.terms import App, positions, subterm_at
 
-from systems import A, C, P_CA, S3, S6, f2, g1, plus, s, x, y, zero
+from systems import ALL_SYSTEMS, A, C, P_CA, S3, S6, f2, g1, plus, s, x, y, zero
 
 
 def setup_function(_fn):
@@ -154,3 +156,26 @@ def test_proof_is_deterministic():
     clear_cache()
     cert2, _ = prove_termination(S3)
     assert cert1 == cert2
+
+
+def positions_dependency_pairs(s_trs):
+    """dependency_pairs as first written: every position of a right side,
+    each found again from the root."""
+    defined = {r.lhs.fn for r in s_trs}
+    dps = []
+    for r in s_trs:
+        k = 0
+        for p in positions(r.rhs):
+            u = subterm_at(r.rhs, p)
+            if isinstance(u, App) and u.fn in defined:
+                k += 1
+                dps.append(Rule(App(r.lhs.fn + "#", r.lhs.args), App(u.fn + "#", u.args),
+                                f"{r.name}#{k}"))
+    return dps
+
+
+@pytest.mark.parametrize("trs", ALL_SYSTEMS, ids=[f"R{i}" for i in range(1, 9)])
+def test_dependency_pairs_keep_their_names_and_order(trs):
+    for s_trs, _ in decompose(trs, 10):
+        got = [(d.name, d.lhs, d.rhs) for d in dependency_pairs(s_trs)]
+        assert got == [(d.name, d.lhs, d.rhs) for d in positions_dependency_pairs(s_trs)]
