@@ -4,7 +4,8 @@ Steps are plain records built from a match (by `step_at` and
 `parallel_step_witnesses`).  A step is checked when it is replayed, by
 `replay`, the one routine that re-applies (position, rule) moves.
 
-Reach sets and goal searches are one breadth-first walk, `_walk`.  Its cap
+Reach sets and goal searches are one breadth-first walk, `_walk`, which
+builds a `Step` only for a term it has not reached before.  Its cap
 rule: a reach set holds at most `cap` terms, and the walk stops at the first
 new term past the cap, even mid-expansion; a goal search tests the start term
 first and each new term before the cap, so a goal found as term cap+1 is still
@@ -82,15 +83,16 @@ class Rule:
 
 def _linear(t: Term) -> bool:
     seen: set[int] = set()
-
-    def walk(u: Term) -> bool:
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, Var):
             if u.id in seen:
                 return False
             seen.add(u.id)
-            return True
-        return all(walk(a) for a in u.args)
-    return walk(t)
+        else:
+            stack.extend(u.args)
+    return True
 
 
 class Trs:
@@ -207,15 +209,17 @@ class Step:
 def step_at(t: Term, p: Position, rule: Rule) -> Step | None:
     """The step of `rule` at position p of t, or None if it does not apply
     there; raises ValueError if p is not a position of t."""
-    return _step(t, p, subterm_at(t, p), rule)
+    u = _target(t, p, subterm_at(t, p), rule)
+    return None if u is None else Step(t, u, p, rule)
 
 
-def _step(t: Term, p: Position, sub: Term, rule: Rule) -> Step | None:
-    """`step_at` for the subterm sub of t at p."""
+def _target(t: Term, p: Position, sub: Term, rule: Rule) -> Term | None:
+    """The term that `rule` at p rewrites t to, sub being t's subterm at p,
+    or None if the rule does not apply there."""
     m = match_term(rule.lhs, sub)
     if m is None:
         return None
-    return Step(t, replace_at(t, p, apply(m, rule.rhs)), p, rule)
+    return replace_at(t, p, apply(m, rule.rhs))
 
 
 def replay(t: Term, moves) -> Term:
@@ -232,16 +236,20 @@ def replay(t: Term, moves) -> Term:
     return t
 
 
-def reducts(t: Term, trs: Trs) -> list[Step]:
-    """All one-step rewrites of t, positions in preorder, rules in order."""
-    out = []
+def _rewrites(t: Term, trs: Trs):
+    """(position, rule, target) of every one-step rewrite of t, positions in
+    preorder, rules in order."""
     for p, sub in fun_subterms(t):
         for rule in trs:
             if rule.lhs.fn == sub.fn:
-                st = _step(t, p, sub, rule)
-                if st is not None:
-                    out.append(st)
-    return out
+                u = _target(t, p, sub, rule)
+                if u is not None:
+                    yield p, rule, u
+
+
+def reducts(t: Term, trs: Trs) -> list[Step]:
+    """All one-step rewrites of t, positions in preorder, rules in order."""
+    return [Step(t, u, p, rule) for p, rule, u in _rewrites(t, trs)]
 
 
 def is_nf(t: Term, trs: Trs) -> bool:
@@ -252,32 +260,31 @@ def normalize_steps(t: Term, trs: Trs, fuel: int = 10_000):
     """Leftmost-innermost normalization returning (normal form, steps):
     arguments left to right, then the rules at the root in order; after a
     rewrite the walk goes on inside the new subterm."""
-    steps = []
-    whole = t
+    steps: list[Step] = []
+    return _innermost(t, (), t, trs, steps, fuel), steps
 
-    def go(u: Term, p: Position) -> Term:
-        nonlocal whole
-        while isinstance(u, App):
-            args = []
-            for i, a in enumerate(u.args, start=1):
-                args.append(go(a, (*p, i)))
-            u = App(u.fn, tuple(args))
-            for rule in trs:
-                if rule.lhs.fn == u.fn:
-                    m = match_term(rule.lhs, u)
-                    if m is not None:
-                        break
-            else:
-                return u
-            if len(steps) >= fuel:
-                raise FuelExhausted(f"no normal form within {fuel} steps")
-            u = apply(m, rule.rhs)
-            target = replace_at(whole, p, u)
-            steps.append(Step(whole, target, p, rule))
-            whole = target
-        return u
 
-    return go(t, ()), steps
+def _innermost(u: Term, p: Position, start: Term, trs: Trs, steps: list, fuel: int) -> Term:
+    """The normal form of u, the subterm at p of the term that `steps`
+    (from `start`) have reached so far; appends the steps it takes."""
+    while isinstance(u, App):
+        args = []
+        for i, a in enumerate(u.args, start=1):
+            args.append(_innermost(a, (*p, i), start, trs, steps, fuel))
+        u = App(u.fn, tuple(args))
+        for rule in trs:
+            if rule.lhs.fn == u.fn:
+                m = match_term(rule.lhs, u)
+                if m is not None:
+                    break
+        else:
+            return u
+        if len(steps) >= fuel:
+            raise FuelExhausted(f"no normal form within {fuel} steps")
+        u = apply(m, rule.rhs)
+        whole = steps[-1].target if steps else start
+        steps.append(Step(whole, replace_at(whole, p, u), p, rule))
+    return u
 
 
 def normalize(t: Term, trs: Trs, fuel: int = 10_000) -> Term:
@@ -378,11 +385,10 @@ def _walk(s: Term, trs: Trs, depth: int, cap: int, want=None):
         t, d = frontier.popleft()
         if d >= depth:
             continue
-        for step in reducts(t, trs):
-            u = step.target
+        for p, rule, u in _rewrites(t, trs):
             if u in paths:
                 continue
-            path = paths[t] + (step,)
+            path = paths[t] + (Step(t, u, p, rule),)
             if want is not None and want(u):
                 return paths, path
             if len(paths) >= cap:

@@ -234,20 +234,26 @@ def _signature_of(rules):
 
 def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, cap=300_000):
     """Search an interpretation making all weak_rules weakly decreasing and at
-    least one strict candidate strictly decreasing; returns (assign, strict)."""
+    least one strict candidate strictly decreasing; returns (assign, strict).
+
+    The answer is the first one in `product` order over the symbols' shape
+    lists.  Symbols get their shapes in signature order, and a weak rule is
+    checked as soon as its last symbol has one: a prefix that fails it is
+    abandoned with every assignment that extends it."""
     sig = _signature_of(list(weak_rules) + list(strict_candidates))
     names = list(sig)
     lists = [shapes_for(f, sig[f]) for f in names]
     total = 1
     for l in lists:
         total *= len(l)
-    if total > cap:
+    if total > cap or not names:
         return None
     rules = list(dict.fromkeys(list(weak_rules) + list(strict_candidates)))
-    rule_syms = {}
-    for r in rules:
-        rs = sorted(_rule_funs(r))
-        rule_syms[id(r)] = rs
+    rule_syms = {id(r): sorted(_rule_funs(r)) for r in rules}
+    level = {f: k for k, f in enumerate(names)}
+    due = [[] for _ in names]  # the weak rules whose last symbol is names[k]
+    for r in dict.fromkeys(weak_rules):
+        due[max(level[f] for f in rule_syms[id(r)])].append(r)
     cache: dict = {}
 
     def decrease(r, assign):
@@ -258,9 +264,22 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
             cache[key] = hit
         return hit
 
-    for combo in product(*lists):
-        assign = dict(zip(names, combo))
-        if not all(decrease(r, assign)[0] for r in weak_rules):
+    # choice[k] indexes lists[k]; symbols before k are assigned, and the
+    # dict's keys, set first in names order, keep that order
+    assign: dict = {}
+    choice = [-1] * len(names)
+    k = 0
+    while k >= 0:
+        choice[k] += 1
+        if choice[k] == len(lists[k]):
+            choice[k] = -1
+            k -= 1
+            continue
+        assign[names[k]] = lists[k][choice[k]]
+        if not all(decrease(r, assign)[0] for r in due[k]):
+            continue
+        if k + 1 < len(names):
+            k += 1
             continue
         strict = [r for r in strict_candidates if decrease(r, assign)[1]]
         if strict:
@@ -337,16 +356,17 @@ def _has_cycle(nodes, edges) -> bool:
         if a in adj and b in adj:
             adj[a].append(b)
     state = dict.fromkeys(nodes, 0)  # 0 new, 1 on stack, 2 done
+    return any(state[n] == 0 and _dfs_finds_cycle(n, adj, state) for n in nodes)
 
-    def dfs(n):
-        state[n] = 1
-        for m in adj[n]:
-            if state[m] == 1 or (state[m] == 0 and dfs(m)):
-                return True
-        state[n] = 2
-        return False
 
-    return any(state[n] == 0 and dfs(n) for n in nodes)
+def _dfs_finds_cycle(n, adj, state) -> bool:
+    """Depth-first from the new node n: is a node on the stack reachable?"""
+    state[n] = 1
+    for m in adj[n]:
+        if state[m] == 1 or (state[m] == 0 and _dfs_finds_cycle(m, adj, state)):
+            return True
+    state[n] = 2
+    return False
 
 
 def _dp_removal(s_trs: Trs):

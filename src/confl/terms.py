@@ -1,9 +1,14 @@
 """First-order terms, positions, substitutions, matching and unification.
 
-Terms are immutable: a variable is identified by an integer id (the display
-name is cosmetic and ignored by equality), a function application is a symbol
-name plus a tuple of argument terms.  Arities are not fixed here; rule systems
-check arity consistency when they are built.
+A variable is identified by an integer id (the display name is cosmetic and
+ignored by equality), a function application is a symbol name plus a tuple of
+argument terms.  Arities are not fixed here; rule systems check arity
+consistency when they are built.
+
+Hashing a term never walks it: a function application stores its hash when
+it is built, from its arguments' hashes, and a variable hashes its id.
+Terms are immutable by contract: nothing assigns to the fields of a built
+term.
 
 Positions are tuples of 1-based argument indexes; () is the root.
 Substitutions are plain dicts mapping variable ids to terms.
@@ -12,25 +17,57 @@ Substitutions are plain dicts mapping variable ids to terms.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
 Position = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class Var:
-    id: int
-    # purely for printing; two Vars with the same id are the same variable
-    name: str = field(default="", compare=False, repr=False)
+    """A variable; two Vars with the same id are the same variable, the name
+    is only for printing."""
+
+    __slots__ = ("id", "name")
+
+    def __init__(self, id: int, name: str = ""):
+        self.id = id
+        self.name = name
+
+    def __hash__(self):
+        # not stored: a stored hash is one more object per variable, and
+        # the parsed variables of a certificate are many
+        return hash((self.id,))
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.id == other.id
 
     def __repr__(self):
         return self.name or f"v{self.id}"
 
 
-@dataclass(frozen=True)
 class App:
-    fn: str
-    args: tuple = ()
+    """A function symbol applied to a tuple of argument terms."""
+
+    __slots__ = ("fn", "args", "_hash")
+
+    def __init__(self, fn: str, args: tuple = ()):
+        self.fn = fn
+        self.args = args
+        # an App argument gives its stored hash; nothing below is walked
+        self._hash = hash((fn, args))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not App:
+            return NotImplemented
+        return (self._hash == other._hash and self.fn == other.fn
+                and self.args == other.args)
 
     def __repr__(self):
         if not self.args:
@@ -133,15 +170,13 @@ def replace_parallel(t: Term, repl: list[tuple[Position, Term]]) -> Term:
 def term_vars(t: Term) -> list[Var]:
     """Variables of t in order of first occurrence (no duplicates)."""
     seen: dict[int, Var] = {}
-
-    def walk(u: Term):
+    stack = [t]
+    while stack:
+        u = stack.pop()
         if isinstance(u, Var):
             seen.setdefault(u.id, u)
         else:
-            for a in u.args:
-                walk(a)
-
-    walk(t)
+            stack.extend(reversed(u.args))
     return list(seen.values())
 
 
@@ -242,17 +277,19 @@ def unify_all(eqs: list[tuple[Term, Term]]) -> Subst | None:
             work.extend(zip(s.args, t.args))
 
     resolved: Subst = {}
+    return {x: _resolve(u, bound, resolved) for x, u in bound.items()}
 
-    def resolve(u: Term) -> Term:
-        if isinstance(u, Var):
-            if u.id not in bound:
-                return u
-            if u.id not in resolved:
-                resolved[u.id] = resolve(bound[u.id])
-            return resolved[u.id]
-        return App(u.fn, tuple(resolve(a) for a in u.args))
 
-    return {x: resolve(u) for x, u in bound.items()}
+def _resolve(u: Term, bound: Subst, resolved: Subst) -> Term:
+    """u with the triangular bindings `bound` applied until none is left;
+    `resolved` memoizes the resolved value of each bound variable."""
+    if isinstance(u, Var):
+        if u.id not in bound:
+            return u
+        if u.id not in resolved:
+            resolved[u.id] = _resolve(bound[u.id], bound, resolved)
+        return resolved[u.id]
+    return App(u.fn, tuple(_resolve(a, bound, resolved) for a in u.args))
 
 
 # --- renaming ----------------------------------------------------------------
@@ -302,15 +339,17 @@ def canonical_tuple(ts: tuple) -> tuple:
     occurrence (left to right through the tuple).  Two tuples of terms are
     equal up to consistent renaming iff their canonical tuples are equal."""
     mapping: dict[int, Var] = {}
+    return tuple(_canon_walk(t, mapping) for t in ts)
 
-    def walk(u: Term) -> Term:
-        if isinstance(u, Var):
-            if u.id not in mapping:
-                mapping[u.id] = _canon_var(len(mapping))
-            return mapping[u.id]
-        return App(u.fn, tuple(walk(a) for a in u.args))
 
-    return tuple(walk(t) for t in ts)
+def _canon_walk(u: Term, mapping: dict[int, Var]) -> Term:
+    """u renamed by `mapping`, which gets the next canonical variable for
+    each variable id it does not hold yet."""
+    if isinstance(u, Var):
+        if u.id not in mapping:
+            mapping[u.id] = _canon_var(len(mapping))
+        return mapping[u.id]
+    return App(u.fn, tuple(_canon_walk(a, mapping) for a in u.args))
 
 
 def shape_key(ts) -> tuple[tuple, dict[int, int]]:

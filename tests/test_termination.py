@@ -1,14 +1,21 @@
 """Termination engines and certificate replay."""
 import os
 import stat
+from itertools import product
 
 import pytest
 
-from confl.completion import decompose
+from confl import termination
+from confl.completion import check_confluence, decompose
 from confl.rewriting import Rule, Trs, empty_trs
 from confl.termination import (
     MalformedCertificate,
     TerminationCertificate,
+    _find_interpretation,
+    _rule_funs,
+    _shapes_strict,
+    _shapes_weak,
+    _signature_of,
     clear_cache,
     dependency_pairs,
     lpo_gt,
@@ -179,3 +186,80 @@ def test_dependency_pairs_keep_their_names_and_order(trs):
     for s_trs, _ in decompose(trs, 10):
         got = [(d.name, d.lhs, d.rhs) for d in dependency_pairs(s_trs)]
         assert got == [(d.name, d.lhs, d.rhs) for d in positions_dependency_pairs(s_trs)]
+
+
+def product_find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift,
+                                cap=300_000):
+    """_find_interpretation as first written: every combination in product
+    order, weak rules checked only at a full assignment."""
+    sig = _signature_of(list(weak_rules) + list(strict_candidates))
+    names = list(sig)
+    lists = [shapes_for(f, sig[f]) for f in names]
+    total = 1
+    for l in lists:
+        total *= len(l)
+    if total > cap:
+        return None
+    rules = list(dict.fromkeys(list(weak_rules) + list(strict_candidates)))
+    rule_syms = {id(r): sorted(_rule_funs(r)) for r in rules}
+    cache = {}
+
+    def decrease(r, assign):
+        key = (id(r), tuple(assign[f] for f in rule_syms[id(r)]))
+        if key not in cache:
+            cache[key] = termination.rule_decrease(assign, r, shift=shift)
+        return cache[key]
+
+    for combo in product(*lists):
+        assign = dict(zip(names, combo))
+        if not all(decrease(r, assign)[0] for r in weak_rules):
+            continue
+        strict = [r for r in strict_candidates if decrease(r, assign)[1]]
+        if strict:
+            return assign, strict
+    return None
+
+
+def assert_same_search(args, kwargs):
+    got = _find_interpretation(*args, **kwargs)
+    want = product_find_interpretation(*args, **kwargs)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert list(got[0].items()) == list(want[0].items())
+    assert [id(r) for r in got[1]] == [id(r) for r in want[1]]
+
+
+CHAIN3 = Trs([Rule(g1(plus(App("a0"), plus(App("a1"), App("a2")))), App("c"), "g"), C, A])
+
+
+def test_pruned_interpretation_search_finds_the_product_order_answer(monkeypatch):
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        return _find_interpretation(*args, **kwargs)
+
+    monkeypatch.setattr(termination, "_find_interpretation", record)
+    for trs in ALL_SYSTEMS + [CHAIN3]:
+        clear_cache()
+        assert check_confluence(trs).verdict == "YES"
+    kinds = {(args[2], kwargs["shift"]) for args, kwargs in calls}
+    assert kinds == {(_shapes_strict, True), (_shapes_weak, False)}
+    for args, kwargs in calls:
+        assert_same_search(args, kwargs)
+
+
+def test_pruned_interpretation_search_edge_cases():
+    # a signature whose shape combinations exceed the cap
+    wide = Rule(App("f", (x, y)), App("g", (App("h", (x,)), App("k", (y,)))), "wide")
+    assert _find_interpretation([wide], [wide], _shapes_strict, shift=True, cap=1000) is None
+    assert_same_search(([wide], [wide], _shapes_strict), {"shift": True, "cap": 1000})
+    # every weak rule holds under some assignment, none is ever strict
+    assert _find_interpretation([C], [C], _shapes_strict, shift=True) is None
+    assert_same_search(([C], [C], _shapes_strict), {"shift": True})
+    assert_same_search(([C, A], [C], _shapes_weak), {"shift": False})
+    # no rules, no symbols: no interpretation removes anything
+    assert _find_interpretation([], [], _shapes_strict, shift=True) is None
+    assert_same_search(([], [], _shapes_strict), {"shift": True})

@@ -336,3 +336,41 @@ def test_shape_key_separates_what_canonical_forms_separate():
             != shape_key((App("f", (App("g", (a, b)),)),))[0])
     # a term cannot end where another would go on
     assert shape_key((App("s", (a,)), b))[0] != shape_key((App("s", (a, b)),))[0]
+
+
+# --- the term contract: stored hashes, equality by fields ---------------------
+
+
+def test_hash_is_that_of_the_fields():
+    args = (VARS[0], App("c", ()))
+    assert hash(App("f", args)) == hash(("f", args))
+    assert hash(Var(1, "x")) == hash((1,))
+
+
+def test_equality_ignores_variable_names():
+    assert Var(1, "x") == Var(1, "y")
+    assert hash(Var(1, "x")) == hash(Var(1, "y"))
+    assert Var(1, "x") != Var(2, "x")
+
+
+def test_constant_and_variable_of_one_name_differ_both_ways():
+    c, v = App("x"), Var(0, "x")
+    assert c != v and v != c
+    assert not c == v and not v == c
+    assert len({c, v}) == 2
+
+
+def test_terms_are_unequal_to_non_terms():
+    for t in (App("f", (VARS[0],)), VARS[0], App("c")):
+        assert t != 1 and t != "x" and t is not None and t != (t,)
+        assert not t == ("f", (VARS[0],))
+
+
+def test_a_deep_term_is_a_dict_key():
+    # built bottom-up; hashing must not walk the 5000 levels again
+    t = VARS[0]
+    for _ in range(5000):
+        t = App("s", (t,))
+    table = {t: 1}
+    assert table[t] == 1
+    assert App("s", (t,)) not in table
