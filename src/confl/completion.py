@@ -2,11 +2,22 @@
 system, built from rewrites of existing rules, on which one of the
 critical-pair criteria applies.  Additions and replacements are justified by
 forward rewrite sequences in the current system, which show that the
-transformation keeps →* unchanged, so a YES verdict can be certified."""
+transformation keeps →* unchanged, so a YES verdict can be certified.
+
+The criteria only report which pairs failed; every repair is derived here.
+An (S,S) pair gives rules between the S-normal forms of its two sides, each
+justified by a P-conversion.  A pair t₁ ← s → t₂ with one P∪P⁻¹ step gives
+the rule from that P side to the S-normal form of the other side, derived
+through the peak: back to s by P steps (P is reversible, so a P⁻¹ step becomes
+the P steps that undo it), then on by the pair's S step and the S steps to the
+normal form.  Normalization stops after 2,000 steps: an (S,S) side without a
+normal form by then stands for itself, and a pair with a P side whose other
+side has none gives no rule."""
 import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .terms import funs
 from .rewriting import (
@@ -61,6 +72,10 @@ class SearchState:
     history: tuple = ()
 
     def system(self) -> Trs:
+        return self._system
+
+    @cached_property
+    def _system(self) -> Trs:  # Q = S ∪ P, built once per state
         return self.s.union(self.p)
 
 
@@ -77,13 +92,6 @@ class CompletionResult:
         return self.state.history if self.state is not None else ()
 
 
-def _maybe_inverse(rule: Rule) -> Rule | None:
-    try:
-        return rule.inverse()
-    except ValueError:
-        return None
-
-
 def decompose(q: Trs, rev_bound: int = DEFAULT_DEPTH) -> list:
     """Candidate (S, P) splits of q: the largest reversible P whose rules
     either have their reversal in q or keep root and function symbols, plus
@@ -92,8 +100,7 @@ def decompose(q: Trs, rev_bound: int = DEFAULT_DEPTH) -> list:
     for r in q:
         if not r.is_bidirectional():
             continue
-        inv = _maybe_inverse(r)
-        reversed_in_q = inv is not None and q.contains_variant(inv)
+        reversed_in_q = q.contains_variant(r.inverse())
         same_shape = (
             funs(r.lhs) == funs(r.rhs) and r.lhs.fn == r.rhs.fn
         )
@@ -116,18 +123,24 @@ def decompose(q: Trs, rev_bound: int = DEFAULT_DEPTH) -> list:
     return out
 
 
+def _path(t, moves, end):
+    """The steps of the moves [(position, rule)] applied in order from t, or
+    None unless each move applies and the last one ends at `end`."""
+    steps = []
+    for pos, rule in moves:
+        st = step_at(t, pos, rule)
+        if st is None:
+            return None
+        steps.append(st)
+        t = st.target
+    return tuple(steps) if t == end else None
+
+
 def _reverse_steps(steps):
-    """Reverse a conversion chain (all rules must be invertible)."""
-    out = []
-    for st in reversed(steps):
-        inv = _maybe_inverse(st.rule)
-        if inv is None:
-            return None
-        rst = step_at(st.target, st.position, inv)
-        if rst is None or rst.target != st.source:
-            return None
-        out.append(rst)
-    return tuple(out)
+    """The steps undone in reverse order by the inverses of their rules,
+    which must be bidirectional."""
+    moves = [(st.position, st.rule.inverse()) for st in reversed(steps)]
+    return _path(steps[-1].target, moves, steps[0].source)
 
 
 def _forward(steps, p: Trs, rev) -> tuple:
@@ -140,10 +153,7 @@ def _forward(steps, p: Trs, rev) -> tuple:
         rule = fwd.get(st.rule.key())
         chain = ([(st.position, rule)] if rule is not None else
                  [(st.position + rs.position, rs.rule) for rs in undo[st.rule.key()]])
-        cur = st.source
-        for pos, rl in chain:
-            out.append(step_at(cur, pos, rl))
-            cur = out[-1].target
+        out.extend(_path(st.source, chain, st.target))
     return tuple(out)
 
 
@@ -172,18 +182,60 @@ def _valid_rule(lhs, rhs, named):
         return None
 
 
+def _inner_redexes(pair) -> list:
+    """[(position, rule)] of the pair's inner step: one redex for a critical
+    pair, one per position for a parallel critical pair."""
+    if isinstance(pair, ParallelCriticalPair):
+        return list(zip(pair.positions, pair.inner_rules))
+    return [(pair.position, pair.inner_rule)]
+
+
+def _normal_form(t, s: Trs):
+    """(S-normal form of t, the steps to it), or None when S does not reach
+    one within 2,000 steps."""
+    try:
+        return normalize_steps(t, s, fuel=2_000)
+    except FuelExhausted:
+        return None
+
+
+def _through_peak(f, s: Trs, named):
+    """The repair of a failing pair t₁ ← peak → t₂ with one P∪P⁻¹ side: the
+    rule from its P side to the S-normal form of the other side.  Returns
+    (rule, P∪P⁻¹ steps back to the peak, S steps from the peak to the normal
+    form), or None."""
+    pair = f.pair
+    if f.origin == "cp(S,PP)":  # the P side is the outer rule's reduct
+        p_side, other = pair.right, pair.left
+        back, forward = [((), pair.outer_rule.inverse())], _inner_redexes(pair)
+    else:  # an inner (PP,S) pair: the P side holds the inner reducts
+        p_side, other = pair.left, pair.right
+        back = [(pos, rule.inverse()) for pos, rule in _inner_redexes(pair)]
+        forward = [((), pair.outer_rule)]
+    found = _normal_form(other, s)
+    if found is None:
+        return None
+    nf, nsteps = found
+    rule = _valid_rule(p_side, nf, named)
+    if rule is None:
+        return None
+    to_peak = _path(p_side, back, pair.peak)
+    from_peak = _path(pair.peak, forward, other)
+    if to_peak is None or from_peak is None:
+        return None
+    return rule, to_peak, from_peak + tuple(nsteps)
+
+
 def _addition_candidates(state: SearchState, report: CriterionReport,
                          named, depth: int):
     """(big-union candidates, partition-repair candidates) derived from the
     failing pairs: each is a (rule, justification) pair."""
     s, p, rev = state.s, state.p, report.reversibility
     u_big, b_singles = [], []
-    seen_keys = set()
+    seen_keys = set(state.system().key())
 
     def remember(bucket, rule, conv_steps, s_steps):
         if rule is None or rule.key() in seen_keys:
-            return
-        if state.system().contains_variant(rule):
             return
         seen_keys.add(rule.key())
         steps = _forward(conv_steps, p, rev) + tuple(s_steps)
@@ -191,85 +243,36 @@ def _addition_candidates(state: SearchState, report: CriterionReport,
 
     for f in report.failing:
         pair = f.pair
-        try:
-            if f.origin == "cp(S,PP)" or (f.origin == "cp(PP,S)" and pair.kind == "outer"):
-                if f.origin == "cp(PP,S)":
-                    continue  # mirrored by a cp(S,PP) pair
-                # orient the P-side towards the S-normal form of the S-side
-                rule = _valid_rule(pair.right, f.left_nf, named)
-                if rule is None:
-                    continue
-                inv = _maybe_inverse(pair.outer_rule)
-                if inv is None:
-                    continue
-                st0 = step_at(pair.right, (), inv)
-                if st0 is None or st0.target != pair.peak:
-                    continue
-                st1 = step_at(pair.peak, pair.position, pair.inner_rule)
-                if st1 is None or st1.target != pair.left:
-                    continue
-                nf, nsteps = normalize_steps(pair.left, s, fuel=2_000)
-                if nf != f.left_nf:
-                    continue
-                remember(u_big, rule, (st0,), (st1, *nsteps))
-            elif f.origin == "cp(S,S)":
-                if f.left_nf == f.right_nf:
-                    continue
-                conv = conversion_bounded(f.left_nf, f.right_nf, p, depth)
-                if conv is None:
-                    continue
-                rule = _valid_rule(f.left_nf, f.right_nf, named)
-                if rule is not None:
-                    remember(u_big, rule, conv, ())
-                rule2 = _valid_rule(f.right_nf, f.left_nf, named)
-                if rule2 is not None:
-                    rconv = _reverse_steps(conv)
-                    if rconv is not None:
-                        remember(u_big, rule2, rconv, ())
-            elif f.origin in ("cp_in(PP,S)", "pcp_in(PP,S)") or (
-                    f.origin == "cp(PP,S)" and pair.kind == "inner"):
-                rule = _valid_rule(pair.left, f.right_nf, named)
-                if rule is None:
-                    continue
-                if isinstance(pair, ParallelCriticalPair):
-                    redexes = list(zip(pair.positions, pair.inner_rules))
-                else:
-                    redexes = [(pair.position, pair.inner_rule)]
-                cur, csteps, ok = pair.left, [], True
-                for pos, irule in redexes:
-                    inv = _maybe_inverse(irule)
-                    st = step_at(cur, pos, inv) if inv is not None else None
-                    if st is None:
-                        ok = False
-                        break
-                    csteps.append(st)
-                    cur = st.target
-                if not ok or cur != pair.peak:
-                    continue
-                st_root = step_at(pair.peak, (), pair.outer_rule)
-                if st_root is None or st_root.target != pair.right:
-                    continue
-                nf, nsteps = normalize_steps(pair.right, s, fuel=2_000)
-                if nf != f.right_nf:
-                    continue
-                remember(b_singles, rule, csteps, (st_root, *nsteps))
-        except (ValueError, FuelExhausted):
-            continue
+        if f.origin == "cp(S,S)":
+            # a side S does not normalize within the fuel stands for itself
+            left, right = ((_normal_form(t, s) or (t,))[0] for t in (pair.left, pair.right))
+            if left == right:
+                continue
+            conv = conversion_bounded(left, right, p, depth)
+            if conv is None:
+                continue
+            remember(u_big, _valid_rule(left, right, named), conv, ())
+            rule2 = _valid_rule(right, left, named)
+            if rule2 is not None:
+                rconv = _reverse_steps(conv)
+                if rconv is not None:
+                    remember(u_big, rule2, rconv, ())
+        elif f.origin == "cp(S,PP)" or (f.origin.endswith("(PP,S)") and pair.kind == "inner"):
+            # an outer (PP,S) pair mirrors a cp(S,PP) pair, so it is left out
+            found = _through_peak(f, s, named)
+            if found is not None:
+                remember(u_big if f.origin == "cp(S,PP)" else b_singles, *found)
     return u_big, b_singles
 
 
 def _replacement_candidates(state: SearchState, report: CriterionReport, named):
     """Rules of S implicated in failures, rewritten one P-step on the right."""
     s, p, rev = state.s, state.p, report.reversibility
-    pp = p.with_inverses()
+    q, pp = state.system(), p.with_inverses()
     involved = set()
     for f in report.failing:
         pair = f.pair
-        if isinstance(pair, ParallelCriticalPair):
-            prov = list(pair.inner_rules) + [pair.outer_rule]
-        else:
-            prov = [pair.inner_rule, pair.outer_rule]
-        for r in prov:
+        for r in [rule for _, rule in _inner_redexes(pair)] + [pair.outer_rule]:
             if s.contains_variant(r):
                 involved.add(r.key())
     out = []
@@ -280,7 +283,7 @@ def _replacement_candidates(state: SearchState, report: CriterionReport, named):
             new_rule = _valid_rule(rule.lhs, st.target, named)
             if new_rule is None or new_rule.key() == rule.key():
                 continue
-            if state.system().contains_variant(new_rule):
+            if q.contains_variant(new_rule):
                 continue
             out.append((rule, new_rule, Justification(
                 "replacement", new_rule, old_rule=rule,
@@ -293,24 +296,17 @@ def successors(state: SearchState, report: CriterionReport, named,
                rev_bound: int = DEFAULT_DEPTH, depth: int = DEFAULT_DEPTH) -> list:
     u_big, b_singles = _addition_candidates(state, report, named, depth)
     repls = _replacement_candidates(state, report, named)
+    q = state.system()
 
     new_systems = []
 
-    def add_system(q2: Trs, hist):
-        new_systems.append((q2, tuple(hist)))
-
     def extend(adds):
-        q2 = state.system()
-        hist = list(state.history)
-        added = False
+        q2, hist = q, state.history
         for rule, just in adds:
-            if q2.contains_variant(rule):
-                continue
-            q2 = q2.union(Trs([rule]))
-            hist.append(just)
-            added = True
-        if added:
-            add_system(q2, hist)
+            if not q2.contains_variant(rule):
+                q2, hist = q2.union(Trs([rule])), hist + (just,)
+        if len(hist) > len(state.history):
+            new_systems.append((q2, hist))
 
     if u_big:
         extend(u_big)
@@ -319,23 +315,23 @@ def successors(state: SearchState, report: CriterionReport, named,
     for cand in u_big + b_singles:
         extend([cand])
     for old, new, just in repls:
-        rest = [r for r in state.system() if r.key() != old.key()]
+        rest = [r for r in q if r.key() != old.key()]
         try:
             q2 = Trs(rest + [new])
         except ValueError:
             continue
-        add_system(q2, list(state.history) + [just])
+        new_systems.append((q2, state.history + (just,)))
 
     out, seen = [], set()
+    q_key = q.key()
     for q2, hist in new_systems:
-        if q2.key() == state.system().key():
+        if q2.key() == q_key:
             continue
         for s2, p2 in decompose(q2, rev_bound):
-            st2 = SearchState(s2, p2, state.criterion, hist)
             k = (s2.key(), p2.key(), state.criterion)
             if k not in seen:
                 seen.add(k)
-                out.append(st2)
+                out.append(SearchState(s2, p2, state.criterion, hist))
         if len(out) >= MAX_SUCCESSORS:
             break
     return out[:MAX_SUCCESSORS]

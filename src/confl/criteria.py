@@ -11,12 +11,11 @@ from functools import partial
 
 from .terms import Term, subterm_at, var_ids
 from .rewriting import (
-    FuelExhausted,
     ParallelStep,
     Rule,
     Trs,
     empty_trs,
-    normalize_steps,
+    normalize_steps,  # not called here: bench/tracing.py wraps criteria.normalize_steps
     parallel_step_exists,
     parallel_step_witnesses,
     reach_set_bounded,
@@ -74,9 +73,6 @@ class JoinEvidence:
 class FailingPair:
     pair: object  # CriticalPair or ParallelCriticalPair
     origin: str  # which overlap family produced it
-    condition: str
-    left_nf: Term
-    right_nf: Term
 
 
 @dataclass
@@ -233,14 +229,6 @@ def collect_p_prime(evidence: list, s: Trs) -> Trs:
                     if st.rule.key() not in seen:
                         seen[st.rule.key()] = st.rule
     return Trs(list(seen.values()))
-
-
-def _nf_with_fallback(t: Term, s: Trs):
-    try:
-        nf, _ = normalize_steps(t, s, fuel=2_000)
-        return nf
-    except FuelExhausted:
-        return t
 
 
 class _Searcher:
@@ -405,12 +393,6 @@ def _inwards(side: tuple, st, end: Term, path) -> tuple:
     return terms, steps
 
 
-def _fail(pair, origin, condition, s: Trs) -> FailingPair:
-    left_nf = _nf_with_fallback(pair.left, s)
-    right_nf = _nf_with_fallback(pair.right, s)
-    return FailingPair(pair, origin, condition, left_nf, right_nf)
-
-
 def _tag(name: str, pt: Partition) -> str:
     if pt.p_prime is None:
         return f"{name}(P'=auto)"
@@ -494,14 +476,14 @@ def check_criterion(name: str, pt: Partition, depth: int = DEFAULT_DEPTH,
         pairs = globals()[gen](classes[left], classes[right])
         if (name, cond, "A") not in SHAPES:  # parallel's (ii), which must be empty
             if pairs:
-                rep.failing.extend(_fail(pair, origin, cond, pt.s) for pair in pairs)
+                rep.failing.extend(FailingPair(pair, origin) for pair in pairs)
                 rep.reason = "inner critical pairs of P∪P⁻¹ into S exist"
                 return rep
             continue
         for pair in pairs:
             ev = sr.join(name, cond, pair)
             if ev is None:
-                rep.failing.append(_fail(pair, origin, cond, pt.s))
+                rep.failing.append(FailingPair(pair, origin))
             else:
                 rep.evidence.append(ev)
     return _finish(rep, pt, hook=hook)

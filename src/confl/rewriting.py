@@ -252,10 +252,6 @@ def reducts(t: Term, trs: Trs) -> list[Step]:
     return [Step(t, u, p, rule) for p, rule, u in _rewrites(t, trs)]
 
 
-def is_nf(t: Term, trs: Trs) -> bool:
-    return not reducts(t, trs)
-
-
 def normalize_steps(t: Term, trs: Trs, fuel: int = 10_000):
     """Leftmost-innermost normalization returning (normal form, steps):
     arguments left to right, then the rules at the root in order; after a

@@ -112,11 +112,6 @@ def fun_subterms(t: Term) -> list[tuple[Position, App]]:
     return out
 
 
-def positions_fun(t: Term) -> list[Position]:
-    """Positions whose subterm is a function application."""
-    return [p for p, _ in fun_subterms(t)]
-
-
 def pos_str(p: Position) -> str:
     """A position as text: "e" for the root, else dotted indexes."""
     return ".".join(map(str, p)) or "e"

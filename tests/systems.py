@@ -5,6 +5,7 @@ S*/P* systems are the partitions the criteria matrix refers to.
 """
 from confl.rewriting import Rule, Trs
 from confl.terms import App, Var
+from confl.trs_format import parse_trs
 
 x = Var(1, "x")
 y = Var(2, "y")
@@ -78,3 +79,15 @@ S6 = Trs([ADD1, ADD2, ADD3, ADD5, DBL])
 S8 = Trs([RA, RB, RC, RD])
 P8 = Trs([RE, RF, RG])
 PPRIME_SS2 = Trs([SS2])
+
+
+def _parsed(*rules):
+    return parse_trs("(VAR x y z)\n(RULES\n" + "".join(f"  {r}\n" for r in rules) + ")\n")
+
+
+# inputs of the search benchmark: every AC variant of the sum in a chain
+# reaches the redex by P steps; swap is not confluent
+_C_TEXT, _A_TEXT = "+(x,y) -> +(y,x)", "+(+(x,y),z) -> +(x,+(y,z))"
+CHAIN3 = _parsed("g(+(a0,+(a1,a2))) -> c", _C_TEXT, _A_TEXT)
+CHAIN4 = _parsed("g(+(a0,+(a1,+(a2,a3)))) -> c", _C_TEXT, _A_TEXT)
+SWAP = _parsed("g(+(a,b)) -> c", "g(+(b,a)) -> d", _C_TEXT, _A_TEXT)

@@ -42,8 +42,8 @@ from confl.terms import (
     all_parallel,
     apply,
     canonical_tuple,
+    fun_subterms,
     match_term,
-    positions_fun,
     subterm_at,
     unify,
     term_vars,
@@ -319,7 +319,7 @@ def random_peak_term(rng, ops, leaves, depth):
 
 def fun_redexes(t, rules):
     return [
-        (p, r) for p in positions_fun(t) for r in rules if step_at(t, p, r) is not None
+        (p, r) for p, _ in fun_subterms(t) for r in rules if step_at(t, p, r) is not None
     ]
 
 

@@ -30,7 +30,7 @@ from confl.rewriting import Rule, Trs
 from confl.terms import App
 from confl.trs_format import parse_trs
 
-from systems import R2, R3, R5, R8
+from systems import CHAIN3, R2, R3, R5, R6, R8
 
 # the non-confluent fork, and the confluent system with g(x) -> h(x) added
 FORK = parse_trs("(VAR x)\n(RULES\n  f(x) -> g(x)\n  f(x) -> h(x)\n)\n")
@@ -50,6 +50,20 @@ def cert_r2():
     result = check_confluence(R2)
     assert result.verdict == "YES"
     return certificate_text(R2, result)
+
+
+@pytest.fixture(scope="module")
+def cert_r6():
+    result = check_confluence(R6)
+    assert result.verdict == "YES"
+    return certificate_text(R6, result)
+
+
+@pytest.fixture(scope="module")
+def cert_chain3():
+    result = check_confluence(CHAIN3)
+    assert result.verdict == "YES"
+    return certificate_text(CHAIN3, result)
 
 
 @pytest.fixture(scope="module")
@@ -131,13 +145,17 @@ GOLDEN_DIGESTS = {
     "cert_r8": "587512951132abe752e776c6a7e449474413cfa1c476d169a51c83eb83225072",
     "cert_r3_huet": "cc837f44c93621e10d409b132d6cbda42cc564af11d345d409e68871ff139d1d",
     "cert_fork_closed": "ff1274b0aae3cdb7179b35e301e0823a25c724e9f1c102cc43d1f86c36a68db0",
+    # R6 and chain3 need completion: 4 and 11 additions
+    "cert_r6": "857aaffd81425ac5279b22b58f5ca048035414a8d6da6a6bc777daefe1b38d72",
+    "cert_chain3": "5577e24a5555d1526b5579dfba3f5e20089836bcef688e7105e44d9ce43db91f",
 }
 
 
 def test_certificate_bytes_are_pinned(cert_r2, cert_r3, cert_r5, cert_r8, cert_r3_huet,
-                                      cert_fork_closed):
+                                      cert_fork_closed, cert_r6, cert_chain3):
     texts = dict(cert_r2=cert_r2, cert_r3=cert_r3, cert_r5=cert_r5, cert_r8=cert_r8,
-                 cert_r3_huet=cert_r3_huet, cert_fork_closed=cert_fork_closed)
+                 cert_r3_huet=cert_r3_huet, cert_fork_closed=cert_fork_closed,
+                 cert_r6=cert_r6, cert_chain3=cert_chain3)
     got = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
     assert got == GOLDEN_DIGESTS
 

@@ -17,8 +17,8 @@ from confl.terms import (
     all_parallel,
     apply,
     canonical_tuple,
+    fun_subterms,
     pos_le,
-    positions_fun,
     rename_apart,
     rename_term,
     replace_at,
@@ -204,7 +204,7 @@ def brute_cp(r_rules, q_rules):
         for inner in r_rules:
             ren = _fresh(inner, outer.lhs)
             self_overlap = inner.key() == outer.key()
-            for p in positions_fun(outer.lhs):
+            for p, _ in fun_subterms(outer.lhs):
                 if p == () and self_overlap:
                     continue
                 sigma = unify_all([(ren.lhs, subterm_at(outer.lhs, p))])
@@ -224,7 +224,7 @@ def brute_pcp_in(q_rules, r_rules):
     """pcp_in over every subset of inner positions times every rule tuple."""
     pairs = []
     for outer in r_rules:
-        inner_pos = [p for p in positions_fun(outer.lhs) if p != ()]
+        inner_pos = [p for p, _ in fun_subterms(outer.lhs) if p != ()]
         for n in range(1, len(inner_pos) + 1):
             for ps in combinations(inner_pos, n):
                 if not all_parallel(ps):
