@@ -17,16 +17,20 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .terms import (
-    App,
     Position,
     Term,
+    TermSyntaxError,
     Var,
     all_parallel,
     fresh_id,
     pos_str,
+    read_term,
     shape_key,
     subterm_at,
+    term_tokens,
+    token_offset,
     var_ids,
+    write_term,
 )
 from .rewriting import Rule, Trs, empty_trs, replay
 # cp, cp_in and pcp_in are called by the names CRITERION_TABLE gives
@@ -40,29 +44,34 @@ FORMAT = "2"
 
 # --- term scope: stable local variable names per block ------------------------
 
+# names: what str.isalnum accepts plus +*'_-~#; a variable is ?name
+_TOKENS = term_tokens(r"\??[\w+*'~#-]+")
+
 
 class _Scope:
     def __init__(self):
         self.names: dict[int, str] = {}
 
-    def name(self, v: Var) -> str:
+    def var_text(self, v: Var) -> str:
         if v.id not in self.names:
             self.names[v.id] = f"v{len(self.names) + 1}"
-        return self.names[v.id]
+        return "?" + self.names[v.id]
 
     def print_term(self, t: Term) -> str:
-        if isinstance(t, Var):
-            return "?" + self.name(t)
-        if not t.args:
-            return t.fn
-        return f"{t.fn}({','.join(self.print_term(a) for a in t.args)})"
+        return write_term(t, self.var_text)
 
 
 class _ParseScope:
     def __init__(self):
         self.vars: dict[str, Var] = {}
+        # a block repeats its terms (a segment starts where the one before
+        # ended), so each distinct text is read once
+        self.terms: dict[str, Term] = {}
 
-    def var(self, name: str) -> Var:
+    def leaf(self, name: str) -> Var | None:
+        if name[0] != "?":
+            return None
+        name = name[1:]
         if name not in self.vars:
             self.vars[name] = Var(fresh_id(), name)
         return self.vars[name]
@@ -72,43 +81,19 @@ class CertificateError(ValueError):
     pass
 
 
-def _parse_term(text: str, pos: int, scope: _ParseScope):
-    n = len(text)
-    while pos < n and text[pos] == " ":
-        pos += 1
-    is_var = pos < n and text[pos] == "?"
-    if is_var:
-        pos += 1
-    start = pos
-    while pos < n and (text[pos].isalnum() or text[pos] in "+*'_-~#"):
-        pos += 1
-    name = text[start:pos]
-    if not name:
-        raise CertificateError(f"bad term syntax at {text[start:]!r}")
-    if is_var:
-        return scope.var(name), pos
-    if pos < n and text[pos] == "(":
-        pos += 1
-        args = []
-        if pos < n and text[pos] == ")":
-            return App(name, ()), pos + 1
-        while True:
-            arg, pos = _parse_term(text, pos, scope)
-            if pos < n and text[pos] == ",":
-                pos += 1
-                args.append(arg)
-                continue
-            if pos < n and text[pos] == ")":
-                args.append(arg)
-                return App(name, tuple(args)), pos + 1
-            raise CertificateError(f"bad term syntax near offset {pos} in {text!r}")
-    return App(name, ()), pos
-
-
 def parse_term(text: str, scope: _ParseScope) -> Term:
-    t, pos = _parse_term(text, 0, scope)
-    if text[pos:].strip():
-        raise CertificateError(f"trailing input after term: {text[pos:]!r}")
+    text = text.strip()
+    if text in scope.terms:
+        return scope.terms[text]
+    tokens = _TOKENS.findall(text)
+    try:
+        t, i = read_term(tokens, 0, scope.leaf)
+    except TermSyntaxError as exc:
+        at = token_offset(tokens, exc.token)
+        raise CertificateError(f"bad term syntax at offset {at} in {text!r}: {exc}") from exc
+    if tokens[i][1] or tokens[i][2]:
+        raise CertificateError(f"trailing input after term: {text[token_offset(tokens, i):]!r}")
+    scope.terms[text] = t
     return t
 
 
@@ -212,7 +197,7 @@ def certificate_text(problem: Trs, result) -> str:
             else:
                 lines.append(f"replace {j.old_rule.name} with {j.rule.name}")
                 lines.extend(_step_lines("step", j.steps, q, "history"))
-                q = Trs([r for r in q if r.key() != j.old_rule.key()] + [j.rule])
+                q = q.replace(j.old_rule, j.rule)
                 lines.extend(_step_lines("back", j.back, q, "history"))
                 lines.append("endreplace")
 
@@ -262,13 +247,10 @@ def certificate_text(problem: Trs, result) -> str:
         lines.append(f"jpair {sc.print_term(ev.pair_left)} | {sc.print_term(ev.pair_right)}")
         if ev.peak is not None:
             lines.append(f"jpeak {sc.print_term(ev.peak)}")
-            xs = ",".join(sorted("?" + sc.names[i] for i in ev.var_limit if i in sc.names)
-                          ) if ev.var_limit else ""
-            # make sure every constrained variable has a scope name
-            missing = [i for i in ev.var_limit if i not in sc.names]
-            if missing:
+            if any(i not in sc.names for i in ev.var_limit):
                 raise CertificateError("constrained variable absent from pair/peak")
-            lines.append(f"jx {xs if xs else '-'}")
+            xs = ",".join(sorted("?" + sc.names[i] for i in ev.var_limit))
+            lines.append(f"jx {xs or '-'}")
         for seg in ev.segments:
             table = tables[seg.rules]
             dirn = "rev" if seg.reverse else "fwd"
@@ -353,8 +335,7 @@ def _parse_rule_line(rest: str) -> Rule:
     if not arrow:
         raise CertificateError(f"rule line missing '->': {rest!r}")
     sc = _ParseScope()
-    return Rule(parse_term(lhs_s.strip(), sc), parse_term(rhs_s.strip(), sc),
-                name.strip())
+    return Rule(parse_term(lhs_s, sc), parse_term(rhs_s, sc), name.strip())
 
 
 def _parse_names(s: str) -> tuple:
@@ -401,8 +382,7 @@ def parse_certificate(text: str) -> CertificateData:
         elif word == "addition" and section == "history":
             name, _, lhs_s = rest.partition(":")
             cur_scope = _ParseScope()
-            cur_hist = HistoryData("addition", name.strip(),
-                                   lhs=parse_term(lhs_s.strip(), cur_scope))
+            cur_hist = HistoryData("addition", name.strip(), lhs=parse_term(lhs_s, cur_scope))
             cert.history.append(cur_hist)
         elif word == "replace" and section == "history":
             old, _, new = rest.partition(" with ")
@@ -445,29 +425,21 @@ def parse_certificate(text: str) -> CertificateData:
             cur_join = JoinData(cond.strip(), branch.strip())
             cert.joins.append(cur_join)
         elif word == "jpair":
-            l_s, _, r_s = rest.partition("|")
-            cur_join.left = parse_term(l_s.strip(), cur_scope)
-            cur_join.right = parse_term(r_s.strip(), cur_scope)
+            l_s, r_s = rest.split("|")
+            cur_join.left, cur_join.right = parse_term(l_s, cur_scope), parse_term(r_s, cur_scope)
         elif word == "jpeak":
             cur_join.peak = parse_term(rest, cur_scope)
         elif word == "jx":
-            if rest == "-":
-                cur_join.x_ids = frozenset()
-            else:
-                ids = set()
-                for nm in rest.split(","):
-                    nm = nm.strip().lstrip("?")
-                    if nm not in cur_scope.vars:
-                        raise CertificateError(f"unknown constrained variable {nm!r}")
-                    ids.add(cur_scope.vars[nm].id)
-                cur_join.x_ids = frozenset(ids)
+            names = [] if rest == "-" else [nm.strip().lstrip("?") for nm in rest.split(",")]
+            unknown = [nm for nm in names if nm not in cur_scope.vars]
+            if unknown:
+                raise CertificateError(f"unknown constrained variable {unknown[0]!r}")
+            cur_join.x_ids = frozenset(cur_scope.vars[nm].id for nm in names)
         elif word == "segment":
-            head, _, terms = rest.partition("|")
+            head, start_s, end_s = rest.split("|")
             rel, rules, dirn = head.split()
-            start_s, _, end_s = terms.partition("|")
-            cur_seg = SegData(rel, rules, dirn == "rev",
-                              parse_term(start_s.strip(), cur_scope),
-                              parse_term(end_s.strip(), cur_scope))
+            cur_seg = SegData(rel, rules, dirn == "rev", parse_term(start_s, cur_scope),
+                              parse_term(end_s, cur_scope))
             cur_join.segments.append(cur_seg)
         elif word == "step" and section == "joins":
             pos_s, _, rn = rest.partition(" ")
@@ -606,7 +578,11 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     try:
         return _verify(text, problem, hook)
     except RecursionError:
-        # the term walkers recurse once per nesting level
+        # reading and writing terms does not recurse, but these walkers still
+        # do, once per nesting level: App.__eq__ on equal distinct terms,
+        # apply, rename_term, replace_at, positions, canonical_tuple (so
+        # Rule.key), unify_all's _resolve, and termination's lpo_gt, interpret
+        # and _cap_ren
         return False, ["a term is nested too deeply to check"]
 
 
@@ -649,9 +625,9 @@ def _verify(text: str, problem: Trs | None, hook):
         if h.yields is not None and rhs != h.yields:
             problems.append(f"{label}: witness does not yield the stated term")
             return False, problems
-        rest = [r for r in q if old is None or r.key() != old.key()]
         try:
-            q = Trs(rest + [Rule(lhs, rhs, h.name)])
+            new = Rule(lhs, rhs, h.name)
+            q = Trs([*q, new]) if old is None else q.replace(old, new)
         except ValueError as exc:
             problems.append(f"{label}: invalid rule: {exc}")
             return False, problems

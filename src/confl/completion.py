@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .terms import funs
+from .terms import signature
 from .rewriting import (
     FuelExhausted,
     Rule,
@@ -102,7 +102,7 @@ def decompose(q: Trs, rev_bound: int = DEFAULT_DEPTH) -> list:
             continue
         reversed_in_q = q.contains_variant(r.inverse())
         same_shape = (
-            funs(r.lhs) == funs(r.rhs) and r.lhs.fn == r.rhs.fn
+            r.lhs.fn == r.rhs.fn and signature([r.lhs]) == signature([r.rhs])
         )
         if reversed_in_q or same_shape:
             cand.append(r)
@@ -301,12 +301,11 @@ def successors(state: SearchState, report: CriterionReport, named,
     new_systems = []
 
     def extend(adds):
+        # _addition_candidates leaves no rule with a variant in q and no repeat
         q2, hist = q, state.history
         for rule, just in adds:
-            if not q2.contains_variant(rule):
-                q2, hist = q2.union(Trs([rule])), hist + (just,)
-        if len(hist) > len(state.history):
-            new_systems.append((q2, hist))
+            q2, hist = q2.union(Trs([rule])), hist + (just,)
+        new_systems.append((q2, hist))
 
     if u_big:
         extend(u_big)
@@ -315,9 +314,8 @@ def successors(state: SearchState, report: CriterionReport, named,
     for cand in u_big + b_singles:
         extend([cand])
     for old, new, just in repls:
-        rest = [r for r in q if r.key() != old.key()]
         try:
-            q2 = Trs(rest + [new])
+            q2 = q.replace(old, new)
         except ValueError:
             continue
         new_systems.append((q2, state.history + (just,)))

@@ -33,6 +33,7 @@ from .terms import (
     rename_term,
     renaming_apart,
     replace_at,
+    signature,
     subterm_at,
     var_ids,
 )
@@ -107,20 +108,8 @@ class Trs:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate rule names: {names}")
         self.rules: tuple[Rule, ...] = tuple(named)
-        self.signature: dict[str, int] = {}
-        for r in self.rules:
-            for t in (r.lhs, r.rhs):
-                self._collect_signature(t)
-
-    def _collect_signature(self, t: Term):
-        if isinstance(t, App):
-            known = self.signature.setdefault(t.fn, len(t.args))
-            if known != len(t.args):
-                raise ValueError(
-                    f"symbol {t.fn} used with arities {known} and {len(t.args)}"
-                )
-            for a in t.args:
-                self._collect_signature(a)
+        self.signature: dict[str, int] = signature(
+            t for r in self.rules for t in (r.lhs, r.rhs))
 
     def __iter__(self):
         return iter(self.rules)
@@ -159,6 +148,10 @@ class Trs:
 
     def contains_variant(self, rule: Rule) -> bool:
         return rule.key() in {r.key() for r in self.rules}
+
+    def replace(self, old: Rule, new: Rule) -> Trs:
+        """The system with the variants of `old` removed and `new` last."""
+        return Trs([r for r in self.rules if r.key() != old.key()] + [new])
 
     def inverse(self) -> Trs:
         if not self.bidirectional():

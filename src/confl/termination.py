@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import count, permutations, product
 
 from .rewriting import Rule, Trs
-from .terms import App, Term, Var, fun_subterms, funs, is_var, match_term, unify_all, var_ids
+from .terms import App, Term, Var, fun_subterms, is_var, match_term, signature, unify_all, var_ids
 from .trs_format import print_trs
 
 
@@ -73,7 +73,7 @@ def lpo_gt(s: Term, t: Term, prec: dict) -> bool:
 
 
 def _find_lpo(rules) -> tuple | None:
-    syms = sorted({f for r in rules for f in _rule_funs(r)})
+    syms = list(signature(t for r in rules for t in (r.lhs, r.rhs)))
     if not syms:
         return tuple()
     if len(syms) > 8:
@@ -83,10 +83,6 @@ def _find_lpo(rules) -> tuple | None:
         if all(lpo_gt(r.lhs, r.rhs, prec) for r in rules):
             return tuple(perm)
     return None
-
-
-def _rule_funs(r: Rule):
-    return funs(r.lhs) | funs(r.rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -220,18 +216,6 @@ def _shapes_weak(fn: str, arity: int):
     ]
 
 
-def _signature_of(rules):
-    sig = {}
-    for r in rules:
-        stack = [r.lhs, r.rhs]
-        while stack:
-            t = stack.pop()
-            if isinstance(t, App):
-                sig[t.fn] = len(t.args)
-                stack.extend(t.args)
-    return dict(sorted(sig.items()))
-
-
 def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, cap=300_000):
     """Search an interpretation making all weak_rules weakly decreasing and at
     least one strict candidate strictly decreasing; returns (assign, strict).
@@ -240,7 +224,8 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
     lists.  Symbols get their shapes in signature order, and a weak rule is
     checked as soon as its last symbol has one: a prefix that fails it is
     abandoned with every assignment that extends it."""
-    sig = _signature_of(list(weak_rules) + list(strict_candidates))
+    rules = list(dict.fromkeys(list(weak_rules) + list(strict_candidates)))
+    sig = signature(t for r in rules for t in (r.lhs, r.rhs))
     names = list(sig)
     lists = [shapes_for(f, sig[f]) for f in names]
     total = 1
@@ -248,8 +233,7 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
         total *= len(l)
     if total > cap or not names:
         return None
-    rules = list(dict.fromkeys(list(weak_rules) + list(strict_candidates)))
-    rule_syms = {id(r): sorted(_rule_funs(r)) for r in rules}
+    rule_syms = {id(r): list(signature((r.lhs, r.rhs))) for r in rules}
     level = {f: k for k, f in enumerate(names)}
     due = [[] for _ in names]  # the weak rules whose last symbol is names[k]
     for r in dict.fromkeys(weak_rules):
@@ -533,8 +517,7 @@ def replay_certificate(s_trs: Trs, p_trs: Trs, cert: TerminationCertificate, hoo
     if cert.method == "lpo":
         if p_trs.rules:
             raise MalformedCertificate("lpo certificates cannot be relative")
-        sig = _signature_of(s_trs.rules)
-        if set(sig) - set(cert.precedence):
+        if set(s_trs.signature) - set(cert.precedence):
             raise MalformedCertificate("precedence does not cover the signature")
         prec = {f: len(cert.precedence) - i for i, f in enumerate(cert.precedence)}
         return all(lpo_gt(r.lhs, r.rhs, prec) for r in s_trs)

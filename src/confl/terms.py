@@ -12,11 +12,16 @@ term.
 
 Positions are tuples of 1-based argument indexes; () is the root.
 Substitutions are plain dicts mapping variable ids to terms.
+
+`write_term` and `read_term` are the one term writer and reader (for `repr`,
+the TRS format and certificates); callers decide only how variables are
+spelled.  Neither recurses, so nesting depth is not limited.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 Position = tuple[int, ...]
 
@@ -70,9 +75,7 @@ class App:
                 and self.args == other.args)
 
     def __repr__(self):
-        if not self.args:
-            return self.fn
-        return f"{self.fn}({','.join(map(repr, self.args))})"
+        return write_term(self, repr)
 
 
 Term = Var | App
@@ -179,13 +182,118 @@ def var_ids(t: Term) -> set[int]:
     return {v.id for v in term_vars(t)}
 
 
-def funs(t: Term) -> set[str]:
-    if isinstance(t, Var):
-        return set()
-    out = {t.fn}
-    for a in t.args:
-        out |= funs(a)
-    return out
+def signature(ts) -> dict[str, int]:
+    """The function symbols of the terms ts with their arities, sorted by
+    name.  Raises ValueError when a symbol occurs with two arities."""
+    sig: dict[str, int] = {}
+    stack = list(ts)
+    while stack:
+        u = stack.pop()
+        if u.__class__ is App:
+            n = len(u.args)
+            known = sig.setdefault(u.fn, n)
+            if known != n:
+                low, high = sorted((known, n))
+                raise ValueError(f"symbol {u.fn} used with arities {low} and {high}")
+            stack += u.args
+    return dict(sorted(sig.items()))
+
+
+# --- text --------------------------------------------------------------------
+
+
+def write_term(t: Term, var_text) -> str:
+    """t as text; `var_text(v)` spells the variable v, called in left-to-right
+    order of occurrence."""
+    out: list[str] = []
+    rest: list = []  # per unclosed application, an iterator over its other arguments
+    u = t
+    while True:
+        if u.__class__ is Var:
+            out.append(var_text(u))
+        elif u.args:
+            out.append(u.fn + "(")
+            rest.append(iter(u.args))
+            u = next(rest[-1])
+            continue
+        else:
+            out.append(u.fn)
+        # u is written: go on with the next argument, closing what is complete
+        while rest:
+            u = next(rest[-1], None)
+            if u is not None:
+                out.append(",")
+                break
+            rest.pop()
+            out.append(")")
+        else:
+            return "".join(out)
+
+
+class TermSyntaxError(ValueError):
+    """Malformed term text; `token` indexes the offending token."""
+
+    def __init__(self, message: str, token: int):
+        super().__init__(message)
+        self.token = token
+
+
+def term_tokens(ident: str) -> re.Pattern:
+    """The tokenizer of a term syntax whose names match the regex `ident`
+    (with no capturing group).  Its `findall` gives a (space, name, mark)
+    triple per token, a mark being ``->`` or one other character; the list
+    ends with a token that has neither, at the end of the text."""
+    return re.compile(rf"(\s*)(?:({ident})|(->|.?))", re.S)
+
+
+def token_offset(tokens: list, i: int) -> int:
+    """The offset of token i in the text `tokens` was read from."""
+    return sum(len(s) + len(n) + len(m) for s, n, m in tokens[:i]) + len(tokens[i][0])
+
+
+def token_text(token: tuple) -> str:
+    """A token for an error message."""
+    return repr(token[1] or token[2] or "end of input")
+
+
+def read_term(tokens: list, i: int, leaf) -> tuple[Term, int]:
+    """The term that `tokens` (from a `term_tokens` tokenizer) spell from
+    token i on, and the index of the token after it.  `leaf(name)` gives the
+    Var a name stands for, or None for a function symbol; ``f()`` is the
+    constant f.  Raises TermSyntaxError at the first token that does not fit."""
+    open_apps: list = []  # (symbol, arguments so far) of unclosed applications
+    while True:
+        name = tokens[i][1]
+        if not name:
+            raise TermSyntaxError(f"expected an identifier, found {token_text(tokens[i])}", i)
+        var = leaf(name)
+        if tokens[i + 1][2] == "(":
+            if var is not None:
+                raise TermSyntaxError(f"variable {name} used as a function symbol", i)
+            if tokens[i + 2][2] != ")":
+                open_apps.append((name, []))
+                i += 2
+                continue
+            i += 3
+            t = App(name, ())
+        else:
+            i += 1
+            t = var if var is not None else App(name, ())
+        # t is complete and token i follows it: close what t completes
+        while open_apps:
+            fn, args = open_apps[-1]
+            args.append(t)
+            mark = tokens[i][2]
+            if mark == ",":
+                i += 1
+                break
+            if mark != ")":
+                raise TermSyntaxError(f"expected ',' or ')', found {token_text(tokens[i])}", i)
+            open_apps.pop()
+            t = App(fn, tuple(args))
+            i += 1
+        else:
+            return t, i
 
 
 # --- substitutions -----------------------------------------------------------

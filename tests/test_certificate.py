@@ -449,3 +449,30 @@ def test_rendered_replacement_replays(cert_r3):
     assert f"replace add2 with {new.name}" in text and "\nback " in text
     ok, problems = verify_certificate(text, R3)
     assert not history_problems(problems, new.name), problems
+
+
+def _input_rules(*lines):
+    text = "\n".join(["BEGIN CERTIFICATE", "format 2", "verdict YES", "section input",
+                      *lines, "END CERTIFICATE"])
+    return parse_certificate(text).input_rules
+
+
+def test_parser_reads_a_deeply_nested_term():
+    (rule,) = _input_rules("rule deep: h(" + "s(" * 5000 + "?v1" + ")" * 5000 + ") -> h(?v1)")
+    t, depth = rule.lhs.args[0], 0
+    while isinstance(t, App):
+        assert t.fn == "s" and len(t.args) == 1
+        t, depth = t.args[0], depth + 1
+    assert depth == 5000 and t == rule.rhs.args[0]
+
+
+def test_certificate_names_are_alphanumeric_or_marks():
+    # dependency-pair marks and inverse names occur in certificates; so may
+    # any str.isalnum character
+    (rule,) = _input_rules("rule r: f#(g~(?x),é) -> é")
+    assert (rule.lhs.fn, rule.lhs.args[0].fn, rule.lhs.args[1].fn) == ("f#", "g~", "é")
+    assert rule.rhs == App("é")
+    for bad in ("rule r: f(?x)(a) -> a", "rule r: ?x(a) -> a", "rule r: f(a,) -> a",
+                "rule r: f(a -> a", "rule r: f$ -> a"):
+        with pytest.raises(CertificateError):
+            _input_rules(bad)

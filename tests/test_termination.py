@@ -12,10 +12,8 @@ from confl.termination import (
     MalformedCertificate,
     TerminationCertificate,
     _find_interpretation,
-    _rule_funs,
     _shapes_strict,
     _shapes_weak,
-    _signature_of,
     clear_cache,
     dependency_pairs,
     lpo_gt,
@@ -23,7 +21,7 @@ from confl.termination import (
     prove_termination,
     replay_certificate,
 )
-from confl.terms import App, positions, subterm_at
+from confl.terms import App, positions, signature, subterm_at
 
 from systems import ALL_SYSTEMS, A, C, P_CA, S3, S6, f2, g1, plus, s, x, y, zero
 
@@ -192,7 +190,7 @@ def product_find_interpretation(weak_rules, strict_candidates, shapes_for, *, sh
                                 cap=300_000):
     """_find_interpretation as first written: every combination in product
     order, weak rules checked only at a full assignment."""
-    sig = _signature_of(list(weak_rules) + list(strict_candidates))
+    sig = signature(t for r in list(weak_rules) + list(strict_candidates) for t in (r.lhs, r.rhs))
     names = list(sig)
     lists = [shapes_for(f, sig[f]) for f in names]
     total = 1
@@ -201,7 +199,7 @@ def product_find_interpretation(weak_rules, strict_candidates, shapes_for, *, sh
     if total > cap:
         return None
     rules = list(dict.fromkeys(list(weak_rules) + list(strict_candidates)))
-    rule_syms = {id(r): sorted(_rule_funs(r)) for r in rules}
+    rule_syms = {id(r): list(signature((r.lhs, r.rhs))) for r in rules}
     cache = {}
 
     def decrease(r, assign):

@@ -2,11 +2,13 @@
 randomly generated terms plus hypothesis-driven cases."""
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confl.terms import (
     App,
+    TermSyntaxError,
     Var,
     all_parallel,
     apply,
@@ -14,16 +16,21 @@ from confl.terms import (
     canonical_tuple,
     match_term,
     positions,
+    read_term,
     rename_apart,
     replace_at,
     replace_parallel,
     shape_key,
+    signature,
     subterm_at,
+    term_tokens,
     term_vars,
+    token_offset,
     unify,
     unify_all,
     var_ids,
     variants,
+    write_term,
 )
 
 FUNS = [("0", 0), ("c", 0), ("s", 1), ("g", 1), ("+", 2), ("f", 2)]
@@ -374,3 +381,54 @@ def test_a_deep_term_is_a_dict_key():
     table = {t: 1}
     assert table[t] == 1
     assert App("s", (t,)) not in table
+
+
+def test_repr_of_a_deep_term():
+    t = VARS[0]
+    for _ in range(5000):
+        t = App("s", (t,))
+    assert repr(t) == "s(" * 5000 + repr(VARS[0]) + ")" * 5000
+
+
+def test_write_term_spells_variables_left_to_right():
+    x, y = Var(5, "x"), Var(6, "y")
+    t = App("f", (App("g", (y, App("c"))), x, y))
+    seen = []
+
+    def var_text(v):
+        seen.append(v.id)
+        return v.name.upper()
+    assert write_term(t, var_text) == "f(g(Y,c),X,Y)"
+    assert seen == [6, 5, 6]
+
+
+def test_read_term_reads_what_write_term_writes():
+    tokens = term_tokens(r"\w+")
+    x = Var(5, "x")
+
+    def leaf(name):
+        return x if name == "x" else None
+    t = App("f", (App("g", (x, App("c"))), App("h"), x))
+    text = write_term(t, lambda v: v.name)
+    found = tokens.findall(text + " tail")
+    got, i = read_term(found, 0, leaf)
+    assert got == t and found[i][1] == "tail"
+    assert read_term(tokens.findall(" f ( g ( x , c ) , h() , x )"), 0, leaf)[0] == t
+    for bad, at in (("f(x,)", 4), ("f(x", 3), ("x(c)", 0), ("(c)", 0), ("f(c d)", 4)):
+        found = tokens.findall(bad)
+        with pytest.raises(TermSyntaxError) as e:
+            read_term(found, 0, leaf)
+        assert token_offset(found, e.value.token) == at, bad
+
+
+def test_signature_is_sorted_and_rejects_an_arity_clash():
+    x = VARS[0]
+    t = App("s", (App("+", (x, App("0"))),))
+    assert list(signature([t, App("f", (x, t))]).items()) == [
+        ("+", 2), ("0", 0), ("f", 2), ("s", 1)]
+    deep = x
+    for _ in range(5000):
+        deep = App("s", (deep,))
+    assert signature([deep]) == {"s": 1}
+    with pytest.raises(ValueError, match="arities 1 and 2"):
+        signature([t, App("s", (x, x))])

@@ -138,3 +138,27 @@ def test_canonical_shapes_survive_the_round_trip():
         assert canonical_tuple((r_orig.lhs, r_orig.rhs)) == canonical_tuple(
             (r_back.lhs, r_back.rhs)
         )
+
+
+def test_a_deep_rule_round_trips():
+    lhs = "s(" * 5000 + "x" + ")" * 5000
+    text = f"(VAR x)\n(RULES\n  h({lhs}) -> h(x)\n)\n"
+    trs = parse_trs(text)
+    assert print_trs(trs) == text
+    assert print_trs(parse_trs(print_trs(trs))) == text
+    x_var = trs.rules[0].rhs.args[0]
+    built = x_var
+    for _ in range(5000):
+        built = App("s", (built,))
+    # hashes are stored when a term is built, so this compares without a walk
+    assert hash(trs.rules[0].lhs) == hash(App("h", (built,)))
+
+
+@pytest.mark.parametrize("name", ["f#", "g~", "é"])
+def test_symbols_outside_the_format_are_rejected(name):
+    # '#' marks dependency-pair symbols, so it must not reach a problem's rules
+    for text in (f"(RULES\n  {name}(a) -> a\n)", f"(RULES\n  f({name}) -> a\n)",
+                 f"(VAR {name})\n(RULES\n  f(a) -> a\n)"):
+        with pytest.raises(ParseError) as e:
+            parse_trs(text)
+        assert e.value.line == (2 if text.startswith("(RULES") else 1), text
