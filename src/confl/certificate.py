@@ -51,6 +51,9 @@ _TOKENS = term_tokens(r"\??[\w+*'~#-]+")
 class _Scope:
     def __init__(self):
         self.names: dict[int, str] = {}
+        # a block repeats its terms, and a term's variables are named at its
+        # first write, so each distinct term is written once
+        self.texts: dict[Term, str] = {}
 
     def var_text(self, v: Var) -> str:
         if v.id not in self.names:
@@ -58,7 +61,10 @@ class _Scope:
         return "?" + self.names[v.id]
 
     def print_term(self, t: Term) -> str:
-        return write_term(t, self.var_text)
+        text = self.texts.get(t)
+        if text is None:
+            text = self.texts[t] = write_term(t, self.var_text)
+        return text
 
 
 class _ParseScope:

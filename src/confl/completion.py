@@ -14,7 +14,6 @@ normal form.  Normalization stops after 2,000 steps: an (S,S) side without a
 normal form by then stands for itself, and a pair with a P side whose other
 side has none gives no rule."""
 import itertools
-import time
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,12 +32,12 @@ from .rewriting import (
 )
 from .critical_pairs import ParallelCriticalPair, cp_in
 from .criteria import (
-    DEFAULT_DEPTH,
     CriterionReport,
     Partition,
     PreconditionViolation,
     check_criterion,
 )
+from .run import DEFAULT_DEPTH, Run, TimedOut
 
 COMPLETION_CRITERIA = ("pcp", "linear", "huet")
 MAX_SUCCESSORS = 24
@@ -226,11 +225,10 @@ def _through_peak(f, s: Trs, named):
     return rule, to_peak, from_peak + tuple(nsteps)
 
 
-def _addition_candidates(state: SearchState, report: CriterionReport,
-                         named, depth: int):
+def _addition_candidates(state: SearchState, report: CriterionReport, run: Run):
     """(big-union candidates, partition-repair candidates) derived from the
     failing pairs: each is a (rule, justification) pair."""
-    s, p, rev = state.s, state.p, report.reversibility
+    s, p, rev, named = state.s, state.p, report.reversibility, run.named
     u_big, b_singles = [], []
     seen_keys = set(state.system().key())
 
@@ -248,7 +246,7 @@ def _addition_candidates(state: SearchState, report: CriterionReport,
             left, right = ((_normal_form(t, s) or (t,))[0] for t in (pair.left, pair.right))
             if left == right:
                 continue
-            conv = conversion_bounded(left, right, p, depth)
+            conv = conversion_bounded(left, right, p, run.depth)
             if conv is None:
                 continue
             remember(u_big, _valid_rule(left, right, named), conv, ())
@@ -265,9 +263,9 @@ def _addition_candidates(state: SearchState, report: CriterionReport,
     return u_big, b_singles
 
 
-def _replacement_candidates(state: SearchState, report: CriterionReport, named):
+def _replacement_candidates(state: SearchState, report: CriterionReport, run: Run):
     """Rules of S implicated in failures, rewritten one P-step on the right."""
-    s, p, rev = state.s, state.p, report.reversibility
+    s, p, rev, named = state.s, state.p, report.reversibility, run.named
     q, pp = state.system(), p.with_inverses()
     involved = set()
     for f in report.failing:
@@ -292,10 +290,9 @@ def _replacement_candidates(state: SearchState, report: CriterionReport, named):
     return out
 
 
-def successors(state: SearchState, report: CriterionReport, named,
-               rev_bound: int = DEFAULT_DEPTH, depth: int = DEFAULT_DEPTH) -> list:
-    u_big, b_singles = _addition_candidates(state, report, named, depth)
-    repls = _replacement_candidates(state, report, named)
+def successors(state: SearchState, report: CriterionReport, run: Run) -> list:
+    u_big, b_singles = _addition_candidates(state, report, run)
+    repls = _replacement_candidates(state, report, run)
     q = state.system()
 
     new_systems = []
@@ -325,7 +322,7 @@ def successors(state: SearchState, report: CriterionReport, named,
     for q2, hist in new_systems:
         if q2.key() == q_key:
             continue
-        for s2, p2 in decompose(q2, rev_bound):
+        for s2, p2 in decompose(q2, run.rev_bound):
             k = (s2.key(), p2.key(), state.criterion)
             if k not in seen:
                 seen.add(k)
@@ -341,8 +338,7 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
                      hook=None) -> CompletionResult:
     """Breadth-first completion over (S, P, criterion) states.  Returns YES
     with the successful report and state, or MAYBE with the last reason."""
-    start = time.monotonic()
-    named = _rule_names(trs)
+    run = Run(depth, rev_bound, hook, timeout, named=_rule_names(trs))
     queue: deque = deque()
     seen = set()
 
@@ -358,30 +354,31 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
 
     explored = 0
     last_reason = "no applicable partition"
-    while queue:
-        if time.monotonic() - start > timeout:
-            return CompletionResult(
-                "MAYBE", f"timed out after {explored} expansion(s)",
-                explored=explored)
-        state = queue.popleft()
-        try:
-            pt = Partition(state.s, state.p)
-        except PreconditionViolation as exc:
-            last_reason = str(exc)
-            continue
-        rep = check_criterion(state.criterion, pt, depth=depth, hook=hook,
-                              rev_bound=rev_bound)
-        if rep.holds():
-            return CompletionResult(
-                "YES", f"criterion {rep.tag} holds after {len(state.history)} "
-                       f"transformation step(s)",
-                report=rep, state=state, explored=explored)
-        last_reason = f"{state.criterion}: {rep.reason}"
-        if explored >= max_steps or not rep.failing:
-            continue
-        explored += 1
-        for nxt in successors(state, rep, named, rev_bound, depth):
-            enqueue(nxt)
+    try:
+        while queue:
+            run.check("completion")
+            state = queue.popleft()
+            try:
+                pt = Partition(state.s, state.p)
+            except PreconditionViolation as exc:
+                last_reason = str(exc)
+                continue
+            rep = check_criterion(state.criterion, pt, run=run)
+            if rep.holds():
+                return CompletionResult(
+                    "YES", f"criterion {rep.tag} holds after {len(state.history)} "
+                           f"transformation step(s)",
+                    report=rep, state=state, explored=explored)
+            last_reason = f"{state.criterion}: {rep.reason}"
+            if explored >= max_steps or not rep.failing:
+                continue
+            explored += 1
+            for nxt in successors(state, rep, run=run):
+                enqueue(nxt)
+    except TimedOut as exc:
+        return CompletionResult(
+            "MAYBE", f"timed out in {exc.layer} after {explored} expansion(s)",
+            explored=explored)
     return CompletionResult(
         "MAYBE", f"search exhausted after {explored} expansion(s); last: {last_reason}",
         explored=explored)

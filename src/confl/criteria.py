@@ -28,8 +28,8 @@ from .termination import (
     prove_termination,
 )
 from .reversibility import ReversibilityWitness, is_reversible
+from .run import Run
 
-DEFAULT_DEPTH = 10
 PAIR_SCAN_CAP = 40_000
 
 
@@ -200,21 +200,22 @@ class Partition:
                     )
         self.p_prime = p_prime
 
-    def pp_safe(self, hook=None) -> Trs:
+    def pp_safe(self, run: Run) -> Trs:
         """Largest greedily-built subset of P ∪ P⁻¹ relative to which S can be
         shown terminating.  Searching inside S ∪ pp_safe guarantees that any
         collected P' admits the same relative termination proof."""
         kept: list[Rule] = []
         for r in self.pp:
-            cert, _ = prove_relative_termination(self.s, Trs(kept + [r]), hook=hook)
+            run.check("criteria")
+            cert, _ = prove_relative_termination(self.s, Trs(kept + [r]), run=run)
             if cert is not None:
                 kept.append(r)
         return Trs(kept)
 
-    def search_rules(self, hook=None) -> Trs:
+    def search_rules(self, run: Run) -> Trs:
         if self.p_prime is not None:
             return self.s.union(self.p_prime)
-        return self.s.union(self.pp_safe(hook=hook))
+        return self.s.union(self.pp_safe(run))
 
 
 def collect_p_prime(evidence: list, s: Trs) -> Trs:
@@ -252,10 +253,9 @@ class _Searcher:
     one pair's join only: kept across pairs they raised peak memory by ~3 MB
     on the reference systems."""
 
-    def __init__(self, pt: Partition, depth: int, hook=None):
+    def __init__(self, pt: Partition, run: Run):
         self.pt = pt
-        self.depth = depth
-        self.hook = hook
+        self.run = run
         self._sp = None
         self._memo: dict = {}
 
@@ -265,14 +265,14 @@ class _Searcher:
         if cls != "SP":  # PP, and P for the conversion over P ∪ P⁻¹
             return self.pt.pp
         if self._sp is None:  # huet never needs it, so never pays for pp_safe
-            self._sp = self.pt.search_rules(hook=self.hook)
+            self._sp = self.pt.search_rules(self.run)
         return self._sp
 
     def _reach(self, cls: str, t: Term):
         key = (cls, t)  # terms hash recursively, so look the key up once
         ends = self._memo.get(key)
         if ends is None:
-            ends = self._memo[key] = reach_set_bounded(t, self._rules(cls), self.depth)
+            ends = self._memo[key] = reach_set_bounded(t, self._rules(cls), self.run.depth)
         return ends
 
     def _pp_step(self, src: Term, dst: Term):
@@ -405,33 +405,32 @@ def _base_report(name: str, pt: Partition) -> CriterionReport:
                            s=pt.s, p=pt.p)
 
 
-def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, rev_bound: int,
-                         hook=None) -> bool:
+def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, run: Run) -> bool:
     """Fill in reversibility/termination facts; False if a precondition fails."""
     prop, classes = linearity
     for cls in classes:
         if not getattr(pt.s if cls == "S" else pt.p, prop)():
             rep.reason = f"{cls} is not {prop.replace('_', '-')}"
             return False
-    rev = is_reversible(pt.p, bound=rev_bound)
+    rev = is_reversible(pt.p, bound=run.rev_bound)
     if rev is None:
         rep.reason = "P was not shown reversible within the search bound"
         return False
     rep.reversibility = rev
     if rep.criterion == "huet":
-        rcert, rwhy = prove_relative_termination(pt.s, pt.p, hook=hook)
+        rcert, rwhy = prove_relative_termination(pt.s, pt.p, run=run)
         if rcert is None:
             rep.reason = f"relative termination of S w.r.t. P not established: {rwhy}"
             return False
         rep.relterm_cert = rcert
         return True
-    cert, why = prove_termination(pt.s, hook=hook)
+    cert, why = prove_termination(pt.s, run=run)
     if cert is None:
         rep.reason = f"termination of S not established: {why}"
         return False
     rep.term_cert = cert
     if pt.p_prime is not None:
-        rcert, rwhy = prove_relative_termination(pt.s, pt.p_prime, hook=hook)
+        rcert, rwhy = prove_relative_termination(pt.s, pt.p_prime, run=run)
         if rcert is None:
             rep.reason = f"relative termination of S w.r.t. P' not established: {rwhy}"
             return False
@@ -440,7 +439,7 @@ def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, rev_bou
     return True
 
 
-def _finish(rep: CriterionReport, pt: Partition, hook=None) -> CriterionReport:
+def _finish(rep: CriterionReport, pt: Partition, run: Run) -> CriterionReport:
     """Resolve the outcome after all pairs were scanned."""
     if rep.failing:
         rep.reason = f"{len(rep.failing)} critical pair(s) not joined within the bound"
@@ -449,7 +448,7 @@ def _finish(rep: CriterionReport, pt: Partition, hook=None) -> CriterionReport:
         rep.p_prime = empty_trs()
     elif pt.p_prime is None:
         used = collect_p_prime(rep.evidence, pt.s)
-        rcert, rwhy = prove_relative_termination(pt.s, used, hook=hook)
+        rcert, rwhy = prove_relative_termination(pt.s, used, run=run)
         if rcert is None:
             rep.reason = f"relative termination of S w.r.t. collected P' failed: {rwhy}"
             return rep
@@ -459,21 +458,22 @@ def _finish(rep: CriterionReport, pt: Partition, hook=None) -> CriterionReport:
     return rep
 
 
-def check_criterion(name: str, pt: Partition, depth: int = DEFAULT_DEPTH,
-                    hook=None, rev_bound: int = DEFAULT_DEPTH) -> CriterionReport:
+def check_criterion(name: str, pt: Partition, run: Run | None = None) -> CriterionReport:
     """Check criterion `name` on the partition: P must be shown reversible
-    within rev_bound steps, and each critical pair joined within depth."""
+    within run.rev_bound steps, and each critical pair joined within
+    run.depth.  Without a run, a default Run() with no deadline is used."""
     if name not in CRITERION_TABLE:
         raise ValueError(f"unknown criterion {name!r}; expected one of {CRITERIA}")
+    run = run or Run()
     linearity, conditions = CRITERION_TABLE[name]
     rep = _base_report(name, pt)
-    if not _check_preconditions(rep, pt, linearity, rev_bound, hook=hook):
+    if not _check_preconditions(rep, pt, linearity, run):
         return rep
-    sr = _Searcher(pt, depth, hook=hook)
+    sr = _Searcher(pt, run)
     classes = {"S": pt.s, "PP": pt.pp}
     for cond, (gen, left, right) in conditions:
         origin = f"{gen}({left},{right})"
-        pairs = globals()[gen](classes[left], classes[right])
+        pairs = globals()[gen](classes[left], classes[right], run=run)
         if (name, cond, "A") not in SHAPES:  # parallel's (ii), which must be empty
             if pairs:
                 rep.failing.extend(FailingPair(pair, origin) for pair in pairs)
@@ -481,12 +481,13 @@ def check_criterion(name: str, pt: Partition, depth: int = DEFAULT_DEPTH,
                 return rep
             continue
         for pair in pairs:
+            run.check("criteria")
             ev = sr.join(name, cond, pair)
             if ev is None:
                 rep.failing.append(FailingPair(pair, origin))
             else:
                 rep.evidence.append(ev)
-    return _finish(rep, pt, hook=hook)
+    return _finish(rep, pt, run)
 
 
 check_linear = partial(check_criterion, "linear")

@@ -28,6 +28,9 @@ lexicographically by preorder index, then tuples of inner rules in system
 order, the rule at the first position varying slowest.  pcp_in never builds
 a tuple that cannot unify: a rule is tried at a set of positions only if its
 left side unifies with the subterm at each of them on its own.
+
+cp checks the run's deadline once per outer rule, pcp_in once per position
+set: a system's parallel critical pairs can be exponentially many.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .rewriting import Rule, Trs
+from .run import Run
 from .terms import (
     Position,
     Subst,
@@ -113,10 +117,12 @@ def _dedup(pairs):
     return out
 
 
-def cp(r_rules: Trs, q_rules: Trs) -> list[CriticalPair]:
+def cp(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]:
     """Critical pairs of rules from r_rules overlapping into q_rules."""
+    run = run or Run()
     pairs = []
     for outer in q_rules:
+        run.check("critical_pairs")
         subterms = fun_subterms(outer.lhs)
         for inner in r_rules:
             ren = None  # renamed apart at the first position with its head symbol
@@ -143,8 +149,8 @@ def cp(r_rules: Trs, q_rules: Trs) -> list[CriticalPair]:
     return _dedup(pairs)
 
 
-def cp_in(r_rules: Trs, q_rules: Trs) -> list[CriticalPair]:
-    return [pr for pr in cp(r_rules, q_rules) if pr.kind == "inner"]
+def cp_in(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]:
+    return [pr for pr in cp(r_rules, q_rules, run) if pr.kind == "inner"]
 
 
 def cp_out(r_rules: Trs, q_rules: Trs) -> list[CriticalPair]:
@@ -169,8 +175,9 @@ def _overlapping(q_rules: Trs, outer: Rule) -> list[tuple[Position, list[Rule]]]
     return out
 
 
-def pcp_in(q_rules: Trs, r_rules: Trs) -> list[ParallelCriticalPair]:
+def pcp_in(q_rules: Trs, r_rules: Trs, run: Run | None = None) -> list[ParallelCriticalPair]:
     """Inner parallel critical pairs of q_rules into r_rules."""
+    run = run or Run()
     pairs = []
     for outer in r_rules:
         candidates = _overlapping(q_rules, outer)
@@ -179,6 +186,7 @@ def pcp_in(q_rules: Trs, r_rules: Trs) -> list[ParallelCriticalPair]:
                 ps = [p for p, _ in chosen]
                 if not all_parallel(ps):
                     continue
+                run.check("critical_pairs")
                 for renamed in product(*(rules for _, rules in chosen)):
                     sigma = unify_all(
                         [(rr.lhs, subterm_at(outer.lhs, p)) for rr, p in zip(renamed, ps)]

@@ -28,7 +28,8 @@ import subprocess
 from dataclasses import dataclass
 from itertools import count, permutations, product
 
-from .rewriting import Rule, Trs
+from .rewriting import Rule, Trs, empty_trs
+from .run import Run
 from .terms import App, Term, Var, fun_subterms, is_var, match_term, signature, unify_all, var_ids
 from .trs_format import print_trs
 
@@ -72,13 +73,14 @@ def lpo_gt(s: Term, t: Term, prec: dict) -> bool:
     return False
 
 
-def _find_lpo(rules) -> tuple | None:
+def _find_lpo(rules, run: Run) -> tuple | None:
     syms = list(signature(t for r in rules for t in (r.lhs, r.rhs)))
     if not syms:
         return tuple()
     if len(syms) > 8:
         return None
     for perm in permutations(syms):
+        run.check("termination")
         prec = {f: len(perm) - i for i, f in enumerate(perm)}
         if all(lpo_gt(r.lhs, r.rhs, prec) for r in rules):
             return tuple(perm)
@@ -216,14 +218,17 @@ def _shapes_weak(fn: str, arity: int):
     ]
 
 
-def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, cap=300_000):
+def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, cap=300_000,
+                         run: Run | None = None):
     """Search an interpretation making all weak_rules weakly decreasing and at
     least one strict candidate strictly decreasing; returns (assign, strict).
 
     The answer is the first one in `product` order over the symbols' shape
     lists.  Symbols get their shapes in signature order, and a weak rule is
     checked as soon as its last symbol has one: a prefix that fails it is
-    abandoned with every assignment that extends it."""
+    abandoned with every assignment that extends it.  The run's deadline is
+    checked every 1,024 assignments."""
+    run = run or Run()
     rules = list(dict.fromkeys(list(weak_rules) + list(strict_candidates)))
     sig = signature(t for r in rules for t in (r.lhs, r.rhs))
     names = list(sig)
@@ -252,7 +257,7 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
     # dict's keys, set first in names order, keep that order
     assign: dict = {}
     choice = [-1] * len(names)
-    k = 0
+    k = tried = 0
     while k >= 0:
         choice[k] += 1
         if choice[k] == len(lists[k]):
@@ -260,6 +265,9 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
             k -= 1
             continue
         assign[names[k]] = lists[k][choice[k]]
+        tried += 1
+        if not tried & 1023:
+            run.check("termination")
         if not all(decrease(r, assign)[0] for r in due[k]):
             continue
         if k + 1 < len(names):
@@ -271,20 +279,23 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
     return None
 
 
-def _poly_removal(s_rules, p_rules):
-    """Iterated rule removal; returns certificate rounds or None."""
-    remaining = list(s_rules)
+def _removal_rounds(candidates, weak, shapes_for, *, shift, sort, done, run: Run):
+    """Rounds that remove candidates until done(the remaining ones): each
+    round's interpretation makes the remaining candidates and the weak rules
+    weakly decreasing and some remaining candidates strictly, and removes
+    those, listing their names (sorted if `sort`).  Returns the rounds, or
+    None when a round finds no interpretation."""
+    remaining = list(candidates)
     rounds = []
-    while remaining:
-        found = _find_interpretation(
-            remaining + list(p_rules), remaining, _shapes_strict, shift=True
-        )
+    while not done(remaining):
+        run.check("termination")
+        found = _find_interpretation(remaining + weak, remaining, shapes_for,
+                                     shift=shift, run=run)
         if found is None:
             return None
         assign, strict = found
-        rounds.append(
-            (tuple(sorted(assign.items())), tuple(r.name for r in strict))
-        )
+        names = [r.name for r in strict]
+        rounds.append((tuple(sorted(assign.items())), tuple(sorted(names) if sort else names)))
         gone = {id(r) for r in strict}
         remaining = [r for r in remaining if id(r) not in gone]
     return tuple(rounds)
@@ -321,61 +332,29 @@ def _cap_ren(t: Term, defined: set, fresh) -> Term:
     return App(t.fn, tuple(_cap_ren(a, defined, fresh) for a in t.args))
 
 
-def dp_graph(dps: list[Rule], defined: set) -> set[tuple[int, int]]:
-    """Estimated edges i -> j between dependency pairs (by index)."""
+def dp_graph(dps: list[Rule], defined: set) -> set[tuple[Rule, Rule]]:
+    """Estimated edges d1 -> d2 between dependency pairs."""
     edges = set()
     fresh = count(5_000_000)
-    for i, d1 in enumerate(dps):
+    for d1 in dps:
         rhs = App(d1.rhs.fn, tuple(_cap_ren(a, defined, fresh) for a in d1.rhs.args))
-        for j, d2 in enumerate(dps):
+        for d2 in dps:
             lhs = d2.rename_apart().lhs
             if unify_all([(rhs, lhs)]) is not None:
-                edges.add((i, j))
+                edges.add((d1, d2))
     return edges
 
 
 def _has_cycle(nodes, edges) -> bool:
-    adj = {n: [] for n in nodes}
-    for a, b in edges:
-        if a in adj and b in adj:
-            adj[a].append(b)
-    state = dict.fromkeys(nodes, 0)  # 0 new, 1 on stack, 2 done
-    return any(state[n] == 0 and _dfs_finds_cycle(n, adj, state) for n in nodes)
-
-
-def _dfs_finds_cycle(n, adj, state) -> bool:
-    """Depth-first from the new node n: is a node on the stack reachable?"""
-    state[n] = 1
-    for m in adj[n]:
-        if state[m] == 1 or (state[m] == 0 and _dfs_finds_cycle(m, adj, state)):
+    """Do the edges among nodes close a cycle?  Nodes that no edge among the
+    rest enters are dropped until none is left or every one is entered."""
+    rest = set(nodes)
+    while rest:
+        entered = {b for a, b in edges if a in rest and b in rest}
+        if entered == rest:
             return True
-    state[n] = 2
+        rest = entered
     return False
-
-
-def _dp_removal(s_trs: Trs):
-    """Rounds removing strictly decreasing pairs until the graph is acyclic."""
-    dps = dependency_pairs(s_trs)
-    if not dps:
-        return tuple(), dps
-    defined = {r.lhs.fn for r in s_trs}
-    edges = dp_graph(dps, defined)
-    remaining = list(range(len(dps)))
-    rounds = []
-    while _has_cycle(remaining, edges):
-        found = _find_interpretation(
-            list(s_trs.rules) + [dps[i] for i in remaining],
-            [dps[i] for i in remaining],
-            _shapes_weak,
-            shift=False,
-        )
-        if found is None:
-            return None, dps
-        assign, strict = found
-        strict_names = {r.name for r in strict}
-        rounds.append((tuple(sorted(assign.items())), tuple(sorted(strict_names))))
-        remaining = [i for i in remaining if dps[i].name not in strict_names]
-    return tuple(rounds), dps
 
 
 # ---------------------------------------------------------------------------
@@ -410,74 +389,61 @@ def _failure_reason(rules) -> str:
 # ---------------------------------------------------------------------------
 # entry points
 
-_cache: dict = {}
-
-
 def clear_cache():
-    _cache.clear()
+    """Nothing to clear: the memo lives on the Run.  Kept because
+    bench/run.py calls it before every input."""
 
 
 def _named_key(trs: Trs) -> frozenset:
-    """Cache key of a system: its rules by name and canonical shape.  A
+    """Memo key of a system: its rules by name and canonical shape.  A
     certificate is only handed to a system whose rules carry the same names,
     so it always replays against the caller's system."""
     return frozenset((r.name, r.key()) for r in trs)
 
 
-def prove_termination(s_trs: Trs, hook: str | None = None):
-    """Returns (TerminationCertificate | None, reason string)."""
-    key = ("plain", _named_key(s_trs), hook)
-    if key not in _cache:
-        _cache[key] = _prove_termination(s_trs, hook)
-    return _cache[key]
+def prove_termination(s_trs: Trs, run: Run | None = None):
+    """Returns (TerminationCertificate | None, reason string), memoized on
+    the run."""
+    return prove_relative_termination(s_trs, empty_trs(), run)
 
 
-def _prove_termination(s_trs: Trs, hook):
-    names = tuple(r.name for r in s_trs)
-    if not s_trs.rules:
-        return TerminationCertificate("trivial", names), ""
-    if any(_rule_loops(r) for r in s_trs):
-        return None, _failure_reason(s_trs.rules)
-    prec = _find_lpo(s_trs.rules)
-    if prec is not None:
-        return TerminationCertificate("lpo", names, precedence=prec), ""
-    rounds = _poly_removal(list(s_trs.rules), [])
-    if rounds is not None:
-        return TerminationCertificate("poly", names, rounds=rounds), ""
-    dp_rounds, _dps = _dp_removal(s_trs)
-    if dp_rounds is not None:
-        return TerminationCertificate("dp", names, dp_rounds=dp_rounds), ""
-    if hook:
-        if run_external_prover(hook, s_trs):
-            return TerminationCertificate("external", names, detail=hook), ""
-    return None, _failure_reason(s_trs.rules)
-
-
-def prove_relative_termination(s_trs: Trs, p_trs: Trs, hook: str | None = None):
+def prove_relative_termination(s_trs: Trs, p_trs: Trs, run: Run | None = None):
     """S terminating relative to P (P-steps allowed in between, only S-steps
-    counted); returns (TerminationCertificate | None, reason string)."""
-    if not p_trs.rules:
-        return prove_termination(s_trs, hook)
-    key = ("rel", _named_key(s_trs), _named_key(p_trs))
-    if key not in _cache:
-        _cache[key] = _prove_relative(s_trs, p_trs)
-    return _cache[key]
+    counted; plain termination for an empty P); returns
+    (TerminationCertificate | None, reason string), memoized on the run."""
+    run = run or Run()
+    key = (_named_key(s_trs), _named_key(p_trs))
+    if key not in run.termination:
+        run.termination[key] = _prove_termination(s_trs, p_trs, run)
+    return run.termination[key]
 
 
-def _prove_relative(s_trs: Trs, p_trs: Trs):
+def _prove_termination(s_trs: Trs, p_trs: Trs, run: Run):
     s_names = tuple(r.name for r in s_trs)
     p_names = tuple(r.name for r in p_trs)
     if not s_trs.rules:
         return TerminationCertificate("trivial", s_names, p_names), ""
     if any(_rule_loops(r) for r in s_trs):
         return None, _failure_reason(s_trs.rules)
-    rounds = _poly_removal(list(s_trs.rules), list(p_trs.rules))
+    relative = bool(p_trs.rules)  # then only the polynomial engine applies
+    prec = None if relative else _find_lpo(s_trs.rules, run)
+    if prec is not None:
+        return TerminationCertificate("lpo", s_names, precedence=prec), ""
+    rounds = _removal_rounds(list(s_trs.rules), list(p_trs.rules), _shapes_strict, shift=True,
+                             sort=False, done=lambda rest: not rest, run=run)
     if rounds is not None:
-        return (
-            TerminationCertificate("poly", s_names, p_names, rounds=rounds),
-            "",
-        )
-    return None, "search exhausted"
+        return TerminationCertificate("poly", s_names, p_names, rounds=rounds), ""
+    if relative:
+        return None, "search exhausted"
+    dps = dependency_pairs(s_trs)  # removed until the graph is acyclic
+    edges = dp_graph(dps, {r.lhs.fn for r in s_trs})
+    dp_rounds = _removal_rounds(dps, list(s_trs.rules), _shapes_weak, shift=False, sort=True,
+                                done=lambda rest: not _has_cycle(rest, edges), run=run)
+    if dp_rounds is not None:
+        return TerminationCertificate("dp", s_names, dp_rounds=dp_rounds), ""
+    if run.hook and run_external_prover(run.hook, s_trs):
+        return TerminationCertificate("external", s_names, detail=run.hook), ""
+    return None, _failure_reason(s_trs.rules)
 
 
 def run_external_prover(path: str, s_trs: Trs, timeout: float = 10.0) -> bool:
@@ -533,46 +499,39 @@ def replay_certificate(s_trs: Trs, p_trs: Trs, cert: TerminationCertificate, hoo
     raise MalformedCertificate(f"unknown method {cert.method!r}")
 
 
-def _replay_poly(s_trs: Trs, p_trs: Trs, cert) -> bool:
-    remaining = {r.name: r for r in s_trs}
-    if not cert.rounds and remaining:
-        raise MalformedCertificate("poly certificate with no rounds")
-    for interp_items, strict_names in cert.rounds:
+def _replay_rounds(rounds, candidates, weak, *, shift, what, noun):
+    """The candidates that removal rounds leave, or None when a round's claim
+    fails: each round's interpretation must make the remaining candidates
+    and the weak rules weakly decreasing and the candidates it removes
+    strictly."""
+    remaining = {r.name: r for r in candidates}
+    for interp_items, strict_names in rounds:
         assign = dict(interp_items)
         if not strict_names:
-            raise MalformedCertificate("round removes nothing")
+            raise MalformedCertificate(f"{what} removes nothing")
         for n in strict_names:
             if n not in remaining:
-                raise MalformedCertificate(f"round removes unknown rule {n}")
-        for r in list(remaining.values()) + list(p_trs.rules):
-            if not rule_decrease(assign, r)[0]:
-                return False
+                raise MalformedCertificate(f"{what} removes unknown {noun} {n}")
+        for r in [*remaining.values(), *weak]:
+            if not rule_decrease(assign, r, shift=shift)[0]:
+                return None
         for n in strict_names:
-            if not rule_decrease(assign, remaining[n])[1]:
-                return False
+            if not rule_decrease(assign, remaining[n], shift=shift)[1]:
+                return None
         for n in strict_names:
-            del remaining[n]
-    return not remaining
+            remaining.pop(n, None)
+    return list(remaining.values())
+
+
+def _replay_poly(s_trs: Trs, p_trs: Trs, cert) -> bool:
+    if not cert.rounds and s_trs.rules:
+        raise MalformedCertificate("poly certificate with no rounds")
+    return _replay_rounds(cert.rounds, s_trs, p_trs.rules, shift=True,
+                          what="round", noun="rule") == []
 
 
 def _replay_dp(s_trs: Trs, cert) -> bool:
     dps = dependency_pairs(s_trs)
-    defined = {r.lhs.fn for r in s_trs}
-    edges = dp_graph(dps, defined)
-    remaining = list(range(len(dps)))
-    by_name = {d.name: i for i, d in enumerate(dps)}
-    for interp_items, strict_names in cert.dp_rounds:
-        assign = dict(interp_items)
-        if not strict_names:
-            raise MalformedCertificate("dp round removes nothing")
-        for n in strict_names:
-            if n not in by_name or by_name[n] not in remaining:
-                raise MalformedCertificate(f"dp round removes unknown pair {n}")
-        for r in list(s_trs.rules) + [dps[i] for i in remaining]:
-            if not rule_decrease(assign, r, shift=False)[0]:
-                return False
-        for n in strict_names:
-            if not rule_decrease(assign, dps[by_name[n]], shift=False)[1]:
-                return False
-        remaining = [i for i in remaining if dps[i].name not in set(strict_names)]
-    return not _has_cycle(remaining, edges)
+    left = _replay_rounds(cert.dp_rounds, dps, s_trs.rules, shift=False,
+                          what="dp round", noun="pair")
+    return left is not None and not _has_cycle(left, dp_graph(dps, {r.lhs.fn for r in s_trs}))

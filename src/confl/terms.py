@@ -185,7 +185,12 @@ def var_ids(t: Term) -> set[int]:
 def signature(ts) -> dict[str, int]:
     """The function symbols of the terms ts with their arities, sorted by
     name.  Raises ValueError when a symbol occurs with two arities."""
-    sig: dict[str, int] = {}
+    return dict(sorted(add_signature({}, ts).items()))
+
+
+def add_signature(sig: dict[str, int], ts) -> dict[str, int]:
+    """sig with the function symbols of the terms ts added, in any order.
+    Raises ValueError when a symbol occurs with two arities."""
     stack = list(ts)
     while stack:
         u = stack.pop()
@@ -196,7 +201,7 @@ def signature(ts) -> dict[str, int]:
                 low, high = sorted((known, n))
                 raise ValueError(f"symbol {u.fn} used with arities {low} and {high}")
             stack += u.args
-    return dict(sorted(sig.items()))
+    return sig
 
 
 # --- text --------------------------------------------------------------------
@@ -428,7 +433,7 @@ def rename_apart(t1: Term, t2: Term) -> tuple[Term, dict[int, Var]]:
 
 # --- canonical forms (equality up to renaming) -------------------------------
 
-_CANON_NAMES = ["x", "y", "z", "w", "v", "u"]
+_CANON_NAMES = ("x", "y", "z", "w", "v", "u")
 
 
 def _canon_var(i: int) -> Var:

@@ -14,6 +14,7 @@ from .terms import (
     Term,
     TermSyntaxError,
     Var,
+    add_signature,
     fresh_id,
     read_term,
     term_tokens,
@@ -54,6 +55,7 @@ def parse_trs(text: str) -> Trs:
             fail(str(exc), exc.token)
 
     rules: list[Rule] = []
+    arities: dict[str, int] = {}  # the signature of the rules so far
     saw_rules = False
     i = 0
     while any(tokens[i][1:]):
@@ -76,7 +78,7 @@ def parse_trs(text: str) -> Trs:
                 rhs, j = term(past("->", j))
                 try:
                     rules.append(Rule(lhs, rhs))
-                    Trs(rules)  # signature stays arity-consistent
+                    add_signature(arities, (lhs, rhs))
                 except ValueError as exc:
                     fail(str(exc), i)
                 i = j

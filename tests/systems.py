@@ -3,6 +3,7 @@
 R1..R8 are the running examples exercised by the acceptance checks; the
 S*/P* systems are the partitions the criteria matrix refers to.
 """
+from confl.completion import check_confluence
 from confl.rewriting import Rule, Trs
 from confl.terms import App, Var
 from confl.trs_format import parse_trs
@@ -91,3 +92,15 @@ _C_TEXT, _A_TEXT = "+(x,y) -> +(y,x)", "+(+(x,y),z) -> +(x,+(y,z))"
 CHAIN3 = _parsed("g(+(a0,+(a1,a2))) -> c", _C_TEXT, _A_TEXT)
 CHAIN4 = _parsed("g(+(a0,+(a1,+(a2,a3)))) -> c", _C_TEXT, _A_TEXT)
 SWAP = _parsed("g(+(a,b)) -> c", "g(+(b,a)) -> d", _C_TEXT, _A_TEXT)
+
+
+_DECIDED: dict = {}
+
+
+def decided(trs):
+    """check_confluence(trs) with its default arguments, decided once per
+    test session.  For tests that only read the result; a test of
+    determinism, of timing or of what a run does decides afresh."""
+    if trs.rules not in _DECIDED:
+        _DECIDED[trs.rules] = check_confluence(trs)
+    return _DECIDED[trs.rules]

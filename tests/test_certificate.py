@@ -27,10 +27,11 @@ from confl.completion import (
 )
 from confl.criteria import Partition, check_criterion
 from confl.rewriting import Rule, Trs
+from confl.run import Run
 from confl.terms import App
 from confl.trs_format import parse_trs
 
-from systems import CHAIN3, R2, R3, R5, R6, R8
+from systems import CHAIN3, R2, R3, R5, R6, R8, decided
 
 # the non-confluent fork, and the confluent system with g(x) -> h(x) added
 FORK = parse_trs("(VAR x)\n(RULES\n  f(x) -> g(x)\n  f(x) -> h(x)\n)\n")
@@ -40,42 +41,42 @@ FORK_CLOSED = parse_trs(
 
 @pytest.fixture(scope="module")
 def cert_r3():
-    result = check_confluence(R3)
+    result = decided(R3)
     assert result.verdict == "YES"
     return certificate_text(R3, result)
 
 
 @pytest.fixture(scope="module")
 def cert_r2():
-    result = check_confluence(R2)
+    result = decided(R2)
     assert result.verdict == "YES"
     return certificate_text(R2, result)
 
 
 @pytest.fixture(scope="module")
 def cert_r6():
-    result = check_confluence(R6)
+    result = decided(R6)
     assert result.verdict == "YES"
     return certificate_text(R6, result)
 
 
 @pytest.fixture(scope="module")
 def cert_chain3():
-    result = check_confluence(CHAIN3)
+    result = decided(CHAIN3)
     assert result.verdict == "YES"
     return certificate_text(CHAIN3, result)
 
 
 @pytest.fixture(scope="module")
 def cert_r5():
-    result = check_confluence(R5)
+    result = decided(R5)
     assert result.verdict == "YES"
     return certificate_text(R5, result)
 
 
 @pytest.fixture(scope="module")
 def cert_r8():
-    result = check_confluence(R8)
+    result = decided(R8)
     assert result.verdict == "YES"
     return certificate_text(R8, result)
 
@@ -441,9 +442,9 @@ def test_rendered_replacement_replays(cert_r3):
     s2, p2 = decompose(R2)[0]
     report = check_criterion("pcp", Partition(s2, p2))
     old, new, just = _replacement_candidates(
-        SearchState(s2, p2, "pcp"), report, _rule_names(R2))[0]
+        SearchState(s2, p2, "pcp"), report, Run(named=_rule_names(R2)))[0]
     assert old.name == "add2"
-    result = check_confluence(R3)
+    result = decided(R3)
     text = certificate_text(R3, SimpleNamespace(
         verdict="YES", report=result.report, state=SimpleNamespace(history=(just,))))
     assert f"replace add2 with {new.name}" in text and "\nback " in text

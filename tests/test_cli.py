@@ -82,6 +82,23 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.splitlines()[0] == "YES"
 
 
+def test_timeout_holds_inside_a_state(tmp_path):
+    # wide9's parallel critical pairs number 4^9 in one state; the deadline
+    # is checked while they are built, not only between states
+    args = ",".join(f"+(x{i},y{i})" for i in range(9))
+    names = " ".join(f"x{i} y{i}" for i in range(9))
+    path = tmp_path / "wide9.trs"
+    path.write_text(f"(VAR {names} x y z)\n(RULES\n  f({args}) -> c\n"
+                    "  +(x,y) -> +(y,x)\n  +(+(x,y),z) -> +(x,+(y,z))\n)\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "confl.cli", str(path), "--timeout", "2"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    verdict, reason, *_ = proc.stdout.splitlines()
+    assert verdict == "MAYBE"
+    assert reason.startswith("timed out")
+
+
 def test_ars_fuzz_subcommand(capsys):
     rc = main(["ars-fuzz", "--count", "40", "--seed", "3"])
     out = capsys.readouterr().out
@@ -90,13 +107,15 @@ def test_ars_fuzz_subcommand(capsys):
 
 
 def test_internal_error_exits_2_not_maybe(tmp_path, capsys):
-    # a left side nested 400 deep overflows the recursive term walkers
+    # a left side nested 400 deep overflows the recursive term walkers, after
+    # about 7.5 s of join search on 2 cores; the deadline holds inside that
+    # search, so a shorter one would end it first with MAYBE
     lhs = "x"
     for _ in range(400):
         lhs = f"s({lhs})"
     path = tmp_path / "deep.trs"
     path.write_text(f"(VAR x)\n(RULES\n  {lhs} -> x\n)\n", encoding="utf-8")
-    rc = main([str(path), "--timeout", "5"])
+    rc = main([str(path), "--timeout", "60"])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out.splitlines() == ["ERROR"]

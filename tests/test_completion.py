@@ -15,6 +15,7 @@ from confl.completion import (
 from confl.criteria import Partition, check_criterion
 from confl.reversibility import is_reversible
 from confl.rewriting import Rule, Trs, empty_trs, replay_steps, step_at
+from confl.run import Run
 from confl.terms import App
 from confl.trs_format import parse_trs
 
@@ -31,6 +32,7 @@ from systems import (
     R6,
     R8,
     S3,
+    decided,
     g1,
     h1,
     plus,
@@ -94,15 +96,15 @@ def test_replacement_candidates_replay_both_ways():
     # every candidate the failing initial states of R2, R6 and R8 offer
     count = 0
     for trs in (R2, R6, R8):
-        named = _rule_names(trs)
+        run = Run(named=_rule_names(trs))
         for s0, p0 in decompose(trs):
             for crit in COMPLETION_CRITERIA:
                 state = SearchState(s0, p0, crit)
-                rep = check_criterion(crit, Partition(s0, p0))
+                rep = check_criterion(crit, Partition(s0, p0), run=run)
                 if rep.holds():
                     continue
                 q = state.system()
-                for old, new, j in _replacement_candidates(state, rep, named):
+                for old, new, j in _replacement_candidates(state, rep, run):
                     assert replay_steps(old.rhs, j.steps, q) == new.rhs
                     assert replay_steps(new.rhs, j.back, replaced(q, old, new)) == old.rhs
                     count += 1
@@ -124,7 +126,7 @@ def test_forward_expands_inverse_steps_by_the_reversal_witness():
 
 
 def test_r2_completes_to_yes_with_add3_add4():
-    result = check_confluence(R2, max_steps=20, timeout=60.0)
+    result = decided(R2)
     assert result.verdict == "YES", result.reason
     assert result.history, "R2 needs at least one transformation"
     final = result.state.system()
@@ -150,14 +152,14 @@ def test_r2_completion_is_deterministic():
 
 
 def test_r3_completes_immediately():
-    result = check_confluence(R3)
+    result = decided(R3)
     assert result.verdict == "YES"
     assert result.history == ()
     assert "0 transformation" in result.reason
 
 
 def test_r6_completes():
-    result = check_confluence(R6, max_steps=20, timeout=60.0)
+    result = decided(R6)
     assert result.verdict == "YES", result.reason
     replay_history(result, R6)
 
@@ -174,7 +176,7 @@ def test_generated_names_avoid_the_input_names():
 
 def test_no_system_is_proved_twice_up_to_renaming(monkeypatch):
     # a rule keeps one name for the whole run, so a system met again on
-    # another branch or under another criterion is answered by the cache
+    # another branch or under another criterion is answered by the run's memo
     swap = parse_trs("""(VAR x y z)
 (RULES
   g(+(a,b)) -> c
@@ -183,19 +185,13 @@ def test_no_system_is_proved_twice_up_to_renaming(monkeypatch):
   +(+(x,y),z) -> +(x,+(y,z))
 )""")
     proved = []
-    plain, relative = termination._prove_termination, termination._prove_relative
+    prove = termination._prove_termination
 
-    def plain_counted(s_trs, hook):
-        proved.append((s_trs.key(), empty_trs().key()))
-        return plain(s_trs, hook)
-
-    def relative_counted(s_trs, p_trs):
+    def counted(s_trs, p_trs, run):
         proved.append((s_trs.key(), p_trs.key()))
-        return relative(s_trs, p_trs)
+        return prove(s_trs, p_trs, run)
 
-    monkeypatch.setattr(termination, "_prove_termination", plain_counted)
-    monkeypatch.setattr(termination, "_prove_relative", relative_counted)
-    termination.clear_cache()
+    monkeypatch.setattr(termination, "_prove_termination", counted)
     result = check_confluence(swap)
     assert result.verdict == "MAYBE"
     assert proved
@@ -203,7 +199,7 @@ def test_no_system_is_proved_twice_up_to_renaming(monkeypatch):
 
 
 def test_r8_completes():
-    result = check_confluence(R8, max_steps=20, timeout=60.0)
+    result = decided(R8)
     assert result.verdict == "YES", result.reason
     replay_history(result, R8)
 

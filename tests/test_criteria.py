@@ -18,6 +18,7 @@ from confl.criteria import (
     check_pcp,
 )
 from confl.rewriting import Rule, Trs, empty_trs, replay, replay_steps
+from confl.run import Run
 from confl.reversibility import replay_reversibility
 from confl.termination import replay_certificate
 from confl.terms import all_parallel
@@ -128,13 +129,13 @@ def test_auto_p_prime_collects_nothing_on_r3_and_r4():
 
 def test_reversibility_witness_takes_rev_bound_not_depth():
     # undoing A takes five steps, so a join depth of 4 must not cut its witness
-    rep = check_criterion("linear", Partition(S3, P_CA), depth=4, rev_bound=10)
+    rep = check_criterion("linear", Partition(S3, P_CA), run=Run(depth=4, rev_bound=10))
     assert rep.holds(), rep.reason
     assert rep.reversibility.bound == 10
     result = completion.check_confluence(R3, depth=4, rev_bound=10)
     assert result.verdict == "YES", result.reason
     assert result.report.reversibility.bound == 10
-    rep = check_criterion("linear", Partition(S3, P_CA), rev_bound=4)
+    rep = check_criterion("linear", Partition(S3, P_CA), run=Run(rev_bound=4))
     assert rep.reason == "P was not shown reversible within the search bound"
 
 

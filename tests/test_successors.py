@@ -22,7 +22,7 @@ from confl.completion import (
     check_confluence,
     decompose,
 )
-from confl.criteria import DEFAULT_DEPTH, Partition, check_criterion
+from confl.criteria import Partition, check_criterion
 from confl.critical_pairs import ParallelCriticalPair, cp_in
 from confl.rewriting import (
     FuelExhausted,
@@ -32,6 +32,7 @@ from confl.rewriting import (
     reducts,
     step_at,
 )
+from confl.run import Run
 from confl.trs_format import parse_trs
 
 from systems import CHAIN3, CHAIN4, R2, R6, SWAP
@@ -179,9 +180,9 @@ def ref_replacement_candidates(state, report, named):
     return out
 
 
-def ref_successors(state, report, named, rev_bound=DEFAULT_DEPTH, depth=DEFAULT_DEPTH):
-    u_big, b_singles = ref_addition_candidates(state, report, named, depth)
-    repls = ref_replacement_candidates(state, report, named)
+def ref_successors(state, report, run):
+    u_big, b_singles = ref_addition_candidates(state, report, run.named, run.depth)
+    repls = ref_replacement_candidates(state, report, run.named)
     new_systems = []
 
     def extend(adds):
@@ -215,7 +216,7 @@ def ref_successors(state, report, named, rev_bound=DEFAULT_DEPTH, depth=DEFAULT_
     for q2, hist in new_systems:
         if q2.key() == state.system().key():
             continue
-        for s2, p2 in decompose(q2, rev_bound):
+        for s2, p2 in decompose(q2, run.rev_bound):
             k = (s2.key(), p2.key(), state.criterion)
             if k not in seen:
                 seen.add(k)
@@ -238,9 +239,9 @@ def successor_calls():
     calls = []
     successors = completion.successors
 
-    def compared(state, report, named, *args):
-        got = successors(state, report, named, *args)
-        calls.append((name, identity(got), identity(ref_successors(state, report, named, *args))))
+    def compared(state, report, *, run):
+        got = successors(state, report, run=run)
+        calls.append((name, identity(got), identity(ref_successors(state, report, run))))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
@@ -286,7 +287,7 @@ def fuel_candidates():
         pairs.setdefault(f.origin, []).append(f.pair)
     assert sorted(pairs) == ["cp(S,PP)", "cp(S,S)", "pcp_in(PP,S)"]
     state = SearchState(s, p, "pcp")
-    u_big, b_singles = _addition_candidates(state, rep, _rule_names(FUEL), DEFAULT_DEPTH)
+    u_big, b_singles = _addition_candidates(state, rep, Run(named=_rule_names(FUEL)))
     return pairs, [(r.lhs, r.rhs) for r, _ in u_big], [(r.lhs, r.rhs) for r, _ in b_singles]
 
 

@@ -8,13 +8,13 @@ import pytest
 from confl import termination
 from confl.completion import check_confluence, decompose
 from confl.rewriting import Rule, Trs, empty_trs
+from confl.run import Run
 from confl.termination import (
     MalformedCertificate,
     TerminationCertificate,
     _find_interpretation,
     _shapes_strict,
     _shapes_weak,
-    clear_cache,
     dependency_pairs,
     lpo_gt,
     prove_relative_termination,
@@ -24,10 +24,6 @@ from confl.termination import (
 from confl.terms import App, positions, signature, subterm_at
 
 from systems import ALL_SYSTEMS, A, C, P_CA, S3, S6, f2, g1, plus, s, x, y, zero
-
-
-def setup_function(_fn):
-    clear_cache()
 
 
 def test_empty_system_is_trivially_terminating():
@@ -143,9 +139,8 @@ def test_external_hook(tmp_path):
 
     # a system none of the internal engines can handle
     hard = Trs([Rule(f2(g1(x), y), f2(y, g1(y)), "tricky"), Rule(g1(g1(x)), g1(x), "gg")])
-    cert, why = prove_termination(hard, hook=str(no))
-    clear_cache()
-    cert2, why2 = prove_termination(hard, hook=str(yes))
+    cert, why = prove_termination(hard, run=Run(hook=str(no)))
+    cert2, why2 = prove_termination(hard, run=Run(hook=str(yes)))
     if cert is not None or cert2 is None:
         # internal engines decided it; the hook is then irrelevant
         pytest.skip("internal engines handled the probe system")
@@ -158,7 +153,6 @@ def test_external_hook(tmp_path):
 
 def test_proof_is_deterministic():
     cert1, _ = prove_termination(S3)
-    clear_cache()
     cert2, _ = prove_termination(S3)
     assert cert1 == cert2
 
@@ -187,9 +181,9 @@ def test_dependency_pairs_keep_their_names_and_order(trs):
 
 
 def product_find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift,
-                                cap=300_000):
+                                cap=300_000, run=None):
     """_find_interpretation as first written: every combination in product
-    order, weak rules checked only at a full assignment."""
+    order, weak rules checked only at a full assignment (and no deadline)."""
     sig = signature(t for r in list(weak_rules) + list(strict_candidates) for t in (r.lhs, r.rhs))
     names = list(sig)
     lists = [shapes_for(f, sig[f]) for f in names]
@@ -241,7 +235,6 @@ def test_pruned_interpretation_search_finds_the_product_order_answer(monkeypatch
 
     monkeypatch.setattr(termination, "_find_interpretation", record)
     for trs in ALL_SYSTEMS + [CHAIN3]:
-        clear_cache()
         assert check_confluence(trs).verdict == "YES"
     kinds = {(args[2], kwargs["shift"]) for args, kwargs in calls}
     assert kinds == {(_shapes_strict, True), (_shapes_weak, False)}

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from confl import trs_format
 from confl.rewriting import Rule, Trs
 from confl.terms import App, Var, canonical_tuple
 from confl.trs_format import ParseError, parse_trs, parse_trs_file, print_term, print_trs
@@ -59,6 +60,8 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as e:
         parse_trs("(VAR x)\n(RULES f(x) -> x\n f(x, x) -> x)")
     assert e.value.line == 3  # arity clash reported at the offending rule
+    assert e.value.column == 2
+    assert "symbol f used with arities 1 and 2" in str(e.value)
 
     with pytest.raises(ParseError):
         parse_trs("(VAR x)")  # missing RULES section
@@ -162,3 +165,20 @@ def test_symbols_outside_the_format_are_rejected(name):
         with pytest.raises(ParseError) as e:
             parse_trs(text)
         assert e.value.line == (2 if text.startswith("(RULES") else 1), text
+
+
+def test_parsing_builds_one_system(monkeypatch):
+    # arities are checked against the signature of the rules read so far, not
+    # by building a system after every rule, which made parsing quadratic
+    built = []
+
+    class CountedTrs(Trs):
+        def __init__(self, rules):
+            built.append(1)
+            super().__init__(rules)
+
+    monkeypatch.setattr(trs_format, "Trs", CountedTrs)
+    text = "(VAR x)\n(RULES\n" + "".join(f"  f{i}(x) -> g{i}(x)\n" for i in range(2_000)) + ")\n"
+    trs = parse_trs(text)
+    assert len(trs) == 2_000
+    assert len(built) == 1
