@@ -1,5 +1,5 @@
 """Confluence prover for rewrite systems with a terminating and a reversible part."""
-from .terms import App, Position, Term, Var, canonical, match_term, subterm_at, term_vars, unify
+from .terms import App, Position, Term, Var, match_term, subterm_at, term_vars, unify
 from .rewriting import (
     FuelExhausted,
     ParallelStep,
@@ -45,7 +45,7 @@ from .certificate import certificate_text, parse_certificate, verify_certificate
 __version__ = "0.1.0"
 
 __all__ = [
-    "App", "Position", "Term", "Var", "canonical", "match_term", "subterm_at", "term_vars", "unify",
+    "App", "Position", "Term", "Var", "match_term", "subterm_at", "term_vars", "unify",
     "FuelExhausted", "ParallelStep", "Rule", "Step", "Trs", "conversion_bounded", "empty_trs",
     "normalize", "normalize_steps", "parallel_step_witnesses", "reach_bounded", "reach_set_bounded",
     "replay_steps",

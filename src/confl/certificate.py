@@ -584,11 +584,9 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     try:
         return _verify(text, problem, hook)
     except RecursionError:
-        # reading and writing terms does not recurse, but these walkers still
-        # do, once per nesting level: App.__eq__ on equal distinct terms,
-        # apply, rename_term, replace_at, positions, canonical_tuple (so
-        # Rule.key), unify_all's _resolve, and termination's lpo_gt, interpret
-        # and _cap_ren
+        # nothing in terms recurses, but these walkers still do, once per
+        # nesting level: rewriting's _innermost and _parallel_options, and
+        # termination's lpo_gt, interpret, _cap_ren and homeomorphic_embeds
         return False, ["a term is nested too deeply to check"]
 
 

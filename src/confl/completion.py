@@ -320,6 +320,7 @@ def successors(state: SearchState, report: CriterionReport, run: Run) -> list:
     out, seen = [], set()
     q_key = q.key()
     for q2, hist in new_systems:
+        run.check("completion")
         if q2.key() == q_key:
             continue
         for s2, p2 in decompose(q2, run.rev_bound):

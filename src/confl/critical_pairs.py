@@ -30,7 +30,8 @@ a tuple that cannot unify: a rule is tried at a set of positions only if its
 left side unifies with the subterm at each of them on its own.
 
 cp checks the run's deadline once per outer rule, pcp_in once per position
-set: a system's parallel critical pairs can be exponentially many.
+set, and both every 1,024 pairs while deduplicating: a system's parallel
+critical pairs can be exponentially many.
 """
 
 from __future__ import annotations
@@ -106,10 +107,12 @@ def parallel_key(left: Term, right: Term, peak: Term, var_limit) -> tuple:
     return flat, frozenset(index[x] for x in var_limit)
 
 
-def _dedup(pairs):
+def _dedup(pairs, run: Run):
     seen = set()
     out = []
-    for pr in pairs:
+    for i, pr in enumerate(pairs, 1):
+        if i % 1024 == 0:
+            run.check("critical_pairs")
         k = pr.key()
         if k not in seen:
             seen.add(k)
@@ -146,7 +149,7 @@ def cp(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]
                         mgu=sigma,
                     )
                 )
-    return _dedup(pairs)
+    return _dedup(pairs, run)
 
 
 def cp_in(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]:
@@ -216,4 +219,4 @@ def pcp_in(q_rules: Trs, r_rules: Trs, run: Run | None = None) -> list[ParallelC
                             var_limit=x_ids,
                         )
                     )
-    return _dedup(pairs)
+    return _dedup(pairs, run)

@@ -1,8 +1,11 @@
 """Rewrite rules, rule systems, single/parallel steps and bounded searches.
 
-Steps are plain records built from a match (by `step_at` and
-`parallel_step_witnesses`).  A step is checked when it is replayed, by
-`replay`, the one routine that re-applies (position, rule) moves.
+`_target` is the one place a rule is applied to a term: steps, reducts,
+normalization and parallel steps all rewrite through it.  Steps are plain
+records built from a match (by `step_at` and `parallel_step_witnesses`).  A
+step is checked when it is replayed, by `replay`, the one routine that
+re-applies (position, rule) moves.  A rule's key is `terms.shape_key` of its
+two sides, the identity up to renaming that pairs and witnesses use too.
 
 Reach sets and goal searches are one breadth-first walk, `_walk`, which
 builds a `Step` only for a term it has not reached before.  Its cap
@@ -23,16 +26,14 @@ from .terms import (
     App,
     Position,
     Term,
-    Var,
     apply,
-    canonical_tuple,
     fun_subterms,
     is_var,
     match_term,
     pos_str,
-    rename_term,
     renaming_apart,
     replace_at,
+    shape_key,
     signature,
     subterm_at,
     var_ids,
@@ -62,14 +63,12 @@ class Rule:
     @cached_property
     def _key(self):
         # stored outside the fields, so == and hash are unaffected
-        return canonical_tuple((self.lhs, self.rhs))
+        return shape_key((self.lhs, self.rhs))[0]
 
     def rename_apart(self) -> Rule:
         """A variant on fresh variables."""
         mapping = renaming_apart([self.lhs])
-        return Rule(
-            rename_term(self.lhs, mapping), rename_term(self.rhs, mapping), self.name
-        )
+        return Rule(apply(mapping, self.lhs), apply(mapping, self.rhs), self.name)
 
     def inverse(self) -> Rule:
         return Rule(self.rhs, self.lhs, self.name + "~")
@@ -83,17 +82,10 @@ class Rule:
 
 
 def _linear(t: Term) -> bool:
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Var):
-            if u.id in seen:
-                return False
-            seen.add(u.id)
-        else:
-            stack.extend(u.args)
-    return True
+    """No variable occurs twice in t: its shape key has one negative code
+    per variable occurrence and numbers each variable once."""
+    flat, index = shape_key((t,))
+    return sum(isinstance(c, int) and c < 0 for c in flat) == len(index)
 
 
 class Trs:
@@ -263,14 +255,14 @@ def _innermost(u: Term, p: Position, start: Term, trs: Trs, steps: list, fuel: i
         u = App(u.fn, tuple(args))
         for rule in trs:
             if rule.lhs.fn == u.fn:
-                m = match_term(rule.lhs, u)
-                if m is not None:
+                v = _target(u, (), u, rule)
+                if v is not None:
                     break
         else:
             return u
         if len(steps) >= fuel:
             raise FuelExhausted(f"no normal form within {fuel} steps")
-        u = apply(m, rule.rhs)
+        u = v
         whole = steps[-1].target if steps else start
         steps.append(Step(whole, replace_at(whole, p, u), p, rule))
     return u
@@ -308,8 +300,7 @@ def _parallel_options(s: Term, t: Term, trs: Trs, limit: int):
     if s == t:
         options.append([])
     for rule in trs:
-        m = match_term(rule.lhs, s)
-        if m is not None and apply(m, rule.rhs) == t:
+        if _target(s, (), s, rule) == t:
             options.append([((), rule)])
     if (
         isinstance(s, App)

@@ -13,9 +13,12 @@ term.
 Positions are tuples of 1-based argument indexes; () is the root.
 Substitutions are plain dicts mapping variable ids to terms.
 
-`write_term` and `read_term` are the one term writer and reader (for `repr`,
-the TRS format and certificates); callers decide only how variables are
-spelled.  Neither recurses, so nesting depth is not limited.
+One of each walk: `apply` is the one rebuild (renaming and unification's
+resolution go through it too), `shape_key` the one identity up to renaming
+(rule, pair and witness keys), `write_term` and `read_term` the one writer
+and reader (for `repr`, the TRS format and certificates).  A rule is applied
+in one place, `rewriting._target`.  Nothing here recurses, `App.__eq__`
+included, so nesting depth is not limited.
 """
 
 from __future__ import annotations
@@ -71,8 +74,22 @@ class App:
             return True
         if other.__class__ is not App:
             return NotImplemented
-        return (self._hash == other._hash and self.fn == other.fn
-                and self.args == other.args)
+        # the pairs still to compare, on two explicit stacks; one object, or a
+        # differing hash, symbol or arity, decides a pair without descending
+        xs, ys = [self], [other]
+        while xs:
+            a, b = xs.pop(), ys.pop()
+            if a is b:
+                continue
+            if a.__class__ is App:
+                if (b.__class__ is not App or a._hash != b._hash or a.fn != b.fn
+                        or len(a.args) != len(b.args)):
+                    return False
+                xs += a.args
+                ys += b.args
+            elif b.__class__ is not Var or a.id != b.id:
+                return False
+        return True
 
     def __repr__(self):
         return write_term(self, repr)
@@ -90,15 +107,6 @@ def fresh_id() -> int:
 
 def is_var(t: Term) -> bool:
     return isinstance(t, Var)
-
-
-def positions(t: Term) -> list[Position]:
-    """All positions of t, root first, in left-to-right preorder."""
-    out: list[Position] = [()]
-    if isinstance(t, App):
-        for i, a in enumerate(t.args, start=1):
-            out.extend((i,) + p for p in positions(a))
-    return out
 
 
 def fun_subterms(t: Term) -> list[tuple[Position, App]]:
@@ -129,14 +137,17 @@ def subterm_at(t: Term, p: Position) -> Term:
 
 
 def replace_at(t: Term, p: Position, s: Term) -> Term:
-    if not p:
-        return s
-    if isinstance(t, Var) or not 1 <= p[0] <= len(t.args):
-        raise ValueError(f"invalid position {p}")
-    i = p[0]
-    args = list(t.args)
-    args[i - 1] = replace_at(args[i - 1], p[1:], s)
-    return App(t.fn, tuple(args))
+    """t with s at position p, rebuilding the applications above p."""
+    path = []
+    for i in p:
+        if isinstance(t, Var) or not 1 <= i <= len(t.args):
+            raise ValueError(f"invalid position {p}")
+        path.append(t)
+        t = t.args[i - 1]
+    for i in reversed(p):
+        u = path.pop()
+        s = App(u.fn, u.args[:i - 1] + (s,) + u.args[i:])
+    return s
 
 
 def pos_le(p: Position, q: Position) -> bool:
@@ -307,9 +318,50 @@ Subst = dict  # var id -> Term
 
 
 def apply(sigma: Subst, t: Term) -> Term:
-    if isinstance(t, Var):
+    """t with each variable x in sigma replaced by sigma[x]."""
+    return _rebuild(t, sigma, {})
+
+
+def _rebuild(t: Term, sigma: Subst, bound: Subst) -> Term:
+    """t with each variable x replaced by sigma[x], on an explicit stack.  A
+    variable x in `bound` but not in sigma stands for the term bound[x]: when
+    x is first met, that term is rebuilt the same way and stored in sigma[x].
+    Constants are kept, not rebuilt."""
+    if t.__class__ is App:
+        if not t.args:
+            return t
+        stack = [(t, iter(t.args), [])]
+    elif t.id in bound and t.id not in sigma:
+        stack = [(t, iter((bound[t.id],)), [])]
+    else:
         return sigma.get(t.id, t)
-    return App(t.fn, tuple(apply(sigma, a) for a in t.args))
+    # per unfinished term: the term (a Var for a binding), an iterator over
+    # its arguments, and the arguments rebuilt so far
+    while True:
+        u, rest, out = stack[-1]
+        for a in rest:
+            if a.__class__ is Var:
+                v = sigma.get(a.id)
+                if v is None:
+                    if a.id in bound:
+                        stack.append((a, iter((bound[a.id],)), []))
+                        break
+                    v = a
+                out.append(v)
+            elif a.args:
+                stack.append((a, iter(a.args), []))
+                break
+            else:
+                out.append(a)
+        else:
+            stack.pop()
+            if u.__class__ is Var:
+                v = sigma[u.id] = out[0]
+            else:
+                v = App(u.fn, tuple(out))
+            if not stack:
+                return v
+            stack[-1][2].append(v)
 
 
 def match_term(pattern: Term, subject: Term) -> Subst | None:
@@ -346,9 +398,10 @@ def unify_all(eqs: list[tuple[Term, Term]]) -> Subst | None:
     """Simultaneous mgu of a list of equations, or None.
 
     Bindings stay triangular (a bound term may mention variables bound
-    later) and are resolved once at the end.  Every decision falls out as
-    if the substitution were applied to each equation as it is taken up,
-    so the idempotent mgu and the order of its keys are the same."""
+    earlier or later) and are resolved at the end by one `_rebuild` each,
+    which resolves the bindings it meets on the way.  Every decision
+    falls out as if the substitution were applied to each equation as it is
+    taken up, so the idempotent mgu and the order of its keys are the same."""
     bound: Subst = {}
 
     def deref(u: Term) -> Term:
@@ -385,28 +438,13 @@ def unify_all(eqs: list[tuple[Term, Term]]) -> Subst | None:
             work.extend(zip(s.args, t.args))
 
     resolved: Subst = {}
-    return {x: _resolve(u, bound, resolved) for x, u in bound.items()}
-
-
-def _resolve(u: Term, bound: Subst, resolved: Subst) -> Term:
-    """u with the triangular bindings `bound` applied until none is left;
-    `resolved` memoizes the resolved value of each bound variable."""
-    if isinstance(u, Var):
-        if u.id not in bound:
-            return u
-        if u.id not in resolved:
-            resolved[u.id] = _resolve(bound[u.id], bound, resolved)
-        return resolved[u.id]
-    return App(u.fn, tuple(_resolve(a, bound, resolved) for a in u.args))
+    for x, u in bound.items():
+        if x not in resolved:
+            resolved[x] = _rebuild(u, resolved, bound)
+    return {x: resolved[x] for x in bound}
 
 
 # --- renaming ----------------------------------------------------------------
-
-
-def rename_term(t: Term, mapping: dict[int, Var]) -> Term:
-    if isinstance(t, Var):
-        return mapping.get(t.id, t)
-    return App(t.fn, tuple(rename_term(a, mapping) for a in t.args))
 
 
 def renaming_apart(ts) -> dict[int, Var]:
@@ -428,36 +466,10 @@ def rename_apart(t1: Term, t2: Term) -> tuple[Term, dict[int, Var]]:
     The mapping is a bijection onto fresh variables, so t2' is a variant.
     """
     mapping = renaming_apart([t2])
-    return rename_term(t2, mapping), mapping
+    return apply(mapping, t2), mapping
 
 
-# --- canonical forms (equality up to renaming) -------------------------------
-
-_CANON_NAMES = ("x", "y", "z", "w", "v", "u")
-
-
-def _canon_var(i: int) -> Var:
-    if i < len(_CANON_NAMES):
-        return Var(i, _CANON_NAMES[i])
-    return Var(i, f"x{i}")
-
-
-def canonical_tuple(ts: tuple) -> tuple:
-    """Rename variables across the given terms to 0,1,2,... in order of first
-    occurrence (left to right through the tuple).  Two tuples of terms are
-    equal up to consistent renaming iff their canonical tuples are equal."""
-    mapping: dict[int, Var] = {}
-    return tuple(_canon_walk(t, mapping) for t in ts)
-
-
-def _canon_walk(u: Term, mapping: dict[int, Var]) -> Term:
-    """u renamed by `mapping`, which gets the next canonical variable for
-    each variable id it does not hold yet."""
-    if isinstance(u, Var):
-        if u.id not in mapping:
-            mapping[u.id] = _canon_var(len(mapping))
-        return mapping[u.id]
-    return App(u.fn, tuple(_canon_walk(a, mapping) for a in u.args))
+# --- identity up to renaming -------------------------------------------------
 
 
 def shape_key(ts) -> tuple[tuple, dict[int, int]]:
@@ -465,7 +477,8 @@ def shape_key(ts) -> tuple[tuple, dict[int, int]]:
     variable id got.  One preorder walk: a function symbol is followed by
     its arity, a variable is -1 - index, indexes counting variables in order
     of first occurrence.  The code is prefix-free, so two tuples of terms
-    have equal keys iff their canonical tuples are equal."""
+    have equal keys iff one is the other with its variables consistently
+    renamed."""
     flat: list = []
     index: dict[int, int] = {}
     stack = list(reversed(ts))
@@ -478,12 +491,3 @@ def shape_key(ts) -> tuple[tuple, dict[int, int]]:
             flat.append(len(u.args))
             stack.extend(reversed(u.args))
     return tuple(flat), index
-
-
-def canonical(t: Term) -> Term:
-    return canonical_tuple((t,))[0]
-
-
-def variants(ts1: tuple, ts2: tuple) -> bool:
-    """Equal up to a consistent variable renaming?"""
-    return canonical_tuple(ts1) == canonical_tuple(ts2)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from confl import cli
 from confl.certificate import verify_certificate
 from confl.cli import main
 from confl.trs_format import parse_trs, print_trs
@@ -106,20 +107,17 @@ def test_ars_fuzz_subcommand(capsys):
     assert "checked 40 instances, 0 violation(s)" in out
 
 
-def test_internal_error_exits_2_not_maybe(tmp_path, capsys):
-    # a left side nested 400 deep overflows the recursive term walkers, after
-    # about 7.5 s of join search on 2 cores; the deadline holds inside that
-    # search, so a shorter one would end it first with MAYBE
-    lhs = "x"
-    for _ in range(400):
-        lhs = f"s({lhs})"
-    path = tmp_path / "deep.trs"
-    path.write_text(f"(VAR x)\n(RULES\n  {lhs} -> x\n)\n", encoding="utf-8")
-    rc = main([str(path), "--timeout", "60"])
+def test_internal_error_exits_2_not_maybe(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(cli, "check_confluence", fail)
+    rc = main([str(write_system(tmp_path, R3))])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out.splitlines() == ["ERROR"]
     assert len(captured.err.splitlines()) == 1
+    assert "injected failure" in captured.err
 
 
 def test_readme_example_matches_the_cli(tmp_path, capsys, monkeypatch):

@@ -204,6 +204,19 @@ def test_r8_completes():
     replay_history(result, R8)
 
 
+def test_a_400_deep_left_side_is_confluent_and_verifies():
+    # its join search and certificate hold terms 400 deep, more than the
+    # interpreter's recursion limit allows a recursive walker
+    lhs = "x"
+    for _ in range(400):
+        lhs = f"s({lhs})"
+    trs = parse_trs(f"(VAR x)\n(RULES\n  {lhs} -> x\n)\n")
+    result = check_confluence(trs)
+    assert result.verdict == "YES"
+    ok, problems = verify_certificate(certificate_text(trs, result), trs)
+    assert ok, problems
+
+
 def test_single_criterion_restriction():
     result = check_confluence(R3, criteria=("huet",))
     assert result.verdict == "YES"

@@ -9,20 +9,22 @@ from confl.critical_pairs import (
 )
 from itertools import combinations, product
 
+import pytest
+
 from confl import critical_pairs
 from confl.rewriting import Rule, Trs, replay_steps, step_at
+from confl.run import Run, TimedOut
 from confl.terms import (
     App,
     Var,
     all_parallel,
     apply,
-    canonical_tuple,
     fun_subterms,
     pos_le,
     rename_apart,
-    rename_term,
     replace_at,
     replace_parallel,
+    shape_key,
     subterm_at,
     unify_all,
     var_ids,
@@ -32,11 +34,11 @@ from systems import P5, P8, P_CA, R3, S2, S3, S4, S6, S8, SS1, SS2, f2, g1, h1, 
 
 
 def keyset(pairs):
-    return {canonical_tuple((p.left, p.right)) for p in pairs}
+    return {shape_key((p.left, p.right))[0] for p in pairs}
 
 
 def expect_keys(pairs):
-    return {canonical_tuple(lr) for lr in pairs}
+    return {shape_key(lr)[0] for lr in pairs}
 
 
 def test_cp_s_s_for_full_add_system():
@@ -90,7 +92,7 @@ def test_cp_s_pp_sixteen_pairs():
 def test_cp_out_add1_add2_into_commutativity():
     got = cp_out(S2, P_CA.with_inverses())
     for pair in [(y, plus(y, zero)), (s(plus(x, y)), plus(y, s(x)))]:
-        assert canonical_tuple(pair) in keyset(got)
+        assert shape_key(pair)[0] in keyset(got)
 
 
 def test_root_self_overlap_skipped_but_renamed_copy_overlaps():
@@ -194,7 +196,7 @@ def test_dedup_is_up_to_renaming():
 
 def _fresh(rule, avoid):
     lhs, mapping = rename_apart(avoid, rule.lhs)
-    return Rule(lhs, rename_term(rule.rhs, mapping), rule.name)
+    return Rule(lhs, apply(mapping, rule.rhs), rule.name)
 
 
 def brute_cp(r_rules, q_rules):
@@ -217,7 +219,7 @@ def brute_cp(r_rules, q_rules):
                     peak=apply(sigma, outer.lhs),
                     inner_rule=ren, outer_rule=outer, position=p, mgu=sigma,
                 ))
-    return critical_pairs._dedup(pairs)
+    return critical_pairs._dedup(pairs, Run())
 
 
 def brute_pcp_in(q_rules, r_rules):
@@ -246,7 +248,7 @@ def brute_pcp_in(q_rules, r_rules):
                         var_limit=frozenset(
                             v for p in ps for v in var_ids(subterm_at(peak, p))),
                     ))
-    return critical_pairs._dedup(pairs)
+    return critical_pairs._dedup(pairs, Run())
 
 
 def cp_trail(pairs):
@@ -335,3 +337,12 @@ def test_pcp_in_skips_non_unifying_tuples(monkeypatch):
     # the brute force tries 318 tuples here, nearly all doomed
     assert len(calls) <= 30
     assert pcp_trail(got) == expected
+
+
+def test_dedup_keeps_the_deadline():
+    pairs = [CriticalPair(left=App(f"c{i}"), right=zero, kind="outer", peak=zero,
+                          inner_rule=None, outer_rule=None, position=(), mgu={})
+             for i in range(1024)]
+    assert critical_pairs._dedup(pairs, Run()) == pairs
+    with pytest.raises(TimedOut):
+        critical_pairs._dedup(pairs, Run(timeout=-1))

@@ -59,3 +59,24 @@ def test_no_nested_function_calls_itself():
     found = {path.name: self_calling_nested_functions(ast.parse(path.read_text(encoding="utf-8")))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+def self_calling_functions(tree):
+    """The names of the functions whose body calls them by name, and of the
+    methods whose body calls them on self."""
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(n, ast.Call)
+                and (isinstance(n.func, ast.Name) and n.func.id == fn.name
+                     or isinstance(n.func, ast.Attribute) and n.func.attr == fn.name
+                     and isinstance(n.func.value, ast.Name) and n.func.value.id == "self")
+                for n in ast.walk(fn)):
+            found.append(fn.name)
+    return found
+
+
+def test_nothing_in_terms_calls_itself():
+    # a walker that recurses once per nesting level overflows on deep terms
+    tree = ast.parse((SRC / "terms.py").read_text(encoding="utf-8"))
+    assert self_calling_functions(tree) == []

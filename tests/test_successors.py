@@ -32,7 +32,7 @@ from confl.rewriting import (
     reducts,
     step_at,
 )
-from confl.run import Run
+from confl.run import Run, TimedOut
 from confl.trs_format import parse_trs
 
 from systems import CHAIN3, CHAIN4, R2, R6, SWAP
@@ -277,16 +277,20 @@ FUEL = parse_trs("""(VAR x y z)
 )""")
 
 
+def fuel_report():
+    """The pcp criterion's state and report on FUEL split as S and P."""
+    s, p = Trs(list(FUEL)[:4]), Trs(list(FUEL)[4:])
+    return SearchState(s, p, "pcp"), check_criterion("pcp", Partition(s, p))
+
+
 def fuel_candidates():
     """The failing pairs of the pcp criterion on FUEL by family, and the
     (lhs, rhs) of completion's addition candidates in their two buckets."""
-    s, p = Trs(list(FUEL)[:4]), Trs(list(FUEL)[4:])
-    rep = check_criterion("pcp", Partition(s, p))
+    state, rep = fuel_report()
     pairs = {}
     for f in rep.failing:
         pairs.setdefault(f.origin, []).append(f.pair)
     assert sorted(pairs) == ["cp(S,PP)", "cp(S,S)", "pcp_in(PP,S)"]
-    state = SearchState(s, p, "pcp")
     u_big, b_singles = _addition_candidates(state, rep, Run(named=_rule_names(FUEL)))
     return pairs, [(r.lhs, r.rhs) for r, _ in u_big], [(r.lhs, r.rhs) for r, _ in b_singles]
 
@@ -311,3 +315,10 @@ def test_without_fuel_only_the_s_s_pair_is_repaired(monkeypatch):
     # P∪P⁻¹ side have no normal form to be oriented towards
     assert u_big == [(ss.left, ss.right), (ss.right, ss.left)]
     assert b_singles == []
+
+
+def test_successors_keep_the_deadline():
+    state, rep = fuel_report()
+    assert completion.successors(state, rep, run=Run(named=_rule_names(FUEL)))
+    with pytest.raises(TimedOut):
+        completion.successors(state, rep, run=Run(named=_rule_names(FUEL), timeout=-1))

@@ -21,7 +21,7 @@ from confl.termination import (
     prove_termination,
     replay_certificate,
 )
-from confl.terms import App, positions, signature, subterm_at
+from confl.terms import App, fun_subterms, signature, subterm_at
 
 from systems import ALL_SYSTEMS, A, C, P_CA, S3, S6, f2, g1, plus, s, x, y, zero
 
@@ -164,9 +164,9 @@ def positions_dependency_pairs(s_trs):
     dps = []
     for r in s_trs:
         k = 0
-        for p in positions(r.rhs):
+        for p, _ in fun_subterms(r.rhs):
             u = subterm_at(r.rhs, p)
-            if isinstance(u, App) and u.fn in defined:
+            if u.fn in defined:
                 k += 1
                 dps.append(Rule(App(r.lhs.fn + "#", r.lhs.args), App(u.fn + "#", u.args),
                                 f"{r.name}#{k}"))

@@ -12,10 +12,8 @@ from confl.terms import (
     Var,
     all_parallel,
     apply,
-    canonical,
-    canonical_tuple,
+    fun_subterms,
     match_term,
-    positions,
     read_term,
     rename_apart,
     replace_at,
@@ -29,7 +27,6 @@ from confl.terms import (
     unify,
     unify_all,
     var_ids,
-    variants,
     write_term,
 )
 
@@ -49,6 +46,16 @@ def random_term(rng, depth, allow_vars=True):
 
 def random_ground_subst(rng):
     return {v.id: random_term(rng, 2, allow_vars=False) for v in VARS}
+
+
+def all_positions(t):
+    """Every position of t: the root, then each argument of each application."""
+    return [()] + [(*p, i) for p, u in fun_subterms(t) for i in range(1, len(u.args) + 1)]
+
+
+def key(*ts):
+    """The terms ts up to renaming."""
+    return shape_key(ts)[0]
 
 
 def generalize(rng, t, base_id, theta, rate=0.35):
@@ -148,7 +155,7 @@ def test_unify_all_simultaneous():
     assert unify_all([(x, zero), (x, App("c", ()))]) is None
 
 
-def test_canonical_tuple_renaming_invariance():
+def test_shape_key_renaming_invariance():
     rng = random.Random(11)
     for _ in range(400):
         s = random_term(rng, 3)
@@ -156,15 +163,12 @@ def test_canonical_tuple_renaming_invariance():
         shift = {i: Var(i + 40, f"n{i}") for i in (1, 2, 3)}
         s2 = apply(shift, s)
         t2 = apply(shift, t)
-        assert canonical_tuple((s, t)) == canonical_tuple((s2, t2))
-        assert variants((s, t), (s2, t2))
-        assert canonical(s) == canonical(s2)
+        assert key(s, t) == key(s2, t2)
+        assert key(s) == key(s2)
         # inconsistent renaming across the tuple is a different object
         swap = {1: Var(2, "y"), 2: Var(1, "x")}
-        if var_ids(s) >= {1, 2} and canonical_tuple((s,)) != canonical_tuple(
-            (apply(swap, s),)
-        ):
-            assert not variants((s, t), (apply(swap, s), t))
+        if var_ids(s) >= {1, 2} and key(s) != key(apply(swap, s)):
+            assert key(s, t) != key(apply(swap, s), t)
 
 
 def test_rename_apart_gives_disjoint_variant():
@@ -174,7 +178,7 @@ def test_rename_apart_gives_disjoint_variant():
         t2 = random_term(rng, 3)
         t2r, mapping = rename_apart(t1, t2)
         assert var_ids(t1).isdisjoint(var_ids(t2r))
-        assert canonical(t2r) == canonical(t2)
+        assert key(t2r) == key(t2)
         assert len(set(v.id for v in mapping.values())) == len(mapping)
 
 
@@ -182,7 +186,7 @@ def test_position_laws():
     rng = random.Random(31)
     for _ in range(300):
         t = random_term(rng, 3)
-        ps = positions(t)
+        ps = all_positions(t)
         assert ps[0] == ()
         assert len(ps) == len(set(ps))
         for p in ps:
@@ -195,7 +199,7 @@ def test_replace_parallel_matches_sequential():
     done = 0
     for _ in range(500):
         t = random_term(rng, 3)
-        ps = [p for p in positions(t) if p != ()]
+        ps = all_positions(t)[1:]
         rng.shuffle(ps)
         chosen = []
         for p in ps:
@@ -225,7 +229,7 @@ def test_unify_symmetric_up_to_instance(a, b):
     s2 = unify(t, s)
     assert (s1 is None) == (s2 is None)
     if s1 is not None:
-        assert canonical(apply(s1, s)) == canonical(apply(s2, t))
+        assert key(apply(s1, s)) == key(apply(s2, t))
 
 
 def test_var_identity_ignores_display_name():
@@ -310,6 +314,19 @@ def test_unify_all_agrees_with_the_eager_algorithm_hypothesis(eqs):
     assert_same_as_eager(eqs)
 
 
+def canonical_tuple(ts):
+    """The terms ts with their variables renamed to 0, 1, 2, ... in order of
+    first occurrence: the recursive canonical form that shape_key replaced,
+    kept as its reference."""
+    mapping = {}
+
+    def walk(u):
+        if isinstance(u, Var):
+            return mapping.setdefault(u.id, Var(len(mapping)))
+        return App(u.fn, tuple(walk(a) for a in u.args))
+    return tuple(walk(t) for t in ts)
+
+
 def test_shape_key_equality_is_canonical_equality():
     rng = random.Random(19)
     equal = 0
@@ -381,6 +398,18 @@ def test_a_deep_term_is_a_dict_key():
     table = {t: 1}
     assert table[t] == 1
     assert App("s", (t,)) not in table
+
+
+def test_deep_terms_built_apart_compare_without_recursion():
+    def chain(bottom):
+        t = bottom
+        for _ in range(5000):
+            t = App("s", (App("f", (t, VARS[1])),))
+        return t
+    a, b = chain(VARS[0]), chain(VARS[0])
+    assert a is not b and a == b and b == a
+    assert chain(VARS[0]) != chain(VARS[2])
+    assert chain(VARS[0]) != chain(App("c"))
 
 
 def test_repr_of_a_deep_term():
