@@ -10,7 +10,7 @@ from .rewriting import (
     empty_trs,
     normalize,
     normalize_steps,
-    parallel_step_witnesses,
+    parallel_step,
     reach_bounded,
     reach_set_bounded,
     replay_steps,
@@ -47,7 +47,7 @@ __version__ = "0.1.0"
 __all__ = [
     "App", "Position", "Term", "Var", "match_term", "subterm_at", "term_vars", "unify",
     "FuelExhausted", "ParallelStep", "Rule", "Step", "Trs", "conversion_bounded", "empty_trs",
-    "normalize", "normalize_steps", "parallel_step_witnesses", "reach_bounded", "reach_set_bounded",
+    "normalize", "normalize_steps", "parallel_step", "reach_bounded", "reach_set_bounded",
     "replay_steps",
     "CriticalPair", "ParallelCriticalPair", "cp", "cp_in", "cp_out", "pcp_in",
     "ReversibilityWitness", "is_reversible", "replay_reversibility",

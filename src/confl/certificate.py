@@ -29,6 +29,7 @@ from .terms import (
     subterm_at,
     term_tokens,
     token_offset,
+    unrecurse,
     var_ids,
     write_term,
 )
@@ -115,32 +116,25 @@ def _parse_pos(s: str) -> Position:
 # --- json round-trip for termination certificates ------------------------------
 
 
-def _jsonable(x):
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, list):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, frozenset):
-        return sorted(x)
-    return x
-
-
 def _tuplify(x):
+    """Body of a copy of x with every list made a tuple, run by `unrecurse`."""
     if isinstance(x, list):
-        return tuple(_tuplify(v) for v in x)
+        out = []
+        for v in x:
+            out.append((yield v,))
+        return tuple(out)
     return x
 
 
 def _term_cert_json(cert: TerminationCertificate) -> str:
-    d = {k: _jsonable(v) for k, v in asdict(cert).items()}
-    return json.dumps(d, sort_keys=True)
+    return json.dumps(asdict(cert), sort_keys=True)
 
 
 def _term_cert_from_json(payload: str) -> TerminationCertificate:
     try:
-        d = json.loads(payload)
-        return TerminationCertificate(**{k: _tuplify(v) for k, v in d.items()})
-    except (TypeError, ValueError) as exc:
+        d = json.loads(payload)  # RecursionError on arrays nested too deeply
+        return TerminationCertificate(**{k: unrecurse(_tuplify, v) for k, v in d.items()})
+    except (TypeError, ValueError, RecursionError) as exc:
         raise CertificateError(f"bad termination certificate payload: {exc}") from exc
 
 
@@ -581,16 +575,6 @@ def _check_join(join: JoinData, criterion: str, tables: dict, problems: list) ->
 
 def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     """Replay a certificate.  Returns (ok, problems)."""
-    try:
-        return _verify(text, problem, hook)
-    except RecursionError:
-        # nothing in terms recurses, but these walkers still do, once per
-        # nesting level: rewriting's _innermost and _parallel_options, and
-        # termination's lpo_gt, interpret, _cap_ren and homeomorphic_embeds
-        return False, ["a term is nested too deeply to check"]
-
-
-def _verify(text: str, problem: Trs | None, hook):
     problems: list[str] = []
     try:
         cert = parse_certificate(text)

@@ -9,15 +9,14 @@ within the search budget", never "refuted".
 from dataclasses import dataclass, field
 from functools import partial
 
-from .terms import Term, subterm_at, var_ids
+from .terms import Term
 from .rewriting import (
     ParallelStep,
     Rule,
     Trs,
     empty_trs,
     normalize_steps,  # not called here: bench/tracing.py wraps criteria.normalize_steps
-    parallel_step_exists,
-    parallel_step_witnesses,
+    parallel_step,
     reach_set_bounded,
     reducts,
 )
@@ -269,7 +268,7 @@ class _Searcher:
         return self._sp
 
     def _reach(self, cls: str, t: Term):
-        key = (cls, t)  # terms hash recursively, so look the key up once
+        key = (cls, t)
         ends = self._memo.get(key)
         if ends is None:
             ends = self._memo[key] = reach_set_bounded(t, self._rules(cls), self.run.depth)
@@ -284,16 +283,6 @@ class _Searcher:
             for st in reducts(src, self.pt.pp):
                 succ.setdefault(st.target, st)
         return succ.get(dst)
-
-    def _parallel_step(self, src: Term, dst: Term, x_ids):
-        """A parallel P∪P⁻¹ step src ⇉ dst, or None; given x_ids, the first
-        one whose rewritten subterms of dst have only variables in x_ids."""
-        if x_ids is None:
-            return parallel_step_exists(src, dst, self.pt.pp)
-        for wit in parallel_step_witnesses(src, dst, self.pt.pp):
-            if all(var_ids(subterm_at(dst, p)) <= x_ids for p in wit.positions):
-                return wit
-        return None
 
     def _side(self, side: tuple, t: Term):
         """Per choice of the outer S-step (None without one): that step and
@@ -335,7 +324,7 @@ class _Searcher:
                 if kind == "opt":
                     st = self._pp_step(src, dst)
                 else:
-                    st = self._parallel_step(src, dst, x_ids)
+                    st = parallel_step(src, dst, self.pt.pp, x_ids)
                 if st is not None:
                     yield a, pa, b, pb, (st,)
 

@@ -29,9 +29,10 @@ order, the rule at the first position varying slowest.  pcp_in never builds
 a tuple that cannot unify: a rule is tried at a set of positions only if its
 left side unifies with the subterm at each of them on its own.
 
-cp checks the run's deadline once per outer rule, pcp_in once per position
-set, and both every 1,024 pairs while deduplicating: a system's parallel
-critical pairs can be exponentially many.
+cp checks the run's deadline before each unification (one deep rule
+overlaps itself at every position), pcp_in once per position set, and both
+every 1,024 pairs while deduplicating: a system's parallel critical pairs can
+be exponentially many.
 """
 
 from __future__ import annotations
@@ -125,7 +126,6 @@ def cp(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]
     run = run or Run()
     pairs = []
     for outer in q_rules:
-        run.check("critical_pairs")
         subterms = fun_subterms(outer.lhs)
         for inner in r_rules:
             ren = None  # renamed apart at the first position with its head symbol
@@ -133,6 +133,7 @@ def cp(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]
             for p, sub in subterms:
                 if sub.fn != inner.lhs.fn or (p == () and self_overlap):
                     continue
+                run.check("critical_pairs")
                 ren = ren or inner.rename_apart()
                 sigma = unify_all([(ren.lhs, sub)])
                 if sigma is None:

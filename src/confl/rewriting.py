@@ -2,7 +2,7 @@
 
 `_target` is the one place a rule is applied to a term: steps, reducts,
 normalization and parallel steps all rewrite through it.  Steps are plain
-records built from a match (by `step_at` and `parallel_step_witnesses`).  A
+records built from a match (by `step_at` and `parallel_step`).  A
 step is checked when it is replayed, by `replay`, the one routine that
 re-applies (position, rule) moves.  A rule's key is `terms.shape_key` of its
 two sides, the identity up to renaming that pairs and witnesses use too.
@@ -12,7 +12,8 @@ builds a `Step` only for a term it has not reached before.  Its cap
 rule: a reach set holds at most `cap` terms, and the walk stops at the first
 new term past the cap, even mid-expansion; a goal search tests the start term
 first and each new term before the cap, so a goal found as term cap+1 is still
-returned.  `normalize_steps` is the one normalizer.
+returned.  `normalize_steps` is the one normalizer.  Nothing here recurses:
+`parallel_step` keeps an explicit stack, the normalizer runs on `unrecurse`.
 """
 
 from __future__ import annotations
@@ -20,12 +21,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 from .terms import (
     App,
     Position,
     Term,
+    Var,
     apply,
     fun_subterms,
     is_var,
@@ -36,6 +37,7 @@ from .terms import (
     shape_key,
     signature,
     subterm_at,
+    unrecurse,
     var_ids,
 )
 
@@ -242,16 +244,17 @@ def normalize_steps(t: Term, trs: Trs, fuel: int = 10_000):
     arguments left to right, then the rules at the root in order; after a
     rewrite the walk goes on inside the new subterm."""
     steps: list[Step] = []
-    return _innermost(t, (), t, trs, steps, fuel), steps
+    return unrecurse(_innermost, t, (), t, trs, steps, fuel), steps
 
 
-def _innermost(u: Term, p: Position, start: Term, trs: Trs, steps: list, fuel: int) -> Term:
-    """The normal form of u, the subterm at p of the term that `steps`
-    (from `start`) have reached so far; appends the steps it takes."""
+def _innermost(u: Term, p: Position, start: Term, trs: Trs, steps: list, fuel: int):
+    """Body of the normalizer, run by `unrecurse`: the normal form of u, the
+    subterm at p of the term that `steps` (from `start`) have reached so far;
+    appends the steps it takes."""
     while isinstance(u, App):
         args = []
         for i, a in enumerate(u.args, start=1):
-            args.append(_innermost(a, (*p, i), start, trs, steps, fuel))
+            args.append((yield a, (*p, i), start, trs, steps, fuel))
         u = App(u.fn, tuple(args))
         for rule in trs:
             if rule.lhs.fn == u.fn:
@@ -279,7 +282,7 @@ def normalize(t: Term, trs: Trs, fuel: int = 10_000) -> Term:
 @dataclass(frozen=True)
 class ParallelStep:
     """Simultaneous contraction of pairwise parallel redexes (possibly none),
-    as `parallel_step_witnesses` builds it."""
+    as `parallel_step` builds it."""
 
     source: Term
     target: Term
@@ -294,61 +297,33 @@ class ParallelStep:
         return f"{self.source!r} =[{ps}]=> {self.target!r}"
 
 
-def _parallel_options(s: Term, t: Term, trs: Trs, limit: int):
-    """All redex-part lists turning s into t in one parallel step."""
-    options = []
-    if s == t:
-        options.append([])
-    for rule in trs:
-        if _target(s, (), s, rule) == t:
-            options.append([((), rule)])
-    if (
-        isinstance(s, App)
-        and isinstance(t, App)
-        and s.fn == t.fn
-        and len(s.args) == len(t.args)
-        and s.args  # no point decomposing constants
-    ):
-        per_arg = []
-        for a, b in zip(s.args, t.args):
-            opts = _parallel_options(a, b, trs, limit)
-            if not opts:
-                per_arg = None
+def parallel_step(s: Term, t: Term, trs: Trs, allowed=None) -> ParallelStep | None:
+    """The first smallest parallel step s ⇉ t, or None: fewest redexes, then
+    positions in preorder, then rules in order; s ⇉ s has none.  Given
+    `allowed` (variable ids), a redex counts only if the subterm of t it
+    rewrites to has no other variables.  That order splits per node, so one
+    top-down pass decides: equal subterms need nothing, a subterm the first
+    rule rewrites at its root to its counterpart needs that redex, and any
+    other pair must share its root symbol and is split into its arguments."""
+    parts = []
+    stack = [((), s, t)]
+    while stack:
+        p, a, b = stack.pop()
+        if a == b:
+            continue
+        if a.__class__ is Var:
+            return None
+        for rule in trs:
+            if (rule.lhs.fn == a.fn and _target(a, (), a, rule) == b
+                    and (allowed is None or var_ids(b) <= allowed)):
+                parts.append((p, rule))
                 break
-            per_arg.append(opts)
-        if per_arg is not None:
-            for combo in product(*per_arg):
-                parts = []
-                for i, sub in enumerate(combo, start=1):
-                    parts.extend(((i,) + p, r) for p, r in sub)
-                if parts:  # bare identity already covered when s == t
-                    options.append(parts)
-                if len(options) > limit:
-                    break
-    # several routes can contract the same positions with the same rules
-    seen = set()
-    out = []
-    for parts in options:
-        key = tuple((p, r.name) for p, r in parts)
-        if key not in seen:
-            seen.add(key)
-            out.append(parts)
-    return out
-
-
-def parallel_step_witnesses(
-    s: Term, t: Term, trs: Trs, limit: int = 500
-) -> list[ParallelStep]:
-    """Every parallel step from s to t (distinct redex sets), small first."""
-    opts = _parallel_options(s, t, trs, limit)
-    opts.sort(key=lambda parts: (len(parts), [p for p, _ in parts]))
-    return [ParallelStep(s, t, tuple(parts)) for parts in opts[:limit]]
-
-
-def parallel_step_exists(s: Term, t: Term, trs: Trs) -> ParallelStep | None:
-    """One parallel step from s to t if any (identity counts)."""
-    wits = parallel_step_witnesses(s, t, trs, limit=1)
-    return wits[0] if wits else None
+        else:
+            if b.__class__ is Var or b.fn != a.fn or len(b.args) != len(a.args):
+                return None
+            for i in range(len(a.args), 0, -1):
+                stack.append(((*p, i), a.args[i - 1], b.args[i - 1]))
+    return ParallelStep(s, t, tuple(parts))
 
 
 # --- bounded reachability -----------------------------------------------------

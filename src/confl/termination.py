@@ -20,6 +20,8 @@ Three engines, tried in order of cheapness:
 
 Certificates carry the method tag and per-round facts; replay_certificate
 re-checks every claim without searching.
+Nothing here recurses: `rule_decrease` reads a rule's flat key, and the
+other term walkers are generator bodies run by `terms.unrecurse`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from itertools import count, permutations, product
 
 from .rewriting import Rule, Trs, empty_trs
 from .run import Run
-from .terms import App, Term, Var, fun_subterms, is_var, match_term, signature, unify_all, var_ids
+from .terms import (App, Term, Var, fun_subterms, is_var, match_term, signature, unify_all,
+                    unrecurse, var_ids)
 from .trs_format import print_trs
 
 
@@ -54,23 +57,33 @@ class TerminationCertificate:
 
 
 def lpo_gt(s: Term, t: Term, prec: dict) -> bool:
+    """s >_lpo t under the precedence prec (symbol -> rank, higher first)."""
+    return unrecurse(_lpo_gt, s, t, prec)
+
+
+def _lpo_gt(s: Term, t: Term, prec: dict):
+    """Body of `lpo_gt`, run by `unrecurse`."""
     if s == t or is_var(s):
         return False
     if is_var(t):
         return t.id in var_ids(s)
     # s = f(...), t = g(...)
-    if any(a == t or lpo_gt(a, t, prec) for a in s.args):
-        return True
+    for a in s.args:
+        if a == t or (yield a, t, prec):
+            return True
     if prec[s.fn] > prec[t.fn]:
-        return all(lpo_gt(s, b, prec) for b in t.args)
-    if s.fn == t.fn:
-        for i, (a, b) in enumerate(zip(s.args, t.args)):
-            if a == b:
-                continue
-            return lpo_gt(a, b, prec) and all(
-                lpo_gt(s, tb, prec) for tb in t.args[i + 1 :]
-            )
-    return False
+        rest = t.args
+    elif s.fn == t.fn:
+        i = next((i for i, (a, b) in enumerate(zip(s.args, t.args)) if a != b), None)
+        if i is None or not (yield s.args[i], t.args[i], prec):
+            return False
+        rest = t.args[i + 1 :]
+    else:
+        return False
+    for b in rest:
+        if not (yield s, b, prec):
+            return False
+    return True
 
 
 def _find_lpo(rules, run: Run) -> tuple | None:
@@ -173,17 +186,25 @@ def shape_value(shape, args):
     raise MalformedCertificate(f"unknown interpretation shape {shape!r}")
 
 
-def interpret(assign: dict, t: Term):
-    if isinstance(t, Var):
-        return _p_var(t.id)
-    if t.fn not in assign:
-        raise MalformedCertificate(f"no interpretation for symbol {t.fn}")
-    return shape_value(assign[t.fn], [interpret(assign, a) for a in t.args])
-
-
 def rule_decrease(assign: dict, rule: Rule, *, shift: bool = True):
-    """(weak, strict) decrease of a rule under an interpretation."""
-    diff = _p_sub(interpret(assign, rule.lhs), interpret(assign, rule.rhs))
+    """(weak, strict) decrease of a rule under an interpretation.  Both sides
+    are evaluated from the rule's flat key read right to left, where an arity
+    says how many values the symbol before it takes."""
+    values: list = []
+    n = 0
+    for c in reversed(rule.key()):
+        if c.__class__ is str:
+            if c not in assign:
+                raise MalformedCertificate(f"no interpretation for symbol {c}")
+            args = values[len(values) - n:]
+            del values[len(values) - n:]
+            values.append(shape_value(assign[c], args[::-1]))
+        elif c < 0:
+            values.append(_p_var(c))
+        else:
+            n = c
+    rhs, lhs = values
+    diff = _p_sub(lhs, rhs)
     if shift:
         diff = _p_shift2(diff)
     weak = _nonneg(diff)
@@ -323,13 +344,15 @@ def dependency_pairs(s_trs: Trs) -> list[Rule]:
     return dps
 
 
-def _cap_ren(t: Term, defined: set, fresh) -> Term:
-    """REN(CAP(t)): defined-rooted subterms and variables become fresh vars."""
-    if isinstance(t, Var):
+def _cap_ren(t: Term, defined: set, fresh):
+    """Body of REN(CAP(t)), run by `unrecurse`: variables and defined-rooted
+    subterms become fresh vars."""
+    if isinstance(t, Var) or t.fn in defined:
         return Var(next(fresh))
-    if t.fn in defined:
-        return Var(next(fresh))
-    return App(t.fn, tuple(_cap_ren(a, defined, fresh) for a in t.args))
+    args = []
+    for a in t.args:
+        args.append((yield a, defined, fresh))
+    return App(t.fn, tuple(args))
 
 
 def dp_graph(dps: list[Rule], defined: set) -> set[tuple[Rule, Rule]]:
@@ -337,7 +360,7 @@ def dp_graph(dps: list[Rule], defined: set) -> set[tuple[Rule, Rule]]:
     edges = set()
     fresh = count(5_000_000)
     for d1 in dps:
-        rhs = App(d1.rhs.fn, tuple(_cap_ren(a, defined, fresh) for a in d1.rhs.args))
+        rhs = unrecurse(_cap_ren, d1.rhs, defined, fresh)  # its marked root is kept
         for d2 in dps:
             lhs = d2.rename_apart().lhs
             if unify_all([(rhs, lhs)]) is not None:
@@ -363,13 +386,22 @@ def _has_cycle(nodes, edges) -> bool:
 
 def homeomorphic_embeds(s: Term, t: Term) -> bool:
     """s embeds into t (dive into arguments or match the same symbol)."""
+    return unrecurse(_embeds, s, t)
+
+
+def _embeds(s: Term, t: Term):
+    """Body of `homeomorphic_embeds`, run by `unrecurse`."""
     if s == t:
         return True
     if isinstance(t, App):
-        if any(homeomorphic_embeds(s, a) for a in t.args):
-            return True
+        for a in t.args:
+            if (yield s, a):
+                return True
         if isinstance(s, App) and s.fn == t.fn and len(s.args) == len(t.args):
-            return all(homeomorphic_embeds(a, b) for a, b in zip(s.args, t.args))
+            for a, b in zip(s.args, t.args):
+                if not (yield a, b):
+                    return False
+            return True
     return False
 
 

@@ -18,7 +18,8 @@ resolution go through it too), `shape_key` the one identity up to renaming
 (rule, pair and witness keys), `write_term` and `read_term` the one writer
 and reader (for `repr`, the TRS format and certificates).  A rule is applied
 in one place, `rewriting._target`.  Nothing here recurses, `App.__eq__`
-included, so nesting depth is not limited.
+included, so nesting depth is not limited; walkers elsewhere that read best
+recursively run on `unrecurse`, so nothing in the package recurses.
 """
 
 from __future__ import annotations
@@ -107,6 +108,22 @@ def fresh_id() -> int:
 
 def is_var(t: Term) -> bool:
     return isinstance(t, Var)
+
+
+def unrecurse(step, *args):
+    """What the recursive function with body `step` returns for args, on an
+    explicit stack.  `step` is a generator function that yields the arguments
+    of each call to itself, is sent that call's value, and returns its own."""
+    stack, value = [step(*args)], None
+    while True:
+        try:
+            stack.append(step(*stack[-1].send(value)))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
 
 
 def fun_subterms(t: Term) -> list[tuple[Position, App]]:

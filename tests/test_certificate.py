@@ -293,6 +293,22 @@ def test_tampered_termination_payload_rejected(cert_r3):
         assert any(label in p for p in problems)
 
 
+def test_deeply_nested_termination_payload_rejected_not_raised(cert_r3):
+    # json.loads gives up on 100,000 nested arrays; that is a bad payload,
+    # not a deep term
+    def nest(ln):
+        head, _, payload = ln.partition(" ")
+        d = json.loads(payload)
+        d["precedence"] = "@"
+        return head + " " + json.dumps(d, sort_keys=True).replace(
+            '"@"', "[" * 100_000 + "]" * 100_000)
+
+    problems = rejected(mutate(cert_r3, "termcert ", nest), R3)
+    assert len(problems) == 1
+    assert "bad termination certificate payload" in problems[0]
+    assert "nested too deeply" not in problems[0]
+
+
 def test_tampered_reversibility_rejected(cert_r3):
     problems = rejected(mutate(cert_r3, "revseq ", None), R3)
     assert any("reversibility" in p for p in problems)

@@ -100,6 +100,21 @@ def test_timeout_holds_inside_a_state(tmp_path):
     assert reason.startswith("timed out")
 
 
+def test_timeout_holds_inside_one_rule_overlaps(tmp_path):
+    # s⁵⁰⁰⁰(x) -> x overlaps itself at 5,000 positions, each unification
+    # 5,000 deep; the deadline is checked before each of them
+    n = 5000
+    path = tmp_path / "s5000.trs"
+    path.write_text(f"(VAR x)\n(RULES\n  {'s(' * n}x{')' * n} -> x\n)\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "confl.cli", str(path), "--timeout", "2"],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    verdict, reason, *_ = proc.stdout.splitlines()
+    assert verdict == "MAYBE"
+    assert reason.startswith("timed out in critical_pairs")
+
+
 def test_ars_fuzz_subcommand(capsys):
     rc = main(["ars-fuzz", "--count", "40", "--seed", "3"])
     out = capsys.readouterr().out

@@ -217,6 +217,17 @@ def test_a_400_deep_left_side_is_confluent_and_verifies():
     assert ok, problems
 
 
+def test_a_5000_deep_rule_is_confluent_and_verifies():
+    # every walker on the way, termination's and the verifier's included,
+    # keeps its pending calls on a heap stack
+    n = 5000
+    trs = parse_trs(f"(VAR x)\n(RULES\n  h({'s(' * n}x{')' * n}) -> h(x)\n)\n")
+    result = check_confluence(trs)
+    assert result.verdict == "YES"
+    ok, problems = verify_certificate(certificate_text(trs, result), trs)
+    assert ok, problems
+
+
 def test_single_criterion_restriction():
     result = check_confluence(R3, criteria=("huet",))
     assert result.verdict == "YES"

@@ -1,14 +1,24 @@
-"""A run leaves no reference cycles behind for the cyclic collector.
+"""A run leaves no reference cycles behind for the cyclic collector, and
+nothing in the package calls itself.
 
 A nested function that calls itself holds its own closure cell, so every call
 of the enclosing function leaves a cycle (function, cell) that only the
 cyclic collector frees, together with everything the closure keeps alive.
+A function that calls itself once per nesting level overflows the stack on
+deep terms, so the walkers are checked on 5,000-deep ones.
 """
 import ast
 import gc
 from pathlib import Path
 
+import pytest
+
 from confl import certificate_text, check_confluence, parse_trs, verify_certificate
+from confl.rewriting import Rule, Trs, normalize_steps, parallel_step
+from confl.termination import dependency_pairs, dp_graph, homeomorphic_embeds, lpo_gt, rule_decrease
+from confl.terms import App, Var
+
+x, y = Var(1, "x"), Var(2, "y")
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "confl"
 
@@ -76,7 +86,66 @@ def self_calling_functions(tree):
     return found
 
 
-def test_nothing_in_terms_calls_itself():
+def test_nothing_in_src_calls_itself():
     # a walker that recurses once per nesting level overflows on deep terms
-    tree = ast.parse((SRC / "terms.py").read_text(encoding="utf-8"))
-    assert self_calling_functions(tree) == []
+    found = {path.name: self_calling_functions(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: f for name, f in found.items() if f} == {}
+
+
+def _deep(t, n=5000):
+    for _ in range(n):
+        t = App("s", (t,))
+    return t
+
+
+_a, _b = App("a", ()), App("b", ())
+_a_b = Trs([Rule(_a, _b, "ab")])
+_PREC = {"h": 2, "s": 1}
+
+
+def _lpo_gt():
+    return (lpo_gt(App("h", (_deep(x),)), App("h", (x,)), _PREC),
+            lpo_gt(App("h", (x,)), App("h", (_deep(x),)), _PREC))
+
+
+def _homeomorphic_embeds():
+    return (homeomorphic_embeds(App("h", (x,)), App("h", (_deep(x),))),
+            homeomorphic_embeds(App("h", (y,)), App("h", (_deep(x),))))
+
+
+def _rule_decrease():
+    return rule_decrease({"s": ("lin", (1,), 1)}, Rule(_deep(x), x))
+
+
+def _dp_graph():
+    # f(s(x)) -> f(s⁵⁰⁰⁰(x)) has one dependency pair, which follows itself
+    (dp,) = dependency_pairs(Trs([Rule(App("f", (App("s", (x,)),)), App("f", (_deep(x),)))]))
+    return dp_graph([dp], {"f"}) == {(dp, dp)}
+
+
+def _normalize_steps():
+    nf, steps = normalize_steps(App("h", (_deep(_a),)), _a_b)
+    return nf == App("h", (_deep(_b),)), len(steps)
+
+
+def _parallel_step():
+    ha, hb = App("h", (_deep(_a),)), App("h", (_deep(_b),))
+    return (parallel_step(ha, hb, _a_b).positions, parallel_step(ha, ha, _a_b, set()).parts,
+            parallel_step(hb, ha, _a_b))
+
+
+# walker -> its answer on 5,000-deep terms
+DEEP_WALKS = {
+    _lpo_gt: (True, False),
+    _homeomorphic_embeds: (True, False),
+    _rule_decrease: (True, True),
+    _dp_graph: True,
+    _normalize_steps: (True, 1),
+    _parallel_step: (((1,) * 5001,), (), None),
+}
+
+
+@pytest.mark.parametrize("walk", DEEP_WALKS, ids=lambda walk: walk.__name__[1:])
+def test_walkers_take_5000_deep_terms(walk):
+    assert walk() == DEEP_WALKS[walk]

@@ -14,8 +14,7 @@ from confl.rewriting import (
     conversion_bounded,
     normalize,
     normalize_steps,
-    parallel_step_exists,
-    parallel_step_witnesses,
+    parallel_step,
     reach_bounded,
     reach_set_bounded,
     reducts,
@@ -23,7 +22,8 @@ from confl.rewriting import (
     replay_steps,
     step_at,
 )
-from confl.terms import App, Var, all_parallel, apply, fun_subterms, match_term, replace_parallel, shape_key, subterm_at
+from confl.terms import (App, Var, all_parallel, apply, fun_subterms, match_term, replace_parallel,
+                         shape_key, subterm_at, var_ids)
 
 from systems import ADD1, ADD2, ADD3, ADD4, CHAIN3, A, C, P_CA, R2, R3, S2, S3, plus, s, x, y, z, zero
 
@@ -159,6 +159,19 @@ def brute_parallel_targets(t, trs):
     return results
 
 
+def first_allowed(t, target, keys, trs, allowed):
+    """The first redex set of keys, by count, then positions in preorder, then
+    rules in order, whose rewritten subterms of target have only variables in
+    allowed (any, for None); as (position, rule name) pairs, or None."""
+    order = {r.name: i for i, r in enumerate(trs)}
+    wits = sorted((sorted(k) for k in keys),
+                  key=lambda w: (len(w), [p for p, _ in w], [order[n] for _, n in w]))
+    for w in wits:
+        if allowed is None or all(var_ids(subterm_at(target, p)) <= allowed for p, _ in w):
+            return w
+    return None
+
+
 def test_parallel_step_witnesses_against_brute_force():
     rng = random.Random(42)
 
@@ -176,29 +189,42 @@ def test_parallel_step_witnesses_against_brute_force():
         if expected is None:
             continue
         for target, keys in expected.items():
-            wits = parallel_step_witnesses(t, target, R3)
-            got = {frozenset((p, r.name) for p, r in w.parts) for w in wits}
-            assert got == keys, f"{t!r} => {target!r}"
-            if target == t:
-                # the empty redex set must be offered for the identity target
-                assert frozenset() in got
+            for allowed in (None, set(), {x.id}):
+                want = first_allowed(t, target, keys, R3, allowed)
+                got = parallel_step(t, target, R3, allowed)
+                if want is None:
+                    assert got is None, f"{t!r} => {target!r} within {allowed}"
+                    continue
+                assert (got.source, got.target) == (t, target)
+                assert [(p, r.name) for p, r in got.parts] == want, f"{t!r} => {target!r}"
+                if target == t:
+                    # the identity needs no redex
+                    assert got.parts == ()
             compared += 1
-        # no witnesses for a term that is not one parallel step away
+        # no step to a term that is not one parallel step away
         probe = s(s(t))
         if probe not in expected:
-            assert parallel_step_witnesses(t, probe, R3) == []
+            assert parallel_step(t, probe, R3) is None
     assert compared >= 300
 
 
 def test_parallel_step_witnesses_sorted_and_checked():
     t = plus(plus(zero, num(1)), plus(s(zero), zero))
     tgt = plus(num(1), plus(s(zero), zero))
-    wits = parallel_step_witnesses(t, tgt, R3)
-    assert wits, "expected at least one witness"
-    sizes = [len(w.parts) for w in wits]
-    assert sizes == sorted(sizes)
-    ident = parallel_step_exists(t, t, R3)
+    assert parallel_step(t, tgt, R3) is not None, "expected a step"
+    ident = parallel_step(t, t, R3)
     assert ident is not None and ident.parts == ()
+
+
+def test_parallel_step_variable_condition_passes_over_a_smaller_step():
+    # k(a,y) ⇉ k(b,y) by one root redex, or by a -> b below it; only the
+    # inner one rewrites to a subterm without y
+    a, b = App("a", ()), App("b", ())
+    trs = Trs([Rule(App("k", (a, z)), App("k", (b, z)), "root"), Rule(a, b, "inner")])
+    t, tgt = App("k", (a, y)), App("k", (b, y))
+    assert [(p, r.name) for p, r in parallel_step(t, tgt, trs).parts] == [((), "root")]
+    assert [(p, r.name) for p, r in parallel_step(t, tgt, trs, {y.id}).parts] == [((), "root")]
+    assert [(p, r.name) for p, r in parallel_step(t, tgt, trs, set()).parts] == [((1,), "inner")]
 
 
 def test_reach_set_bounded_paths_replay():
