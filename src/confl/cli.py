@@ -3,45 +3,15 @@ YES or MAYBE on the first line, and optionally emit a replayable certificate.
 
 Exit status: 0 for YES, 1 for MAYBE, 2 for errors, internal ones included."""
 import argparse
-import random
 import sys
 
 from .trs_format import ParseError, parse_trs_file
 from .completion import COMPLETION_CRITERIA, check_confluence
 from .criteria import CRITERIA
 from .certificate import certificate_text
-from .ars_oracle import IFF_TAGS, TAGS, check_abstract_criterion, precondition_holds, random_ars
-
-
-def _ars_fuzz(argv) -> int:
-    ap = argparse.ArgumentParser(
-        prog="confl ars-fuzz",
-        description="Fuzz the abstract-relation criteria against the "
-                    "Church-Rosser-modulo definition on random finite relations.")
-    ap.add_argument("--count", type=int, default=1000)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args(argv)
-    rng = random.Random(args.seed)
-    bad = 0
-    for i in range(args.count):
-        a = random_ars(rng)
-        for tag in TAGS:
-            holds, crm = check_abstract_criterion(a, tag)
-            if holds and not crm:
-                bad += 1
-                print(f"unsound: instance {i} tag {tag}: criterion holds but not CR modulo")
-            if tag in IFF_TAGS and precondition_holds(a, tag) and crm and not holds:
-                bad += 1
-                print(f"incomplete: instance {i} tag {tag}: CR modulo but criterion fails")
-    print(f"checked {args.count} instances, {bad} violation(s)")
-    return 0 if bad == 0 else 1
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "ars-fuzz":  # maintenance tool, not advertised
-        return _ars_fuzz(argv[1:])
-
     parser = argparse.ArgumentParser(
         prog="confl",
         description="Confluence prover for first-order rewrite systems that "

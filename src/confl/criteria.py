@@ -7,7 +7,6 @@ searches are bounded; a "fails" outcome therefore means "not established
 within the search budget", never "refuted".
 """
 from dataclasses import dataclass, field
-from functools import partial
 
 from .terms import Term
 from .rewriting import (
@@ -477,9 +476,3 @@ def check_criterion(name: str, pt: Partition, run: Run | None = None) -> Criteri
             else:
                 rep.evidence.append(ev)
     return _finish(rep, pt, run)
-
-
-check_linear = partial(check_criterion, "linear")
-check_parallel = partial(check_criterion, "parallel")
-check_pcp = partial(check_criterion, "pcp")
-check_huet = partial(check_criterion, "huet")

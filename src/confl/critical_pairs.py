@@ -157,10 +157,6 @@ def cp_in(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPa
     return [pr for pr in cp(r_rules, q_rules, run) if pr.kind == "inner"]
 
 
-def cp_out(r_rules: Trs, q_rules: Trs) -> list[CriticalPair]:
-    return [pr for pr in cp(r_rules, q_rules) if pr.kind == "outer"]
-
-
 def _overlapping(q_rules: Trs, outer: Rule) -> list[tuple[Position, list[Rule]]]:
     """Each inner function position of outer.lhs, in preorder, with the rules
     of q_rules (renamed apart, in system order) whose left side unifies with

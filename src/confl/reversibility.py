@@ -64,10 +64,3 @@ def reversal_problems(p_trs: Trs, sequences) -> list[str]:
     if missing:
         problems.append(f"reversibility: no valid sequence for {sorted(missing)}")
     return problems
-
-
-def replay_reversibility(p_trs: Trs, witness: ReversibilityWitness) -> bool:
-    """Re-check a reversibility witness step by step."""
-    return not reversal_problems(p_trs, [
-        (name, [(st.position, st.rule.name) for st in steps])
-        for name, steps in witness.sequences])

@@ -43,7 +43,7 @@ from .terms import (
 
 
 class FuelExhausted(Exception):
-    """normalize ran out of rewrite budget (possibly nonterminating input)."""
+    """normalize_steps ran out of rewrite budget (possibly nonterminating input)."""
 
 
 @dataclass(frozen=True)
@@ -271,11 +271,6 @@ def _innermost(u: Term, p: Position, start: Term, trs: Trs, steps: list, fuel: i
     return u
 
 
-def normalize(t: Term, trs: Trs, fuel: int = 10_000) -> Term:
-    """Leftmost-innermost normal form; raises FuelExhausted if fuel runs out."""
-    return normalize_steps(t, trs, fuel)[0]
-
-
 # --- parallel steps -----------------------------------------------------------
 
 
@@ -376,24 +371,3 @@ def conversion_bounded(s: Term, t: Term, p_rules: Trs, depth: int, cap: int = 40
     orientation, as a list of Steps over p_rules ∪ p_rules⁻¹; None if not
     found within the bound."""
     return reach_bounded(s, t, p_rules.with_inverses(), depth, cap)
-
-
-def replay_steps(s: Term, steps, trs: Trs | None = None) -> Term:
-    """Re-check a Step sequence starting at s; returns the end term.
-
-    Each step must start where the previous one ended, use a rule of trs
-    (when given), and reach its stored target when replayed; otherwise
-    ValueError.
-    """
-    cur = s
-    keys = {r.key() for r in trs} if trs is not None else None
-    for st in steps:
-        if st.source != cur:
-            raise ValueError("step sequence does not chain")
-        if keys is not None and st.rule.key() not in keys:
-            raise ValueError(f"step uses foreign rule {st.rule.name}")
-        cur = replay(cur, [(st.position, st.rule)])
-        if cur != st.target:
-            raise ValueError(f"step {st.rule.name} at {pos_str(st.position)} "
-                             f"does not reach its stated target")
-    return cur

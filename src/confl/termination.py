@@ -384,9 +384,21 @@ def _has_cycle(nodes, edges) -> bool:
 # structural failure reasons
 
 
-def homeomorphic_embeds(s: Term, t: Term) -> bool:
-    """s embeds into t (dive into arguments or match the same symbol)."""
-    return unrecurse(_embeds, s, t)
+def homeomorphic_embeds(s: Term, t: Term, run: Run | None = None) -> bool:
+    """s embeds into t (dive into arguments or match the same symbol).
+    Each pair of a node of s and a node of t is decided once, so the test
+    takes O(|s|·|t|) steps, each under the run's deadline."""
+    run = run or Run()
+    memo = {}  # (id of a node of s, id of a node of t) -> embeds
+
+    def embeds(u: Term, v: Term):
+        key = (id(u), id(v))
+        if key not in memo:
+            run.check("termination")
+            memo[key] = yield from _embeds(u, v)
+        return memo[key]
+
+    return unrecurse(embeds, s, t)
 
 
 def _embeds(s: Term, t: Term):
@@ -410,10 +422,10 @@ def _rule_loops(r: Rule) -> bool:
     return any(match_term(r.lhs, u) is not None for _, u in fun_subterms(r.rhs))
 
 
-def _failure_reason(rules) -> str:
+def _failure_reason(rules, run: Run) -> str:
     if any(_rule_loops(r) for r in rules):
         return "structural: a right-hand side contains an instance of its left-hand side"
-    if any(homeomorphic_embeds(r.lhs, r.rhs) for r in rules):
+    if any(homeomorphic_embeds(r.lhs, r.rhs, run) for r in rules):
         return "structural: self-embedding rule, no simplification order applies"
     return "search exhausted"
 
@@ -456,7 +468,7 @@ def _prove_termination(s_trs: Trs, p_trs: Trs, run: Run):
     if not s_trs.rules:
         return TerminationCertificate("trivial", s_names, p_names), ""
     if any(_rule_loops(r) for r in s_trs):
-        return None, _failure_reason(s_trs.rules)
+        return None, _failure_reason(s_trs.rules, run)
     relative = bool(p_trs.rules)  # then only the polynomial engine applies
     prec = None if relative else _find_lpo(s_trs.rules, run)
     if prec is not None:
@@ -475,7 +487,7 @@ def _prove_termination(s_trs: Trs, p_trs: Trs, run: Run):
         return TerminationCertificate("dp", s_names, dp_rounds=dp_rounds), ""
     if run.hook and run_external_prover(run.hook, s_trs):
         return TerminationCertificate("external", s_names, detail=run.hook), ""
-    return None, _failure_reason(s_trs.rules)
+    return None, _failure_reason(s_trs.rules, run)
 
 
 def run_external_prover(path: str, s_trs: Trs, timeout: float = 10.0) -> bool:

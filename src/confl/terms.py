@@ -403,14 +403,6 @@ def match_term(pattern: Term, subject: Term) -> Subst | None:
     return sigma
 
 
-def unify(s: Term, t: Term) -> Subst | None:
-    """Most general unifier of s and t (idempotent), or None.
-
-    Rule-based solved-form construction with occurs check.
-    """
-    return unify_all([(s, t)])
-
-
 def unify_all(eqs: list[tuple[Term, Term]]) -> Subst | None:
     """Simultaneous mgu of a list of equations, or None.
 

@@ -22,19 +22,11 @@ import random
 import time
 from types import SimpleNamespace
 
-from confl.ars_oracle import (
-    IFF_TAGS,
-    TAGS,
-    check_abstract_criterion,
-    is_crm,
-    precondition_holds,
-    random_ars,
-)
 from confl.certificate import certificate_text, verify_certificate
 from confl.completion import check_confluence
 from confl.criteria import Partition, check_criterion
-from confl.critical_pairs import ParallelCriticalPair, cp, cp_in, cp_out, pcp_in
-from confl.reversibility import is_reversible, replay_reversibility
+from confl.critical_pairs import ParallelCriticalPair, cp, cp_in, pcp_in
+from confl.reversibility import is_reversible
 from confl.rewriting import Rule, Trs, empty_trs, reach_bounded, step_at
 from confl.terms import (
     App,
@@ -45,11 +37,20 @@ from confl.terms import (
     match_term,
     shape_key,
     subterm_at,
-    unify,
     term_vars,
+    unify_all,
     var_ids,
 )
 
+from ars_oracle import (
+    IFF_TAGS,
+    TAGS,
+    check_abstract_criterion,
+    is_crm,
+    precondition_holds,
+    random_ars,
+)
+from helpers import cp_out, replay_reversibility
 from systems import (
     ADD1,
     ADD3,
@@ -535,7 +536,7 @@ def test_8_unification_and_matching_laws():
             theta = {}
             a = generalize(rng, base, 100, theta)
             b = generalize(rng, base, 200, theta)
-            sigma = unify(a, b)
+            sigma = unify_all([(a, b)])
             assert sigma is not None, (a, b)
             ua, ub = apply(sigma, a), apply(sigma, b)
             assert ua == ub

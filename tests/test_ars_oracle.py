@@ -2,7 +2,7 @@
 Church-Rosser modulo, and the iff-variants are also necessary."""
 import random
 
-from confl.ars_oracle import (
+from ars_oracle import (
     IFF_TAGS,
     TAGS,
     FiniteArs,

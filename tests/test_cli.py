@@ -115,13 +115,6 @@ def test_timeout_holds_inside_one_rule_overlaps(tmp_path):
     assert reason.startswith("timed out in critical_pairs")
 
 
-def test_ars_fuzz_subcommand(capsys):
-    rc = main(["ars-fuzz", "--count", "40", "--seed", "3"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "checked 40 instances, 0 violation(s)" in out
-
-
 def test_internal_error_exits_2_not_maybe(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("injected failure")

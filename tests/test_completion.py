@@ -14,11 +14,12 @@ from confl.completion import (
 )
 from confl.criteria import Partition, check_criterion
 from confl.reversibility import is_reversible
-from confl.rewriting import Rule, Trs, empty_trs, replay_steps, step_at
+from confl.rewriting import Rule, Trs, empty_trs, step_at
 from confl.run import Run
 from confl.terms import App
 from confl.trs_format import parse_trs
 
+from helpers import replay_steps
 from systems import (
     ADD3,
     ADD4,

@@ -12,17 +12,13 @@ from confl.criteria import (
     Partition,
     PreconditionViolation,
     check_criterion,
-    check_huet,
-    check_linear,
-    check_parallel,
-    check_pcp,
 )
-from confl.rewriting import Rule, Trs, empty_trs, replay, replay_steps
+from confl.rewriting import Rule, Trs, empty_trs, replay
 from confl.run import Run
-from confl.reversibility import replay_reversibility
 from confl.termination import replay_certificate
 from confl.terms import all_parallel
 
+from helpers import replay_reversibility, replay_steps
 from systems import (
     P5,
     P8,
@@ -143,15 +139,15 @@ def test_reversibility_witness_takes_rev_bound_not_depth():
 
 
 def test_r4_linear_blocked_by_nonlinearity():
-    rep = check_linear(Partition(S4, P_CA))
+    rep = check_criterion("linear", Partition(S4, P_CA))
     assert not rep.holds()
     assert "linear" in rep.reason
 
 
 def test_r4_parallel_pcp_huet_hold():
     pt = Partition(S4, P_CA)
-    for checker in (check_parallel, check_pcp, check_huet):
-        rep = checker(pt)
+    for name in ("parallel", "pcp", "huet"):
+        rep = check_criterion(name, pt)
         assert rep.holds(), rep.reason
         segments_replay(rep)
         assert_certs_replay(rep)
@@ -161,21 +157,21 @@ def test_r4_parallel_pcp_huet_hold():
 
 
 def test_r5_linear_holds():
-    rep = check_linear(Partition(S3, P5))
+    rep = check_criterion("linear", Partition(S3, P5))
     assert rep.holds(), rep.reason
     segments_replay(rep)
     assert_certs_replay(rep)
 
 
 def test_r5_pcp_with_empty_p_prime_fails_on_variable_condition():
-    rep = check_pcp(Partition(S3, P5, p_prime=empty_trs()))
+    rep = check_criterion("pcp", Partition(S3, P5, p_prime=empty_trs()))
     assert not rep.holds()
     assert rep.failing
     assert any(f.origin == "pcp_in(PP,S)" for f in rep.failing)
 
 
 def test_r5_pcp_with_ss2_holds():
-    rep = check_pcp(Partition(S3, P5, p_prime=PPRIME_SS2))
+    rep = check_criterion("pcp", Partition(S3, P5, p_prime=PPRIME_SS2))
     assert rep.holds(), rep.reason
     assert "ss2" in rep.tag
     segments_replay(rep)
@@ -183,7 +179,7 @@ def test_r5_pcp_with_ss2_holds():
 
 
 def test_r5_pcp_auto_collects_a_safe_p_prime():
-    rep = check_pcp(Partition(S3, P5))
+    rep = check_criterion("pcp", Partition(S3, P5))
     assert rep.holds(), rep.reason
     assert rep.p_prime is not None
     # ss1 (padding) can never be part of a relatively terminating P'
@@ -192,7 +188,7 @@ def test_r5_pcp_auto_collects_a_safe_p_prime():
 
 
 def test_r5_huet_blocked_by_relative_termination():
-    rep = check_huet(Partition(S3, P5))
+    rep = check_criterion("huet", Partition(S3, P5))
     assert not rep.holds()
     assert "relative termination" in rep.reason
 
@@ -203,8 +199,8 @@ def test_r5_huet_blocked_by_relative_termination():
 def test_r6_pcp_and_parallel_hold_s_only():
     # the strong claim: joins exist without any P' help at all
     pt = Partition(S6, P_CA, p_prime=empty_trs())
-    for checker in (check_pcp, check_parallel):
-        rep = checker(pt)
+    for name in ("pcp", "parallel"):
+        rep = check_criterion(name, pt)
         assert rep.holds(), rep.reason
         assert rep.p_prime is not None and len(rep.p_prime) == 0
         segments_replay(rep)
@@ -212,16 +208,16 @@ def test_r6_pcp_and_parallel_hold_s_only():
 
 
 def test_r6_pcp_auto_mode_also_holds():
-    rep = check_pcp(Partition(S6, P_CA))
+    rep = check_criterion("pcp", Partition(S6, P_CA))
     assert rep.holds(), rep.reason
     segments_replay(rep)
     assert_certs_replay(rep)
 
 
 def test_r6_linear_and_huet_blocked():
-    rep = check_linear(Partition(S6, P_CA))
+    rep = check_criterion("linear", Partition(S6, P_CA))
     assert not rep.holds() and "linear" in rep.reason
-    rep = check_huet(Partition(S6, P_CA))
+    rep = check_criterion("huet", Partition(S6, P_CA))
     assert not rep.holds() and "relative termination" in rep.reason
 
 
@@ -229,26 +225,26 @@ def test_r6_linear_and_huet_blocked():
 
 
 def test_r7_pcp_needs_ss2():
-    assert check_pcp(Partition(S4, P5, p_prime=empty_trs())).holds() is False
-    rep = check_pcp(Partition(S4, P5, p_prime=PPRIME_SS2))
+    assert check_criterion("pcp", Partition(S4, P5, p_prime=empty_trs())).holds() is False
+    rep = check_criterion("pcp", Partition(S4, P5, p_prime=PPRIME_SS2))
     assert rep.holds(), rep.reason
     segments_replay(rep)
     assert_certs_replay(rep)
-    auto = check_pcp(Partition(S4, P5))
+    auto = check_criterion("pcp", Partition(S4, P5))
     assert auto.holds(), auto.reason
     assert not auto.p_prime.contains_variant(SS1)
 
 
 def test_r7_other_criteria_blocked():
-    assert not check_linear(Partition(S4, P5)).holds()
-    assert not check_huet(Partition(S4, P5)).holds()
+    assert not check_criterion("linear", Partition(S4, P5)).holds()
+    assert not check_criterion("huet", Partition(S4, P5)).holds()
 
 
 # --- R8: the swap system -------------------------------------------------------
 
 
 def test_r8_linear_holds_s_only():
-    rep = check_linear(Partition(S8, P8))
+    rep = check_criterion("linear", Partition(S8, P8))
     assert rep.holds(), rep.reason
     assert rep.p_prime is not None and len(rep.p_prime) == 0
     segments_replay(rep)
@@ -256,20 +252,20 @@ def test_r8_linear_holds_s_only():
 
 
 def test_r8_pcp_fails_on_variable_condition():
-    rep = check_pcp(Partition(S8, P8))
+    rep = check_criterion("pcp", Partition(S8, P8))
     assert not rep.holds()
     assert rep.failing
     assert any(f.origin == "pcp_in(PP,S)" for f in rep.failing)
 
 
 def test_r8_parallel_blocked_by_inner_pairs():
-    rep = check_parallel(Partition(S8, P8))
+    rep = check_criterion("parallel", Partition(S8, P8))
     assert not rep.holds()
     assert "inner critical pairs" in rep.reason
 
 
 def test_r8_huet_blocked():
-    rep = check_huet(Partition(S8, P8))
+    rep = check_criterion("huet", Partition(S8, P8))
     assert not rep.holds()
     assert "relative termination" in rep.reason
 
@@ -313,6 +309,7 @@ def test_unknown_criterion_rejected():
 
 def test_failure_reports_name_the_unjoined_pairs():
     # commutativity alone in S cannot be terminating
-    rep = check_linear(Partition(Trs([Rule(plus(x, y), plus(y, x), "swap")]), empty_trs()))
+    swap = Trs([Rule(plus(x, y), plus(y, x), "swap")])
+    rep = check_criterion("linear", Partition(swap, empty_trs()))
     assert not rep.holds()
     assert "termination" in rep.reason

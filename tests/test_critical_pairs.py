@@ -4,7 +4,6 @@ from confl.critical_pairs import (
     ParallelCriticalPair,
     cp,
     cp_in,
-    cp_out,
     pcp_in,
 )
 from itertools import combinations, product
@@ -12,7 +11,7 @@ from itertools import combinations, product
 import pytest
 
 from confl import critical_pairs
-from confl.rewriting import Rule, Trs, replay_steps, step_at
+from confl.rewriting import Rule, Trs, step_at
 from confl.run import Run, TimedOut
 from confl.terms import (
     App,
@@ -30,6 +29,7 @@ from confl.terms import (
     var_ids,
 )
 
+from helpers import cp_out, replay_steps
 from systems import P5, P8, P_CA, R3, S2, S3, S4, S6, S8, SS1, SS2, f2, g1, h1, plus, s, x, y, z, zero
 
 

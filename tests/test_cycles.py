@@ -1,11 +1,13 @@
-"""A run leaves no reference cycles behind for the cyclic collector, and
-nothing in the package calls itself.
+"""A run leaves no reference cycles behind for the cyclic collector,
+nothing in the package calls itself, and the package holds no dead code.
 
 A nested function that calls itself holds its own closure cell, so every call
 of the enclosing function leaves a cycle (function, cell) that only the
 cyclic collector frees, together with everything the closure keeps alive.
 A function that calls itself once per nesting level overflows the stack on
-deep terms, so the walkers are checked on 5,000-deep ones.
+deep terms, so the walkers are checked on 5,000-deep ones.  A top-level
+name that nothing in the package uses is shipped only for the tests; the
+public API and the names the benchmark reaches are the exceptions.
 """
 import ast
 import gc
@@ -13,10 +15,13 @@ from pathlib import Path
 
 import pytest
 
+import confl
 from confl import certificate_text, check_confluence, parse_trs, verify_certificate
 from confl.rewriting import Rule, Trs, normalize_steps, parallel_step
 from confl.termination import dependency_pairs, dp_graph, homeomorphic_embeds, lpo_gt, rule_decrease
 from confl.terms import App, Var
+
+from test_bench_seams import load_tracing
 
 x, y = Var(1, "x"), Var(2, "y")
 
@@ -91,6 +96,45 @@ def test_nothing_in_src_calls_itself():
     found = {path.name: self_calling_functions(ast.parse(path.read_text(encoding="utf-8")))
              for path in sorted(SRC.glob("*.py"))}
     assert {name: f for name, f in found.items() if f} == {}
+
+
+PUBLIC_API = {
+    "App", "Term", "Var", "Rule", "Trs", "CompletionResult", "check_confluence",
+    "ParseError", "parse_trs", "parse_trs_file", "print_trs",
+    "certificate_text", "parse_certificate", "verify_certificate", "__version__",
+}
+
+
+def unused_top_level_names(trees):
+    """The functions, classes and assigned names defined at the top level of
+    the modules `trees` that no module reads: by name, as an attribute, or
+    as a string constant (for the lookups through globals())."""
+    defined, used = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                defined.update(n.id for n in ast.walk(node)
+                               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store))
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                used.add(n.value)
+    return defined - used
+
+
+def test_the_package_ships_no_dead_code():
+    assert sorted(confl.__all__) == sorted(PUBLIC_API)
+    # what bench/tracing.py wraps and bench/run.py patches or calls
+    seams = {attr for _mod, attr, _span in load_tracing().WRAPPED}
+    seams |= {"clear_cache", "reach_set_bounded"}
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    assert sorted(unused_top_level_names(trees) - PUBLIC_API - seams) == []
 
 
 def _deep(t, n=5000):

@@ -1,7 +1,8 @@
 """Reversibility witnesses: found where expected, replayable, honest."""
-from confl.reversibility import ReversibilityWitness, is_reversible, replay_reversibility
+from confl.reversibility import ReversibilityWitness, is_reversible
 from confl.rewriting import Rule, Trs
 
+from helpers import replay_reversibility
 from systems import A, C, P5, P_CA, S3, SS1, SS2, g1, h1, plus, s, x, y, z
 
 

@@ -12,19 +12,18 @@ from confl.rewriting import (
     Step,
     Trs,
     conversion_bounded,
-    normalize,
     normalize_steps,
     parallel_step,
     reach_bounded,
     reach_set_bounded,
     reducts,
     replay,
-    replay_steps,
     step_at,
 )
 from confl.terms import (App, Var, all_parallel, apply, fun_subterms, match_term, replace_parallel,
                          shape_key, subterm_at, var_ids)
 
+from helpers import replay_steps
 from systems import ADD1, ADD2, ADD3, ADD4, CHAIN3, A, C, P_CA, R2, R3, S2, S3, plus, s, x, y, z, zero
 
 
@@ -105,14 +104,13 @@ def test_normalize_add_arithmetic():
     for a in range(4):
         for b in range(4):
             t = plus(num(a), num(b))
-            assert normalize(t, S3) == num(a + b)
             nf, steps = normalize_steps(t, S3)
             assert nf == num(a + b)
             assert replay_steps(t, steps, S3) == nf
             assert not reducts(nf, S3)
 
 
-def test_normalize_steps_agrees_with_normalize():
+def test_normalize_steps_replay_on_random_terms():
     rng = random.Random(3)
 
     def rand_term(depth):
@@ -125,14 +123,11 @@ def test_normalize_steps_agrees_with_normalize():
     for _ in range(300):
         t = rand_term(4)
         nf, steps = normalize_steps(t, S3)
-        assert nf == normalize(t, S3)
         assert replay_steps(t, steps, S3) == nf
 
 
 def test_normalize_fuel():
     loop = Trs([Rule(App("f", (x,)), App("f", (App("f", (x,)),)), "exp")])
-    with pytest.raises(FuelExhausted):
-        normalize(App("f", (zero,)), loop, fuel=50)
     with pytest.raises(FuelExhausted):
         normalize_steps(App("f", (zero,)), loop, fuel=50)
 
@@ -428,7 +423,6 @@ def test_one_normalizer_takes_the_restarting_steps(name, searched):
     for t, rules in cases:
         nf, steps = normalize_steps(t, rules, fuel=2_000)
         assert (nf, steps) == restarting_normalize_steps(t, rules, fuel=2_000)
-        assert normalize(t, rules, fuel=2_000) == nf
         assert normalize_steps(t, rules, fuel=len(steps)) == (nf, steps)
         if steps:
             with pytest.raises(FuelExhausted):

@@ -1,6 +1,7 @@
 """Termination engines and certificate replay."""
 import os
 import stat
+import time
 from itertools import product
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from confl import termination
 from confl.completion import check_confluence, decompose
 from confl.rewriting import Rule, Trs, empty_trs
-from confl.run import Run
+from confl.run import Run, TimedOut
 from confl.termination import (
     MalformedCertificate,
     TerminationCertificate,
@@ -16,12 +17,14 @@ from confl.termination import (
     _shapes_strict,
     _shapes_weak,
     dependency_pairs,
+    homeomorphic_embeds,
     lpo_gt,
     prove_relative_termination,
     prove_termination,
     replay_certificate,
 )
 from confl.terms import App, fun_subterms, signature, subterm_at
+from confl.trs_format import parse_trs
 
 from systems import ALL_SYSTEMS, A, C, P_CA, S3, S6, f2, g1, plus, s, x, y, zero
 
@@ -66,6 +69,26 @@ def test_relative_termination_fails_for_swapping_successor():
     cert, why = prove_relative_termination(S6, Trs([C]))
     assert cert is None
     assert why
+
+
+def s_tower(n, t=x):
+    for _ in range(n):
+        t = s(t)
+    return t
+
+
+def test_self_embedding_reason_keeps_the_deadline():
+    # Toyama's system plus s²²(x) -> s²¹(x): every engine fails, and the
+    # structural reason then compares the 22-deep sides, once per node pair
+    trs = parse_trs("(VAR x y)\n(RULES\n  f(a,b,x) -> f(x,x,x)\n  g(x,y) -> x\n"
+                    f"  g(x,y) -> y\n  {s_tower(22)!r} -> {s_tower(21)!r}\n)\n")
+    start = time.monotonic()
+    assert check_confluence(trs, timeout=2).verdict == "MAYBE"
+    assert time.monotonic() - start < 3
+    assert homeomorphic_embeds(s_tower(21), s_tower(22))
+    assert not homeomorphic_embeds(s_tower(22), s_tower(21))
+    with pytest.raises(TimedOut, match="termination"):
+        homeomorphic_embeds(s_tower(22), s_tower(21), Run(timeout=-1))
 
 
 def renamed(trs, prefix):

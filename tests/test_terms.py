@@ -24,7 +24,6 @@ from confl.terms import (
     term_tokens,
     term_vars,
     token_offset,
-    unify,
     unify_all,
     var_ids,
     write_term,
@@ -87,7 +86,7 @@ def test_unification_laws_bulk():
             theta = {}
             s = generalize(rng, base, 100, theta)
             t = generalize(rng, base, 200, theta)
-        sigma = unify(s, t)
+        sigma = unify_all([(s, t)])
         if sigma is not None:
             unified += 1
             # sound: the mgu really unifies
@@ -142,8 +141,8 @@ def test_matching_is_one_way():
 
 def test_unify_occurs_check():
     x, y = VARS[0], VARS[1]
-    assert unify(x, App("s", (x,))) is None
-    assert unify(App("f", (x, App("s", (x,)))), App("f", (y, y))) is None
+    assert unify_all([(x, App("s", (x,)))]) is None
+    assert unify_all([(App("f", (x, App("s", (x,)))), App("f", (y, y)))]) is None
 
 
 def test_unify_all_simultaneous():
@@ -225,8 +224,8 @@ def test_unify_symmetric_up_to_instance(a, b):
     rng1, rng2 = random.Random(a), random.Random(b)
     s = random_term(rng1, 3)
     t = random_term(rng2, 3)
-    s1 = unify(s, t)
-    s2 = unify(t, s)
+    s1 = unify_all([(s, t)])
+    s2 = unify_all([(t, s)])
     assert (s1 is None) == (s2 is None)
     if s1 is not None:
         assert key(apply(s1, s)) == key(apply(s2, t))
