@@ -4,8 +4,16 @@ A YES certificate records the input system, every completion transformation
 with its witness, the final S/P split, the reversibility witness, termination
 certificates, and one join witness per critical pair.  The verifier replays
 all of it without performing any search: steps are applied positionally,
-termination certificates are checked arithmetically, and the critical-pair
-sets are recomputed and matched against the supplied joins.
+termination certificates are checked arithmetically, and the critical pairs
+are recomputed.
+
+The joins come in the verifier's own pair order: conditions in
+`CRITERION_TABLE` order, and each family in the order `critical_pairs`
+documents.  So a join names no pair: the k-th join is checked against the
+verifier's k-th pair, and must connect a variant of it (for pcp's condition
+(ii), with the variable condition read through that renaming).  A join writes
+its left term and then each segment's end; a segment starts where the one
+before it ends.
 
 A history step is a forward derivation in the current system Q, named by
 Q's rule names: an addition l -> r gives l →*_Q r, a replacement of l -> r by
@@ -35,12 +43,12 @@ from .terms import (
 )
 from .rewriting import Rule, Trs, empty_trs, replay
 # cp, cp_in and pcp_in are called by the names CRITERION_TABLE gives
-from .critical_pairs import cp, cp_in, parallel_key, pcp_in
+from .critical_pairs import cp, cp_in, pcp_in
 from .criteria import CRITERION_TABLE, SHAPES
 from .reversibility import reversal_problems
 from .termination import MalformedCertificate, TerminationCertificate, replay_certificate
 
-FORMAT = "2"
+FORMAT = "3"
 
 
 # --- term scope: stable local variable names per block ------------------------
@@ -52,9 +60,6 @@ _TOKENS = term_tokens(r"\??[\w+*'~#-]+")
 class _Scope:
     def __init__(self):
         self.names: dict[int, str] = {}
-        # a block repeats its terms, and a term's variables are named at its
-        # first write, so each distinct term is written once
-        self.texts: dict[Term, str] = {}
 
     def var_text(self, v: Var) -> str:
         if v.id not in self.names:
@@ -62,17 +67,15 @@ class _Scope:
         return "?" + self.names[v.id]
 
     def print_term(self, t: Term) -> str:
-        text = self.texts.get(t)
-        if text is None:
-            text = self.texts[t] = write_term(t, self.var_text)
-        return text
+        return write_term(t, self.var_text)
 
 
 class _ParseScope:
     def __init__(self):
         self.vars: dict[str, Var] = {}
-        # a block repeats its terms (a segment starts where the one before
-        # ended), so each distinct text is read once
+        # an empty segment writes its start again as its end, so a block
+        # repeats its terms; each distinct text is read once, and equal
+        # terms are one object, which `==` decides at once
         self.terms: dict[str, Term] = {}
 
     def leaf(self, name: str) -> Var | None:
@@ -158,14 +161,6 @@ def _step_lines(kind: str, steps, table: Trs, what: str):
             for st in steps]
 
 
-def _witness_key(criterion: str, condition: str, left, right, peak, var_limit):
-    """Identity of a join witness: the pair up to renaming (plus peak and
-    variable constraint where the criterion distinguishes by them)."""
-    if criterion == "pcp" and condition == "ii":
-        return parallel_key(left, right, peak, var_limit)
-    return shape_key((left, right))[0]
-
-
 def certificate_text(problem: Trs, result) -> str:
     """Render a completion result as a replayable plain-text certificate."""
     lines = ["BEGIN CERTIFICATE", f"format {FORMAT}", f"verdict {result.verdict}"]
@@ -232,31 +227,13 @@ def certificate_text(problem: Trs, result) -> str:
     pp = rep.p.with_inverses()
     sp = rep.s.union(rep.p_prime) if rep.p_prime is not None else rep.s
     tables = {"S": rep.s, "PP": pp, "SP": sp, "P": pp}
-    emitted = set()
     for ev in rep.evidence:
-        k = (ev.condition, _witness_key(rep.criterion, ev.condition,
-                                        ev.pair_left, ev.pair_right,
-                                        ev.peak, ev.var_limit))
-        if k in emitted:
-            # distinct overlaps can produce the same pair up to renaming; the
-            # verifier matches joins one-to-one against deduplicated pairs
-            continue
-        emitted.add(k)
         sc = _Scope()
-        lines.append(f"join {ev.condition} {ev.branch}")
-        lines.append(f"jpair {sc.print_term(ev.pair_left)} | {sc.print_term(ev.pair_right)}")
-        if ev.peak is not None:
-            lines.append(f"jpeak {sc.print_term(ev.peak)}")
-            if any(i not in sc.names for i in ev.var_limit):
-                raise CertificateError("constrained variable absent from pair/peak")
-            xs = ",".join(sorted("?" + sc.names[i] for i in ev.var_limit))
-            lines.append(f"jx {xs or '-'}")
+        lines.append(f"join {ev.condition} {ev.branch} | {sc.print_term(ev.pair_left)}")
         for seg in ev.segments:
             table = tables[seg.rules]
             dirn = "rev" if seg.reverse else "fwd"
-            lines.append(
-                f"segment {seg.rel} {seg.rules} {dirn} | "
-                f"{sc.print_term(seg.start)} | {sc.print_term(seg.end)}")
+            lines.append(f"segment {seg.rel} {seg.rules} {dirn} | {sc.print_term(seg.end)}")
             if seg.rel == "parallel":
                 wit = seg.steps[0]
                 if wit.parts:
@@ -291,10 +268,7 @@ class SegData:
 class JoinData:
     condition: str
     branch: str
-    left: Term = None
-    right: Term = None
-    peak: Term = None
-    x_ids: frozenset = frozenset()
+    left: Term
     segments: list = field(default_factory=list)
 
 
@@ -420,26 +394,16 @@ def parse_certificate(text: str) -> CertificateData:
         elif word == "relterm" and section == "termination":
             cert.relterm_cert = _term_cert_from_json(rest)
         elif word == "join" and section == "joins":
-            cond, _, branch = rest.partition(" ")
+            head, _, left_s = rest.partition("|")
+            cond, branch = head.split()
             cur_scope = _ParseScope()
-            cur_join = JoinData(cond.strip(), branch.strip())
+            cur_join = JoinData(cond, branch, parse_term(left_s, cur_scope))
             cert.joins.append(cur_join)
-        elif word == "jpair":
-            l_s, r_s = rest.split("|")
-            cur_join.left, cur_join.right = parse_term(l_s, cur_scope), parse_term(r_s, cur_scope)
-        elif word == "jpeak":
-            cur_join.peak = parse_term(rest, cur_scope)
-        elif word == "jx":
-            names = [] if rest == "-" else [nm.strip().lstrip("?") for nm in rest.split(",")]
-            unknown = [nm for nm in names if nm not in cur_scope.vars]
-            if unknown:
-                raise CertificateError(f"unknown constrained variable {unknown[0]!r}")
-            cur_join.x_ids = frozenset(cur_scope.vars[nm].id for nm in names)
         elif word == "segment":
-            head, start_s, end_s = rest.split("|")
+            head, _, end_s = rest.partition("|")
             rel, rules, dirn = head.split()
-            cur_seg = SegData(rel, rules, dirn == "rev", parse_term(start_s, cur_scope),
-                              parse_term(end_s, cur_scope))
+            start = cur_join.segments[-1].end if cur_join.segments else cur_join.left
+            cur_seg = SegData(rel, rules, dirn == "rev", start, parse_term(end_s, cur_scope))
             cur_join.segments.append(cur_seg)
         elif word == "step" and section == "joins":
             pos_s, _, rn = rest.partition(" ")
@@ -521,56 +485,49 @@ def _replay_segment(seg: SegData, tables: dict, problems: list, label: str):
     return par_positions
 
 
-def _check_join(join: JoinData, criterion: str, tables: dict, problems: list) -> bool:
+def _check_join(join: JoinData, criterion: str, cond: str, pair, tables: dict,
+                problems: list):
+    """Check one join against the recomputed pair of condition `cond` that it
+    stands for."""
     label = f"join <{join.condition},{join.branch}>"
-    shape = SHAPES.get((criterion, join.condition, join.branch))
+    if join.condition != cond:
+        problems.append(f"{label}: stands where a condition {cond} join is due")
+        return
+    shape = SHAPES.get((criterion, cond, join.branch))
     if shape is None:
         problems.append(f"{label}: no such condition/branch for {criterion}")
-        return False
+        return
     if len(shape) != len(join.segments):
         problems.append(f"{label}: expected {len(shape)} segments, got {len(join.segments)}")
-        return False
+        return
     for seg, (rel, rules, rev) in zip(join.segments, shape):
         if (seg.rel, seg.rules, seg.reverse) != (rel, rules, rev):
             problems.append(f"{label}: segment shape mismatch")
-            return False
-    if join.segments[0].start != join.left:
-        problems.append(f"{label}: chain does not start at the pair's left term")
-        return False
-    if join.segments[-1].end != join.right:
-        problems.append(f"{label}: chain does not end at the pair's right term")
-        return False
-    for a, b in zip(join.segments, join.segments[1:]):
-        if a.end != b.start:
-            problems.append(f"{label}: segments do not chain")
-            return False
+            return
     par_info = None
     for k, seg in enumerate(join.segments):
         got = _replay_segment(seg, tables, problems, f"{label} segment {k + 1}")
         if got is None:
-            return False
+            return
         if seg.rel == "parallel":
             par_info = (seg, got)
-    if criterion == "pcp" and join.condition == "ii":
-        if join.peak is None:
-            problems.append(f"{label}: missing peak for the variable condition")
-            return False
-        if par_info is None:
-            problems.append(f"{label}: missing parallel segment")
-            return False
+    flat, index = shape_key((join.left, join.segments[-1].end))
+    pair_flat, pair_index = shape_key((pair.left, pair.right))
+    if flat != pair_flat:
+        problems.append(f"{label}: does not connect its pair {pair!r}")
+        return
+    if criterion == "pcp" and cond == "ii":
+        # the variables below the parallel step, numbered as the pair's own
+        # variables are, must be constrained ones; replay has checked that
+        # the positions are in the term
         seg, positions = par_info
         target = seg.start if seg.reverse else seg.end
         used = set()
         for pos in positions:
-            try:
-                used |= var_ids(subterm_at(target, pos))
-            except ValueError:
-                problems.append(f"{label}: parallel position outside the term")
-                return False
-        if not used <= set(join.x_ids):
+            used |= var_ids(subterm_at(target, pos))
+        allowed = {pair_index[x] for x in pair.var_limit if x in pair_index}
+        if not all(index.get(v) in allowed for v in used):
             problems.append(f"{label}: variable condition violated")
-            return False
-    return True
 
 
 def verify_certificate(text: str, problem: Trs | None = None, hook=None):
@@ -679,38 +636,20 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     if not all(getattr(classes[c], prop)() for c in linear_classes):
         problems.append(f"{prop.replace('_', '-')}ity precondition violated")
 
-    # 6. joins cover all recomputed critical pairs
+    # 6. the k-th join joins the k-th recomputed critical pair
     sp = s.union(p_prime) if p_prime is not None else s
     tables = {"S": s, "PP": pp, "SP": sp, "P": pp}
-    families = []
+    due = []  # (condition, pair) in the order the joins are written
     for cond, (gen, left, right) in conditions:
         pairs = globals()[gen](classes[left], classes[right])
         if (crit, cond, "A") in SHAPES:
-            families.append((cond, pairs))
+            due.extend((cond, pair) for pair in pairs)
         elif pairs:  # parallel's (ii), the one family that must be empty
             problems.append("inner critical pairs of P∪P⁻¹ into S must be empty")
-    valid = []
-    first_join = {}  # join key -> index of the first valid join with that key
-    for j, join in enumerate(cert.joins):
-        if _check_join(join, crit, tables, problems):
-            valid.append(j)
-            key = _witness_key(crit, join.condition, join.left, join.right,
-                               join.peak, join.x_ids)
-            first_join.setdefault((join.condition, key), j)
-    used = set()
-    for cond, pairs in families:
-        for pair in pairs:
-            key = _witness_key(crit, cond, pair.left, pair.right, pair.peak,
-                               getattr(pair, "var_limit", None))
-            hit = first_join.get((cond, key))
-            if hit is None:
-                problems.append(f"no valid join for pair {pair!r} (condition {cond})")
-            else:
-                used.add(hit)
-    for j in valid:
-        if j not in used:
-            join = cert.joins[j]
-            problems.append(
-                f"join <{join.condition},{join.branch}> matches no recomputed pair")
+    if len(cert.joins) != len(due):
+        problems.append(f"{len(cert.joins)} join(s) for {len(due)} recomputed pair(s)")
+    else:
+        for join, (cond, pair) in zip(cert.joins, due):
+            _check_join(join, crit, cond, pair, tables, problems)
 
     return (not problems), problems

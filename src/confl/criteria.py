@@ -63,8 +63,6 @@ class JoinEvidence:
     pair_left: Term
     pair_right: Term
     segments: tuple
-    var_limit: frozenset = frozenset()
-    peak: Term | None = None  # pair provenance, needed to re-identify pcp pairs
 
 
 @dataclass(frozen=True)
@@ -347,11 +345,7 @@ class _Searcher:
                         Segment(rel, rules, rev, start, end, path)
                         for (rel, rules, rev), start, end, path
                         in zip(shape, terms, terms[1:], steps))
-                    extra = {}
-                    if x_ids is not None:
-                        extra = dict(var_limit=x_ids, peak=pair.peak)
-                    return JoinEvidence(crit, cond, branch, pair.left, pair.right,
-                                        segments, **extra)
+                    return JoinEvidence(crit, cond, branch, pair.left, pair.right, segments)
         return None
 
     def join(self, crit: str, cond: str, pair) -> JoinEvidence | None:

@@ -11,8 +11,7 @@ A pair's key is its identity up to renaming: the kind and the flat
 `terms.shape_key` of (left, right), built in one walk without new terms.  A
 parallel pair's key adds the indexes of its constrained variables, numbered
 through left, right and then peak, so the peak counts only through the
-variables it constrains.  The verifier matches joins to pairs by the same
-keys (`parallel_key`).
+variables it constrains.
 
 pcp_in(Q, R) generalizes the inner case to any nonempty set of pairwise
 parallel non-root function positions rewritten simultaneously by rules of Q,
@@ -20,8 +19,9 @@ and records the variable set X occurring in the rewritten part of the peak,
 which downstream joinability conditions constrain.
 
 Enumeration order is part of the contract, because deduplication keeps the
-first provenance, and certificate text and evidence order follow the pair
-order.  cp goes through outer rules, then inner rules, in system order, then
+first provenance, evidence and certificate text follow the pair order, and
+the verifier checks the k-th join of a certificate against its own k-th
+pair.  cp goes through outer rules, then inner rules, in system order, then
 positions in left-to-right preorder.  pcp_in goes through outer rules in
 system order, then position sets by size and, within a size,
 lexicographically by preorder index, then tuples of inner rules in system
@@ -89,23 +89,18 @@ class ParallelCriticalPair:
     var_limit: frozenset = frozenset()  # ids of the constrained variables X
 
     def key(self):
-        return (self.kind,) + parallel_key(
-            self.left, self.right, self.peak, self.var_limit)
+        """The kind, the pair up to renaming, and the indexes of its
+        constrained variables.  Variables are numbered through left, right,
+        then peak, so the peak only fixes the numbering of constrained
+        variables that occur in neither side."""
+        flat, index = shape_key((self.left, self.right))
+        for v in shape_key((self.peak,))[1]:
+            index.setdefault(v, len(index))
+        return self.kind, flat, frozenset(index[x] for x in self.var_limit)
 
     def __repr__(self):
         xs = "{" + ",".join(map(str, sorted(self.var_limit))) + "}"
         return f"<{self.left!r}, {self.right!r}>_{xs} ({self.kind})"
-
-
-def parallel_key(left: Term, right: Term, peak: Term, var_limit) -> tuple:
-    """The pair <left, right> up to renaming, with the indexes of its
-    constrained variables.  Variables are numbered through left, right, then
-    peak, so the peak only fixes the numbering of constrained variables that
-    occur in neither side."""
-    flat, index = shape_key((left, right))
-    for v in shape_key((peak,))[1]:
-        index.setdefault(v, len(index))
-    return flat, frozenset(index[x] for x in var_limit)
 
 
 def _dedup(pairs, run: Run):

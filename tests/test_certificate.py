@@ -5,14 +5,16 @@ without any search.  The tests here cover the happy path for all criteria and
 then corrupt certificates line by line; every corruption must come back as a
 clean (False, problems) rejection, never an exception.
 """
+import dataclasses
 import hashlib
 import json
-import re
 from types import SimpleNamespace
 
 import pytest
 
+from confl import certificate
 from confl.certificate import (
+    FORMAT,
     CertificateError,
     certificate_text,
     parse_certificate,
@@ -140,15 +142,15 @@ def test_yes_certificates_verify(cert_r3, cert_r2, cert_r5, cert_r8, cert_r3_hue
 # sha256 of each certificate above: a change that should leave the prover's
 # output alone (a speed-up, a refactor) must leave these bytes alone too
 GOLDEN_DIGESTS = {
-    "cert_r2": "4e57e6f6ea348e44b4e9f8a3c621cf2f3c8ef009f3eb0c7670993ebf2bbc81a1",
-    "cert_r3": "f810f499853776614fa32d980e771f81fc7f9d4507cbc5bb6061ac9b6756cd4b",
-    "cert_r5": "dd1d1c8632c79e87099aa2453de32c59205a314c0e739c4521efb14fc658bb7f",
-    "cert_r8": "587512951132abe752e776c6a7e449474413cfa1c476d169a51c83eb83225072",
-    "cert_r3_huet": "cc837f44c93621e10d409b132d6cbda42cc564af11d345d409e68871ff139d1d",
-    "cert_fork_closed": "ff1274b0aae3cdb7179b35e301e0823a25c724e9f1c102cc43d1f86c36a68db0",
+    "cert_r2": "c696a847d2cde0b5d7d448057c5d5b7de969a830f8cd8b2d3dcd263aa684ee03",
+    "cert_r3": "12bcdbc7b5b7651f1be33bf5124d14ad84623d6c9f9718efaeb445531c2dfe32",
+    "cert_r5": "e9abfd99463536d76d55151cfce636010d1cd3859e3563660d7dd5cf72db7024",
+    "cert_r8": "928609ed0b6dda50d5a9d9d1a39e687bf99868b15ea44820de5f508aacbf2da6",
+    "cert_r3_huet": "c9707b52e669dbc57737ae754523e59a23a9f06e9c26b1cab0637c39825e0296",
+    "cert_fork_closed": "b8647a9983a5a1d81195cc7483d656da440f25881d9e0aa6bb25480a09b9314e",
     # R6 and chain3 need completion: 4 and 11 additions
-    "cert_r6": "857aaffd81425ac5279b22b58f5ca048035414a8d6da6a6bc777daefe1b38d72",
-    "cert_chain3": "5577e24a5555d1526b5579dfba3f5e20089836bcef688e7105e44d9ce43db91f",
+    "cert_r6": "16c00be35bd5166aaec418d64c62e79df2b020ac1bd80eb57de24d187444d659",
+    "cert_chain3": "dfe8ccc1fdd89230466252c5b0958e4a5060900e5c569252eca2fa0c7669aea9",
 }
 
 
@@ -242,23 +244,52 @@ def test_nonreversible_rule_in_p_rejected(cert_r3):
     assert any("bidirectional" in p for p in problems)
 
 
+def join_blocks(text):
+    """The lines of the certificate, and the [start, end) line span of each
+    join block in order."""
+    lines = text.splitlines()
+    starts = [i for i, ln in enumerate(lines) if ln.startswith("join ")]
+    return lines, [(i, lines.index("endjoin", i) + 1) for i in starts]
+
+
 def test_missing_join_rejected(cert_r3):
-    lines = cert_r3.splitlines()
-    start = max(i for i, ln in enumerate(lines) if ln.startswith("join "))
-    end = next(i for i in range(start, len(lines)) if lines[i] == "endjoin")
-    bad = "\n".join(lines[:start] + lines[end + 1:]) + "\n"
-    problems = rejected(bad, R3)
-    assert any("no valid join" in p for p in problems)
+    lines, blocks = join_blocks(cert_r3)
+    start, end = blocks[-1]
+    bad = "\n".join(lines[:start] + lines[end:]) + "\n"
+    n = len(blocks)
+    assert rejected(bad, R3) == [f"{n - 1} join(s) for {n} recomputed pair(s)"]
 
 
 def test_duplicated_join_rejected(cert_r3):
+    lines, blocks = join_blocks(cert_r3)
+    start, end = blocks[0]
+    bad = "\n".join(lines[:end] + lines[start:]) + "\n"
+    n = len(blocks)
+    assert rejected(bad, R3) == [f"{n + 1} join(s) for {n} recomputed pair(s)"]
+
+
+def test_join_in_another_conditions_slot_rejected(cert_r3):
+    # swap the last condition (i) join with the first condition (iii) join:
+    # each is a sound join, but of a pair the verifier expects elsewhere
+    lines, blocks = join_blocks(cert_r3)
+    k = next(k for k, (i, _) in enumerate(blocks) if lines[i].startswith("join iii "))
+    assert lines[blocks[k - 1][0]].startswith("join i ")
+    (a0, a1), (b0, b1) = blocks[k - 1], blocks[k]
+    bad = "\n".join(lines[:a0] + lines[b0:b1] + lines[a0:a1] + lines[b1:]) + "\n"
+    assert rejected(bad, R3) == ["join <iii,B>: stands where a condition i join is due",
+                                 "join <i,A>: stands where a condition iii join is due"]
+
+
+def test_join_that_ends_off_its_pair_rejected(cert_r3):
+    # s(?v1) joins s(+(?v1,0)) by one add3 step backwards; without that step
+    # the last segment ends at s(?v1), which still replays but joins nothing
     lines = cert_r3.splitlines()
-    start = next(i for i, ln in enumerate(lines) if ln.startswith("join "))
-    end = next(i for i in range(start, len(lines)) if lines[i] == "endjoin")
-    block = lines[start:end + 1]
-    bad = "\n".join(lines[:start] + block + block + lines[end + 1:]) + "\n"
-    problems = rejected(bad, R3)
-    assert any("matches no recomputed pair" in p for p in problems)
+    at = lines.index("segment star SP rev | s(+(?v1,0))")
+    assert lines[at + 1] == "step 1 add3" and lines[at + 2] == "endsegment"
+    lines[at:at + 2] = ["segment star SP rev | s(?v1)"]
+    problems = rejected("\n".join(lines) + "\n", R3)
+    assert len(problems) == 1
+    assert problems[0].startswith("join <i,A>: does not connect its pair <s(")
 
 
 def test_tampered_join_step_rule_rejected(cert_r3):
@@ -344,33 +375,33 @@ def test_p_prime_rules_checked_against_p(cert_r5):
     rejected(bad, R5)
 
 
-def test_variable_condition_is_part_of_the_join_identity(cert_r5):
-    lines = cert_r5.splitlines()
-    idx = [i for i, ln in enumerate(lines) if ln.startswith("jx ") and ln != "jx -"]
-    assert idx  # at least one inner pair carries a real variable constraint
-    lines[idx[0]] = "jx -"
-    rejected("\n".join(lines) + "\n", R5)
+# S = f(+(x,y)) -> g(x,y), P = commutativity of + and of g: the one inner
+# parallel pair <f(+(y,x)), g(x,y)> constrains {x, y}, and its join swaps
+# both variables by one parallel step at the root
+SWAP = parse_trs("(VAR x y)\n(RULES\n  f(+(x,y)) -> g(x,y)\n  +(x,y) -> +(y,x)\n"
+                 "  g(x,y) -> g(y,x)\n)\n")
 
 
-def test_constrained_variables_are_part_of_the_pair_key(cert_r5):
-    # a jx line widened to more variables of its own pair and peak still
-    # meets the variable condition, so the join checks; but the recomputed
-    # pair constrains fewer variables, so the join matches no pair
-    lines = cert_r5.splitlines()
-    for i, ln in enumerate(lines):
-        if not ln.startswith("jx ") or ln == "jx -":
-            continue
-        assert lines[i - 2].startswith("jpair ") and lines[i - 1].startswith("jpeak ")
-        xs = set(ln[3:].split(","))
-        wider = set(re.findall(r"\?\w+", lines[i - 2] + lines[i - 1])) | xs
-        if wider > xs:
-            lines[i] = "jx " + ",".join(sorted(wider))
-            break
-    else:
-        pytest.fail("no jx line can be widened")
-    problems = rejected("\n".join(lines) + "\n", R5)
-    assert not any("variable condition violated" in p for p in problems)
-    assert any(p.endswith("matches no recomputed pair") for p in problems)
+def test_variable_condition_is_read_through_the_pairs_renaming(monkeypatch):
+    r1, r2, r3 = SWAP
+    report = check_criterion("pcp", Partition(Trs([r1]), Trs([r2, r3]), Trs([])))
+    assert report.holds()
+    text = certificate_text(SWAP, SimpleNamespace(
+        verdict="YES", report=report, state=SimpleNamespace(history=())))
+    (join,) = parse_certificate(text).joins
+    assert (join.condition, join.branch) == ("ii", "B")
+    assert "pstep r3@e" in text.splitlines()
+    ok, problems = verify_certificate(text, SWAP)
+    assert ok, problems
+    # the same join, checked against a pair that constrains fewer variables
+    pcp_in = certificate.pcp_in
+
+    def shrunk(q_rules, r_rules, run=None):
+        return [dataclasses.replace(pr, var_limit=frozenset(sorted(pr.var_limit)[1:]))
+                for pr in pcp_in(q_rules, r_rules, run)]
+
+    monkeypatch.setattr(certificate, "pcp_in", shrunk)
+    assert rejected(text, SWAP) == ["join <ii,B>: variable condition violated"]
 
 
 def test_parallel_requires_no_inner_pairs(cert_r3, cert_r5):
@@ -430,8 +461,15 @@ def test_format_1_forgery_rejected(cert_fork_closed):
     block = ["addition r3: g(?v1)", "with S=r2 P=r1", "cstep e r1~", "sstep e r2",
              "yields h(?v1)", "endadd"]
     forged = with_history(cert_fork_closed, block, ["r3"])
-    rejected(forged.replace("format 2", "format 1"), FORK)
+    assert f"\nformat {FORMAT}\n" in forged
+    rejected(forged.replace(f"format {FORMAT}", "format 1"), FORK)
     rejected(forged, FORK)
+
+
+def test_format_2_rejected(cert_r3):
+    # format 2 wrote each join's pair, peak and constrained variables
+    bad = mutate(cert_r3, "format ", lambda ln: "format 2")
+    assert rejected(bad, R3) == ["unparsable certificate: unsupported certificate format '2'"]
 
 
 def test_replacement_name_clash_rejected_not_raised(cert_r3):
@@ -469,7 +507,7 @@ def test_rendered_replacement_replays(cert_r3):
 
 
 def _input_rules(*lines):
-    text = "\n".join(["BEGIN CERTIFICATE", "format 2", "verdict YES", "section input",
+    text = "\n".join(["BEGIN CERTIFICATE", f"format {FORMAT}", "verdict YES", "section input",
                       *lines, "END CERTIFICATE"])
     return parse_certificate(text).input_rules
 
