@@ -28,9 +28,10 @@ from confl.completion import (
     decompose,
 )
 from confl.criteria import Partition, check_criterion
+from confl.critical_pairs import _dedup
 from confl.rewriting import Rule, Trs
 from confl.run import Run
-from confl.terms import App
+from confl.terms import App, var_ids
 from confl.trs_format import parse_trs
 
 from systems import CHAIN3, R2, R3, R5, R6, R8, decided
@@ -382,7 +383,8 @@ SWAP = parse_trs("(VAR x y)\n(RULES\n  f(+(x,y)) -> g(x,y)\n  +(x,y) -> +(y,x)\n
                  "  g(x,y) -> g(y,x)\n)\n")
 
 
-def test_variable_condition_is_read_through_the_pairs_renaming(monkeypatch):
+@pytest.fixture(scope="module")
+def cert_swap():
     r1, r2, r3 = SWAP
     report = check_criterion("pcp", Partition(Trs([r1]), Trs([r2, r3]), Trs([])))
     assert report.holds()
@@ -393,15 +395,51 @@ def test_variable_condition_is_read_through_the_pairs_renaming(monkeypatch):
     assert "pstep r3@e" in text.splitlines()
     ok, problems = verify_certificate(text, SWAP)
     assert ok, problems
-    # the same join, checked against a pair that constrains fewer variables
+    return text
+
+
+def recompute_pcp_in(monkeypatch, change):
+    """Make the verifier recompute pcp_in as change(pairs, run)."""
     pcp_in = certificate.pcp_in
+    monkeypatch.setattr(certificate, "pcp_in", lambda q_rules, r_rules, run=None:
+                        change(pcp_in(q_rules, r_rules, run), run or Run()))
 
-    def shrunk(q_rules, r_rules, run=None):
-        return [dataclasses.replace(pr, var_limit=frozenset(sorted(pr.var_limit)[1:]))
-                for pr in pcp_in(q_rules, r_rules, run)]
 
-    monkeypatch.setattr(certificate, "pcp_in", shrunk)
-    assert rejected(text, SWAP) == ["join <ii,B>: variable condition violated"]
+def with_var_limit(pairs, var_limit):
+    return [dataclasses.replace(pr, var_limit=var_limit(pr)) for pr in pairs]
+
+
+def test_variable_condition_is_part_of_the_join_identity(cert_swap, monkeypatch):
+    # the same join, checked against a pair that constrains no variable: the
+    # certificate carries no variable set, so the verifier's own pair decides
+    recompute_pcp_in(monkeypatch, lambda pairs, run:
+                     with_var_limit(pairs, lambda pr: frozenset()))
+    assert rejected(cert_swap, SWAP) == ["join <ii,B>: variable condition violated"]
+
+
+def test_variable_condition_is_read_through_the_pairs_renaming(cert_swap, monkeypatch):
+    # the same join, checked against a pair that constrains fewer variables
+    recompute_pcp_in(monkeypatch, lambda pairs, run: with_var_limit(
+        pairs, lambda pr: frozenset(sorted(pr.var_limit)[1:])))
+    assert rejected(cert_swap, SWAP) == ["join <ii,B>: variable condition violated"]
+
+
+def test_constrained_variables_are_part_of_the_pair_key(cert_r5, monkeypatch):
+    # a pair widened to every variable of its peak is another pair: the
+    # verifier keeps both, so R5's joins no longer cover its pairs
+    added = []
+
+    def widened(pairs, run):
+        wide = with_var_limit(pairs, lambda pr: pr.var_limit | var_ids(pr.peak))
+        assert all(w.key() != pr.key() for pr, w in zip(pairs, wide))
+        added.extend(wide)
+        return _dedup(pairs + wide, run)
+
+    recompute_pcp_in(monkeypatch, widened)
+    problems = rejected(cert_r5, R5)
+    assert added
+    n = len(parse_certificate(cert_r5).joins)
+    assert problems == [f"{n} join(s) for {n + len(added)} recomputed pair(s)"]
 
 
 def test_parallel_requires_no_inner_pairs(cert_r3, cert_r5):
