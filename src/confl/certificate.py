@@ -13,7 +13,9 @@ documents.  So a join names no pair: the k-th join is checked against the
 verifier's k-th pair, and must connect a variant of it (for pcp's condition
 (ii), with the variable condition read through that renaming).  A join writes
 its left term and then each segment's end; a segment starts where the one
-before it ends.
+before it ends.  A join still writes its condition, which its place already
+gives: a reader sees which family it closes, and a join out of place is
+reported as such.
 
 A history step is a forward derivation in the current system Q, named by
 Q's rule names: an addition l -> r gives l →*_Q r, a replacement of l -> r by
@@ -75,7 +77,8 @@ class _ParseScope:
         self.vars: dict[str, Var] = {}
         # an empty segment writes its start again as its end, so a block
         # repeats its terms; each distinct text is read once, and equal
-        # terms are one object, which `==` decides at once
+        # terms are one object, which `==` decides at once.  This goes when
+        # a certificate leaves its empty segments out
         self.terms: dict[str, Term] = {}
 
     def leaf(self, name: str) -> Var | None:

@@ -82,8 +82,8 @@ P8 = Trs([RE, RF, RG])
 PPRIME_SS2 = Trs([SS2])
 
 
-def _parsed(*rules):
-    return parse_trs("(VAR x y z)\n(RULES\n" + "".join(f"  {r}\n" for r in rules) + ")\n")
+def _parsed(*rules, variables="x y z"):
+    return parse_trs(f"(VAR {variables})\n(RULES\n" + "".join(f"  {r}\n" for r in rules) + ")\n")
 
 
 # inputs of the search benchmark: every AC variant of the sum in a chain
@@ -92,6 +92,15 @@ _C_TEXT, _A_TEXT = "+(x,y) -> +(y,x)", "+(+(x,y),z) -> +(x,+(y,z))"
 CHAIN3 = _parsed("g(+(a0,+(a1,a2))) -> c", _C_TEXT, _A_TEXT)
 CHAIN4 = _parsed("g(+(a0,+(a1,+(a2,a3)))) -> c", _C_TEXT, _A_TEXT)
 SWAP = _parsed("g(+(a,b)) -> c", "g(+(b,a)) -> d", _C_TEXT, _A_TEXT)
+
+# inputs of the parallel benchmark: wide4's certificate holds 255 pcp (ii)
+# joins, and deep16's (iii) joins take parallel steps of P's rules
+WIDE4 = _parsed("f(" + ",".join(f"+(x{i},y{i})" for i in range(4)) + ") -> c",
+                _C_TEXT, _A_TEXT,
+                variables=" ".join(f"x{i} y{i}" for i in range(4)) + " x y z")
+DEEP16 = _parsed(f"h({'s(' * 16}x{')' * 16}) -> h(x)",
+                 "+(0,y) -> y", "+(s(x),y) -> s(+(x,y))",
+                 "+(x,0) -> x", "+(x,s(y)) -> s(+(x,y))", _C_TEXT, _A_TEXT)
 
 
 _DECIDED: dict = {}

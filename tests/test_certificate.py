@@ -34,7 +34,7 @@ from confl.run import Run
 from confl.terms import App, var_ids
 from confl.trs_format import parse_trs
 
-from systems import CHAIN3, R2, R3, R5, R6, R8, decided
+from systems import CHAIN3, DEEP16, R2, R3, R5, R6, R8, WIDE4, decided
 
 # the non-confluent fork, and the confluent system with g(x) -> h(x) added
 FORK = parse_trs("(VAR x)\n(RULES\n  f(x) -> g(x)\n  f(x) -> h(x)\n)\n")
@@ -131,8 +131,11 @@ def history_problems(problems, name):
 
 
 def test_yes_certificates_verify(cert_r3, cert_r2, cert_r5, cert_r8, cert_r3_huet):
-    for trs, text in ((R3, cert_r3), (R2, cert_r2), (R5, cert_r5),
-                      (R8, cert_r8), (R3, cert_r3_huet)):
+    # wide4 and deep16 of the parallel benchmark: hundreds of pcp (ii)
+    # joins, and (iii) joins whose parallel steps apply P's rules
+    parallel = [(trs, certificate_text(trs, decided(trs))) for trs in (WIDE4, DEEP16)]
+    for trs, text in [(R3, cert_r3), (R2, cert_r2), (R5, cert_r5),
+                      (R8, cert_r8), (R3, cert_r3_huet)] + parallel:
         ok, problems = verify_certificate(text, trs)
         assert ok, problems
         # also standalone, without the cross-check against the problem
