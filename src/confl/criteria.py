@@ -245,9 +245,16 @@ class _Searcher:
     reach-set discovery order; a reversed middle tries the empty step at
     every a before any step, a forward middle takes a == b where it falls in
     that order; a conversion scans the c reachable from a and keeps those
-    among the right ends.  Reach sets and P∪P⁻¹ successors are memoized for
-    one pair's join only: kept across pairs they raised peak memory by ~3 MB
-    on the reference systems."""
+    among the right ends.
+
+    Reach sets and P∪P⁻¹ successors are memoized for one pair's join only:
+    kept across pairs they raised peak memory by ~3 MB on the reference
+    systems.  So is one root-contractum table per system (S, SP, and PP, which
+    the P conversion rewrites with too; see `rewriting._contracta`), shared by
+    the reach sets, the outer S-steps, the P∪P⁻¹ successors and the parallel
+    steps: an equal subterm in many terms of one join is matched once.  Kept
+    for a whole check, the tables saved more time still but raised peak
+    memory by ~0.7 MB on the reference systems."""
 
     def __init__(self, pt: Partition, run: Run):
         self.pt = pt
@@ -264,11 +271,17 @@ class _Searcher:
             self._sp = self.pt.search_rules(self.run)
         return self._sp
 
+    def _table(self, cls: str) -> dict:
+        """The root-contractum table of `_rules(cls)` for this join."""
+        return self._memo.setdefault(("table", "PP" if cls == "P" else cls), {})
+
     def _reach(self, cls: str, t: Term):
         key = (cls, t)
         ends = self._memo.get(key)
         if ends is None:
-            ends = self._memo[key] = reach_set_bounded(t, self._rules(cls), self.run.depth)
+            ends = self._memo[key] = reach_set_bounded(
+                t, self._rules(cls), self.run.depth,
+                table=self._table(cls), check=self.run.check)
         return ends
 
     def _pp_step(self, src: Term, dst: Term):
@@ -277,7 +290,7 @@ class _Searcher:
         succ = self._memo.get(key)
         if succ is None:
             succ = self._memo[key] = {}
-            for st in reducts(src, self.pt.pp):
+            for st in reducts(src, self.pt.pp, table=self._table("PP")):
                 succ.setdefault(st.target, st)
         return succ.get(dst)
 
@@ -285,7 +298,7 @@ class _Searcher:
         """Per choice of the outer S-step (None without one): that step and
         the side's ends with their paths.  `side` is read inwards from t."""
         if side and side[0][0] == "step":
-            outer, side = reducts(t, self.pt.s), side[1:]
+            outer, side = reducts(t, self.pt.s, table=self._table("S")), side[1:]
         else:
             outer = (None,)
         for st in outer:
@@ -306,6 +319,7 @@ class _Searcher:
         def empty(a):
             return () if kind == "opt" else (ParallelStep(a, a, ()),)
 
+        table = self._table("PP")
         if reverse:
             for a, pa in ru.items():
                 pb = rv.get(a)
@@ -321,7 +335,7 @@ class _Searcher:
                 if kind == "opt":
                     st = self._pp_step(src, dst)
                 else:
-                    st = parallel_step(src, dst, self.pt.pp, x_ids)
+                    st = parallel_step(src, dst, self.pt.pp, x_ids, table=table)
                 if st is not None:
                     yield a, pa, b, pb, (st,)
 

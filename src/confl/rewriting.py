@@ -1,19 +1,26 @@
 """Rewrite rules, rule systems, single/parallel steps and bounded searches.
 
-`_target` is the one place a rule is applied to a term: steps, reducts,
-normalization and parallel steps all rewrite through it.  Steps are plain
-records built from a match (by `step_at` and `parallel_step`).  A
-step is checked when it is replayed, by `replay`, the one routine that
-re-applies (position, rule) moves.  A rule's key is `terms.shape_key` of its
-two sides, the identity up to renaming that pairs and witnesses use too.
+`_contract` is the one place a rule is applied: it matches the rule's left
+side against a subterm and instantiates the right side.  Steps and
+normalization call it directly; reducts, reach sets and parallel steps go
+through `_contracta`, every rule at the root of one subterm, which looks the
+subterm up in a table first.  A caller that passes one table to every call
+over one system, as the join search does per join, matches each (rule,
+subterm) once however many terms hold the subterm.  Steps are plain records
+built from a match (by `step_at` and `parallel_step`).  A step is checked
+when it is replayed, by `replay`, the one routine that re-applies
+(position, rule) moves.  A rule's key is `terms.shape_key` of its two sides,
+the identity up to renaming that pairs and witnesses use too.
 
 Reach sets and goal searches are one breadth-first walk, `_walk`, which
-builds a `Step` only for a term it has not reached before.  Its cap
-rule: a reach set holds at most `cap` terms, and the walk stops at the first
-new term past the cap, even mid-expansion; a goal search tests the start term
-first and each new term before the cap, so a goal found as term cap+1 is still
-returned.  `normalize_steps` is the one normalizer.  Nothing here recurses:
-`parallel_step` keeps an explicit stack, the normalizer runs on `unrecurse`.
+builds a `Step` only for a term it has not reached before and, given a
+`check`, calls it before each term it expands, so a deadline holds inside
+the walk.  Its cap rule: a reach set holds at most `cap` terms, and the walk
+stops at the first new term past the cap, even mid-expansion; a goal search
+tests the start term first and each new term before the cap, so a goal found
+as term cap+1 is still returned.  `normalize_steps` is the one normalizer.
+Nothing here recurses: `parallel_step` keeps an explicit stack, the
+normalizer runs on `unrecurse`.
 """
 
 from __future__ import annotations
@@ -104,6 +111,7 @@ class Trs:
         self.rules: tuple[Rule, ...] = tuple(named)
         self.signature: dict[str, int] = signature(
             t for r in self.rules for t in (r.lhs, r.rhs))
+        self.roots = frozenset(r.lhs.fn for r in self.rules)  # left sides' root symbols
 
     def __iter__(self):
         return iter(self.rules)
@@ -196,17 +204,35 @@ class Step:
 def step_at(t: Term, p: Position, rule: Rule) -> Step | None:
     """The step of `rule` at position p of t, or None if it does not apply
     there; raises ValueError if p is not a position of t."""
-    u = _target(t, p, subterm_at(t, p), rule)
-    return None if u is None else Step(t, u, p, rule)
+    c = _contract(rule, subterm_at(t, p))
+    return None if c is None else Step(t, replace_at(t, p, c), p, rule)
 
 
-def _target(t: Term, p: Position, sub: Term, rule: Rule) -> Term | None:
-    """The term that `rule` at p rewrites t to, sub being t's subterm at p,
-    or None if the rule does not apply there."""
+def _contract(rule: Rule, sub: Term) -> Term | None:
+    """The term that `rule` rewrites sub to at its root, or None if it does
+    not apply there."""
     m = match_term(rule.lhs, sub)
-    if m is None:
-        return None
-    return replace_at(t, p, apply(m, rule.rhs))
+    return None if m is None else apply(m, rule.rhs)
+
+
+def _contracta(sub: App, trs: Trs, table: dict) -> tuple:
+    """(rule, contractum) for every rule of trs that rewrites sub at its root,
+    in rule order.  `table` maps subterms to these tuples for this one trs;
+    most are empty, and () is one shared object.  A subterm whose root symbol
+    is no left side's root is not looked up: in the join search most
+    subterms are such, and looking them up cost more than it saved."""
+    if sub.fn not in trs.roots:
+        return ()
+    out = table.get(sub)
+    if out is None:
+        out = ()
+        for rule in trs:
+            if rule.lhs.fn == sub.fn:
+                c = _contract(rule, sub)
+                if c is not None:
+                    out += ((rule, c),)
+        table[sub] = out
+    return out
 
 
 def replay(t: Term, moves) -> Term:
@@ -223,20 +249,19 @@ def replay(t: Term, moves) -> Term:
     return t
 
 
-def _rewrites(t: Term, trs: Trs):
+def _rewrites(t: Term, trs: Trs, table: dict):
     """(position, rule, target) of every one-step rewrite of t, positions in
-    preorder, rules in order."""
+    preorder, rules in order; `table` as for `_contracta`."""
     for p, sub in fun_subterms(t):
-        for rule in trs:
-            if rule.lhs.fn == sub.fn:
-                u = _target(t, p, sub, rule)
-                if u is not None:
-                    yield p, rule, u
+        for rule, c in _contracta(sub, trs, table):
+            yield p, rule, replace_at(t, p, c)
 
 
-def reducts(t: Term, trs: Trs) -> list[Step]:
-    """All one-step rewrites of t, positions in preorder, rules in order."""
-    return [Step(t, u, p, rule) for p, rule, u in _rewrites(t, trs)]
+def reducts(t: Term, trs: Trs, *, table: dict | None = None) -> list[Step]:
+    """All one-step rewrites of t, positions in preorder, rules in order.
+    `table` is the root-contractum table of trs to use (see `_contracta`)."""
+    rewrites = _rewrites(t, trs, {} if table is None else table)
+    return [Step(t, u, p, rule) for p, rule, u in rewrites]
 
 
 def normalize_steps(t: Term, trs: Trs, fuel: int = 10_000):
@@ -258,7 +283,7 @@ def _innermost(u: Term, p: Position, start: Term, trs: Trs, steps: list, fuel: i
         u = App(u.fn, tuple(args))
         for rule in trs:
             if rule.lhs.fn == u.fn:
-                v = _target(u, (), u, rule)
+                v = _contract(rule, u)
                 if v is not None:
                     break
         else:
@@ -292,14 +317,17 @@ class ParallelStep:
         return f"{self.source!r} =[{ps}]=> {self.target!r}"
 
 
-def parallel_step(s: Term, t: Term, trs: Trs, allowed=None) -> ParallelStep | None:
+def parallel_step(s: Term, t: Term, trs: Trs, allowed=None, *,
+                  table: dict | None = None) -> ParallelStep | None:
     """The first smallest parallel step s ⇉ t, or None: fewest redexes, then
     positions in preorder, then rules in order; s ⇉ s has none.  Given
     `allowed` (variable ids), a redex counts only if the subterm of t it
     rewrites to has no other variables.  That order splits per node, so one
     top-down pass decides: equal subterms need nothing, a subterm the first
     rule rewrites at its root to its counterpart needs that redex, and any
-    other pair must share its root symbol and is split into its arguments."""
+    other pair must share its root symbol and is split into its arguments.
+    `table` is the root-contractum table of trs to use (see `_contracta`)."""
+    table = {} if table is None else table
     parts = []
     stack = [((), s, t)]
     while stack:
@@ -308,9 +336,8 @@ def parallel_step(s: Term, t: Term, trs: Trs, allowed=None) -> ParallelStep | No
             continue
         if a.__class__ is Var:
             return None
-        for rule in trs:
-            if (rule.lhs.fn == a.fn and _target(a, (), a, rule) == b
-                    and (allowed is None or var_ids(b) <= allowed)):
+        for rule, c in _contracta(a, trs, table):
+            if c == b and (allowed is None or var_ids(b) <= allowed):
                 parts.append((p, rule))
                 break
         else:
@@ -324,9 +351,13 @@ def parallel_step(s: Term, t: Term, trs: Trs, allowed=None) -> ParallelStep | No
 # --- bounded reachability -----------------------------------------------------
 
 
-def _walk(s: Term, trs: Trs, depth: int, cap: int, want=None):
+def _walk(s: Term, trs: Trs, depth: int, cap: int, want=None, *,
+          table: dict | None = None, check=None):
     """(paths, found): shortest paths to the terms reached in discovery
-    order, and the path to the first term `want` accepts, or None."""
+    order, and the path to the first term `want` accepts, or None.  `table`
+    is the root-contractum table of trs (one local to the walk if None), and
+    `check(layer)`, if given, is called before each term is expanded."""
+    table = {} if table is None else table
     paths: dict[Term, tuple[Step, ...]] = {s: ()}
     if want is not None and want(s):
         return paths, ()
@@ -335,7 +366,9 @@ def _walk(s: Term, trs: Trs, depth: int, cap: int, want=None):
         t, d = frontier.popleft()
         if d >= depth:
             continue
-        for p, rule, u in _rewrites(t, trs):
+        if check is not None:
+            check("rewriting")
+        for p, rule, u in _rewrites(t, trs, table):
             if u in paths:
                 continue
             path = paths[t] + (Step(t, u, p, rule),)
@@ -349,20 +382,22 @@ def _walk(s: Term, trs: Trs, depth: int, cap: int, want=None):
 
 
 def reach_set_bounded(
-    s: Term, trs: Trs, depth: int, cap: int = 4000
+    s: Term, trs: Trs, depth: int, cap: int = 4000, *, table=None, check=None
 ) -> dict[Term, tuple[Step, ...]]:
     """Breadth-first reachable set within `depth` steps, with shortest
-    witness paths; iteration order is discovery order (s itself first)."""
-    return _walk(s, trs, depth, cap)[0]
+    witness paths; iteration order is discovery order (s itself first).
+    `table` and `check` are as for `_walk`."""
+    return _walk(s, trs, depth, cap, table=table, check=check)[0]
 
 
-def reach_bounded(s: Term, goal, trs: Trs, depth: int, cap: int = 4000):
+def reach_bounded(s: Term, goal, trs: Trs, depth: int, cap: int = 4000, *, table=None):
     """Shortest rewrite sequence (list of Steps) from s to a goal, or None.
 
     `goal` is a term or a predicate on terms; the empty sequence is allowed.
+    `table` is as for `_walk`.
     """
     want = goal if callable(goal) else (lambda t: t == goal)
-    found = _walk(s, trs, depth, cap, want)[1]
+    found = _walk(s, trs, depth, cap, want, table=table)[1]
     return None if found is None else list(found)
 
 

@@ -17,7 +17,7 @@ One of each walk: `apply` is the one rebuild (renaming and unification's
 resolution go through it too), `shape_key` the one identity up to renaming
 (rule, pair and witness keys), `write_term` and `read_term` the one writer
 and reader (for `repr`, the TRS format and certificates).  A rule is applied
-in one place, `rewriting._target`.  Nothing here recurses, `App.__eq__`
+in one place, `rewriting._contract`.  Nothing here recurses, `App.__eq__`
 included, so nesting depth is not limited; walkers elsewhere that read best
 recursively run on `unrecurse`, so nothing in the package recurses.
 """

@@ -5,16 +5,17 @@ kind of obstacle (precondition vs unjoined pairs) so regressions stay loud.
 """
 import pytest
 
-from confl import completion
+from confl import completion, criteria, rewriting
 from confl.criteria import (
     CRITERIA,
     SHAPES,
     Partition,
     PreconditionViolation,
+    _Searcher,
     check_criterion,
 )
 from confl.rewriting import Rule, Trs, empty_trs, replay
-from confl.run import Run
+from confl.run import Run, TimedOut
 from confl.termination import replay_certificate
 from confl.terms import all_parallel
 
@@ -24,9 +25,11 @@ from systems import (
     P8,
     P_CA,
     PPRIME_SS2,
+    R2,
     R3,
     R6,
     R8,
+    S2,
     S3,
     S4,
     S6,
@@ -36,6 +39,7 @@ from systems import (
     s,
     x,
     y,
+    zero,
 )
 
 
@@ -313,3 +317,62 @@ def test_failure_reports_name_the_unjoined_pairs():
     rep = check_criterion("linear", Partition(swap, empty_trs()))
     assert not rep.holds()
     assert "termination" in rep.reason
+
+
+# --- the join search's cost and deadline ------------------------------------------
+
+
+@pytest.mark.parametrize("case", ["R2 final", "R6 pcp"])
+def test_a_join_matches_each_rule_and_subterm_once_per_system(case, monkeypatch):
+    """Within one join, a system matches a rule against equal subterms once:
+    its root-contractum table holds what the first match found.  R2's final
+    partition joins by S-reach sets and P-conversions (huet); R6's pcp check
+    also takes outer S-steps, SP-reach sets and parallel PP steps."""
+    if case == "R2 final":
+        rep = completion.check_confluence(R2).report
+        name, pt = rep.criterion, Partition(rep.s, rep.p)
+    else:
+        name, pt = "pcp", Partition(S6, P_CA)
+    joins, systems, seen, repeats = [0], [], set(), []
+
+    def counting_join(self, *args):
+        joins[0] += 1
+        return searcher_join(self, *args)
+
+    def under(fn, at):  # the rewriting call in progress names its system
+        def call(*args, **kwargs):
+            systems.append(args[at])
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                systems.pop()
+        return call
+
+    def recording_match(pattern, subject):
+        if systems:
+            key = (joins[0], id(systems[-1]), id(pattern), subject)
+            if key in seen:
+                repeats.append(key)
+            seen.add(key)
+        return match_term(pattern, subject)
+
+    searcher_join, match_term = _Searcher.join, rewriting.match_term
+    monkeypatch.setattr(_Searcher, "join", counting_join)
+    monkeypatch.setattr(criteria, "reach_set_bounded", under(criteria.reach_set_bounded, 1))
+    monkeypatch.setattr(criteria, "reducts", under(criteria.reducts, 1))
+    monkeypatch.setattr(criteria, "parallel_step", under(criteria.parallel_step, 2))
+    monkeypatch.setattr(rewriting, "match_term", recording_match)
+    assert check_criterion(name, pt).holds()
+    assert joins[0] > 20 and len(seen) > 300
+    assert not repeats, f"{len(repeats)} repeated matches, the first in join {repeats[0][0]}"
+
+
+def test_a_join_reach_set_keeps_the_deadline():
+    """The join search's reach sets check the run's deadline before each term
+    they expand.  Unchecked, this one fills its 4,000-term cap first."""
+    t = s(s(zero))
+    for _ in range(10):
+        t = plus(s(s(zero)), t)
+    searcher = _Searcher(Partition(S2, P_CA), Run(timeout=0))
+    with pytest.raises(TimedOut, match="rewriting"):
+        searcher._reach("S", t)

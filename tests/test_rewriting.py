@@ -287,8 +287,8 @@ def searched():
     for name, trs in (("R2", R2), ("chain3", CHAIN3)):
         reached, normalized = set(), set()
 
-        def recording_reach(t, rules, depth, cap=4000):
-            ends = reach_set_bounded(t, rules, depth, cap)
+        def recording_reach(t, rules, depth, cap=4000, **kwargs):
+            ends = reach_set_bounded(t, rules, depth, cap, **kwargs)
             reached.update((u, rules) for u in ends)
             return ends
 
@@ -393,14 +393,23 @@ SAMPLE = {"R2": 100, "chain3": 1}
 
 @pytest.mark.parametrize("name", ["R2", "chain3"])
 def test_one_walk_reaches_what_the_two_loops_reached(name, searched):
+    """Each walk gives the two loops' terms, order and steps, both with a
+    table of its own and with one root-contractum table shared by every walk
+    over the same system; reducts and parallel steps give the same answer
+    from a table those walks filled as from none."""
     reached, _ = searched[name]
     never = App("never", ())
+    tables = {}  # id of a system -> the table all its walks share
+    redexes = 0
     for u, rules in sorted(reached, key=repr)[::SAMPLE[name]]:
+        table = tables.setdefault(id(rules), {})
         for depth in range(4):
             for cap in (1, 2, 3, 50):
+                want = list(two_loop_reach_set(u, rules, depth, cap).items())
                 got = reach_set_bounded(u, rules, depth, cap)
-                want = two_loop_reach_set(u, rules, depth, cap)
-                assert list(got.items()) == list(want.items()), (u, depth, cap)
+                assert list(got.items()) == want, (u, depth, cap)
+                shared = reach_set_bounded(u, rules, depth, cap, table=table)
+                assert list(shared.items()) == want, (u, depth, cap)
         ends = list(two_loop_reach_set(u, rules, 3, 50))
         goals = [ends[-1], never, lambda t, later=set(ends[2::3]): t in later]
         for cap in (1, 2, 3, 50):
@@ -409,8 +418,16 @@ def test_one_walk_reaches_what_the_two_loops_reached(name, searched):
                 assert found is not None
                 assert found == two_loop_reach(u, ends[cap], rules, 3, cap)
             for goal in goals:
-                assert reach_bounded(u, goal, rules, 3, cap) == \
-                    two_loop_reach(u, goal, rules, 3, cap), (u, goal, cap)
+                want = two_loop_reach(u, goal, rules, 3, cap)
+                assert reach_bounded(u, goal, rules, 3, cap) == want, (u, goal, cap)
+                assert reach_bounded(u, goal, rules, 3, cap, table=table) == want
+        assert reducts(u, rules, table=table) == reducts(u, rules)
+        for end in ends:
+            for allowed in (None, var_ids(end), frozenset()):
+                want = parallel_step(u, end, rules, allowed)
+                assert parallel_step(u, end, rules, allowed, table=table) == want
+                redexes += want is not None and len(want.parts)
+    assert redexes > 0
 
 
 @pytest.mark.parametrize("name", ["R2", "chain3"])
