@@ -390,14 +390,13 @@ def reach_set_bounded(
     return _walk(s, trs, depth, cap, table=table, check=check)[0]
 
 
-def reach_bounded(s: Term, goal, trs: Trs, depth: int, cap: int = 4000, *, table=None):
+def reach_bounded(s: Term, goal, trs: Trs, depth: int, cap: int = 4000):
     """Shortest rewrite sequence (list of Steps) from s to a goal, or None.
 
     `goal` is a term or a predicate on terms; the empty sequence is allowed.
-    `table` is as for `_walk`.
     """
     want = goal if callable(goal) else (lambda t: t == goal)
-    found = _walk(s, trs, depth, cap, want, table=table)[1]
+    found = _walk(s, trs, depth, cap, want)[1]
     return None if found is None else list(found)
 
 

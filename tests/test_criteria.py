@@ -35,6 +35,7 @@ from systems import (
     S6,
     S8,
     SS1,
+    decided,
     plus,
     s,
     x,
@@ -329,7 +330,7 @@ def test_a_join_matches_each_rule_and_subterm_once_per_system(case, monkeypatch)
     partition joins by S-reach sets and P-conversions (huet); R6's pcp check
     also takes outer S-steps, SP-reach sets and parallel PP steps."""
     if case == "R2 final":
-        rep = completion.check_confluence(R2).report
+        rep = decided(R2).report
         name, pt = rep.criterion, Partition(rep.s, rep.p)
     else:
         name, pt = "pcp", Partition(S6, P_CA)
