@@ -91,10 +91,11 @@ class CompletionResult:
         return self.state.history if self.state is not None else ()
 
 
-def decompose(q: Trs, rev_bound: int = DEFAULT_DEPTH) -> list:
+def decompose(q: Trs, rev_bound: int = DEFAULT_DEPTH, *, check=None) -> list:
     """Candidate (S, P) splits of q: the largest reversible P whose rules
     either have their reversal in q or keep root and function symbols, plus
-    the trivial split with empty P."""
+    the trivial split with empty P.  `check(layer)`, if given, is called
+    before each term the pruning rounds expand."""
     cand = []
     for r in q:
         if not r.is_bidirectional():
@@ -108,7 +109,8 @@ def decompose(q: Trs, rev_bound: int = DEFAULT_DEPTH) -> list:
     # prune until every candidate rule is undone inside the candidate set
     while cand:
         p = Trs(cand)
-        keep = [r for r in cand if reach_bounded(r.rhs, r.lhs, p, rev_bound) is not None]
+        keep = [r for r in cand
+                if reach_bounded(r.rhs, r.lhs, p, rev_bound, check=check) is not None]
         if len(keep) == len(cand):
             break
         cand = keep
@@ -323,7 +325,7 @@ def successors(state: SearchState, report: CriterionReport, run: Run) -> list:
         run.check("completion")
         if q2.key() == q_key:
             continue
-        for s2, p2 in decompose(q2, run.rev_bound):
+        for s2, p2 in decompose(q2, run.rev_bound, check=run.check):
             k = (s2.key(), p2.key(), state.criterion)
             if k not in seen:
                 seen.add(k)
@@ -349,13 +351,12 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
             seen.add(k)
             queue.append(st)
 
-    for s0, p0 in decompose(trs, rev_bound):
-        for crit in criteria:
-            enqueue(SearchState(s0, p0, crit))
-
     explored = 0
     last_reason = "no applicable partition"
     try:
+        for s0, p0 in decompose(trs, rev_bound, check=run.check):
+            for crit in criteria:
+                enqueue(SearchState(s0, p0, crit))
         while queue:
             run.check("completion")
             state = queue.popleft()

@@ -25,9 +25,19 @@ pair.  cp goes through outer rules, then inner rules, in system order, then
 positions in left-to-right preorder.  pcp_in goes through outer rules in
 system order, then position sets by size and, within a size,
 lexicographically by preorder index, then tuples of inner rules in system
-order, the rule at the first position varying slowest.  pcp_in never builds
-a tuple that cannot unify: a rule is tried at a set of positions only if its
-left side unifies with the subterm at each of them on its own.
+order, the rule at the first position varying slowest.
+
+pcp_in unifies each (position, rule) overlap once, into a piece that keeps
+the unifier, the peak's subterm there and its contractum, and builds every
+tuple from the pieces of its positions; a rule no piece holds is never tried
+in a tuple.  When the outer left sides are linear, as the pcp criterion
+requires of S, the positions of a tuple share no variable, so its mgu is the
+union of its pieces' unifiers: the peak is the outer left side with each
+piece's subterm put in, the left side is the peak with each contractum put
+in, and X is the union of the pieces' variables.  Only the right side is
+built by substitution.  A system with a nonlinear left side, which the
+verifier reaches when it recomputes the pairs of a flagged precondition,
+unifies each tuple jointly and takes its pieces from the joint mgu.
 
 cp checks the run's deadline before each unification (one deep rule
 overlaps itself at every position), pcp_in once per position set, and both
@@ -52,7 +62,7 @@ from .terms import (
     replace_at,
     replace_parallel,
     shape_key,
-    subterm_at,
+    term_vars,
     unify_all,
     var_ids,
 )
@@ -94,8 +104,8 @@ class ParallelCriticalPair:
         then peak, so the peak only fixes the numbering of constrained
         variables that occur in neither side."""
         flat, index = shape_key((self.left, self.right))
-        for v in shape_key((self.peak,))[1]:
-            index.setdefault(v, len(index))
+        for v in term_vars(self.peak):
+            index.setdefault(v.id, len(index))
         return self.kind, flat, frozenset(index[x] for x in self.var_limit)
 
     def __repr__(self):
@@ -152,63 +162,80 @@ def cp_in(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPa
     return [pr for pr in cp(r_rules, q_rules, run) if pr.kind == "inner"]
 
 
-def _overlapping(q_rules: Trs, outer: Rule) -> list[tuple[Position, list[Rule]]]:
-    """Each inner function position of outer.lhs, in preorder, with the rules
-    of q_rules (renamed apart, in system order) whose left side unifies with
-    the subterm there; positions no rule overlaps are left out."""
+@dataclass(frozen=True)
+class _Piece:
+    """One inner rule at one position of a parallel peak."""
+
+    rule: Rule  # renamed apart
+    sigma: Subst  # mgu of rule.lhs and the subterm of the outer left side
+    redex: Term  # sigma(subterm), the peak's subterm there
+    contractum: Term  # sigma(rule.rhs)
+    var_ids: frozenset  # ids of the variables of redex
+
+
+def _piece(rule: Rule, sigma: Subst, sub: Term) -> _Piece:
+    redex = apply(sigma, sub)
+    return _Piece(rule, sigma, redex, apply(sigma, rule.rhs), frozenset(var_ids(redex)))
+
+
+def _overlapping(q_rules: Trs, outer: Rule) -> list[tuple[Position, Term, list[_Piece]]]:
+    """Each inner function position of outer.lhs, in preorder, with its
+    subterm and one piece per rule of q_rules (renamed apart, in system
+    order) whose left side unifies with that subterm on its own; positions
+    no rule overlaps are left out."""
     out = []
     for p, sub in fun_subterms(outer.lhs)[1:]:
-        rules = []
+        pieces = []
         for r in q_rules:
             if r.lhs.fn != sub.fn:
                 continue
             rr = r.rename_apart()
-            if unify_all([(rr.lhs, sub)]) is not None:
-                rules.append(rr)
-        if rules:
-            out.append((p, rules))
+            sigma = unify_all([(rr.lhs, sub)])
+            if sigma is not None:
+                pieces.append(_piece(rr, sigma, sub))
+        if pieces:
+            out.append((p, sub, pieces))
     return out
 
 
 def pcp_in(q_rules: Trs, r_rules: Trs, run: Run | None = None) -> list[ParallelCriticalPair]:
     """Inner parallel critical pairs of q_rules into r_rules."""
     run = run or Run()
+    joint = not r_rules.left_linear()  # else a tuple's mgu is the union of its pieces'
     pairs = []
     for outer in r_rules:
         candidates = _overlapping(q_rules, outer)
         for n in range(1, len(candidates) + 1):
             for chosen in combinations(candidates, n):
-                ps = [p for p, _ in chosen]
+                ps, subs, choices = zip(*chosen)
                 if not all_parallel(ps):
                     continue
                 run.check("critical_pairs")
-                for renamed in product(*(rules for _, rules in chosen)):
-                    sigma = unify_all(
-                        [(rr.lhs, subterm_at(outer.lhs, p)) for rr, p in zip(renamed, ps)]
-                    )
-                    if sigma is None:
-                        continue
-                    peak = apply(sigma, outer.lhs)
-                    left = apply(
-                        sigma,
-                        replace_parallel(
-                            outer.lhs, [(p, rr.rhs) for rr, p in zip(renamed, ps)]
-                        ),
-                    )
-                    x_ids = frozenset(
-                        v for p in ps for v in var_ids(subterm_at(peak, p))
-                    )
+                for pieces in product(*choices):
+                    if joint:
+                        sigma = unify_all([(pc.rule.lhs, sub) for pc, sub in zip(pieces, subs)])
+                        if sigma is None:
+                            continue
+                        pieces = [_piece(pc.rule, sigma, sub) for pc, sub in zip(pieces, subs)]
+                        peak = apply(sigma, outer.lhs)
+                    else:
+                        sigma = {x: u for pc in pieces for x, u in pc.sigma.items()}
+                        peak = replace_parallel(
+                            outer.lhs, [(p, pc.redex) for p, pc in zip(ps, pieces)]
+                        )
                     pairs.append(
                         ParallelCriticalPair(
-                            left=left,
+                            left=replace_parallel(
+                                peak, [(p, pc.contractum) for p, pc in zip(ps, pieces)]
+                            ),
                             right=apply(sigma, outer.rhs),
                             kind="inner",
                             peak=peak,
-                            inner_rules=tuple(renamed),
+                            inner_rules=tuple(pc.rule for pc in pieces),
                             outer_rule=outer,
-                            positions=tuple(ps),
+                            positions=ps,
                             mgu=sigma,
-                            var_limit=x_ids,
+                            var_limit=frozenset().union(*(pc.var_ids for pc in pieces)),
                         )
                     )
     return _dedup(pairs, run)

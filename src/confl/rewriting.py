@@ -390,13 +390,14 @@ def reach_set_bounded(
     return _walk(s, trs, depth, cap, table=table, check=check)[0]
 
 
-def reach_bounded(s: Term, goal, trs: Trs, depth: int, cap: int = 4000):
+def reach_bounded(s: Term, goal, trs: Trs, depth: int, cap: int = 4000, *, check=None):
     """Shortest rewrite sequence (list of Steps) from s to a goal, or None.
 
     `goal` is a term or a predicate on terms; the empty sequence is allowed.
+    `check` is as for `_walk`.
     """
     want = goal if callable(goal) else (lambda t: t == goal)
-    found = _walk(s, trs, depth, cap, want)[1]
+    found = _walk(s, trs, depth, cap, want, check=check)[1]
     return None if found is None else list(found)
 
 

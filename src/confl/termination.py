@@ -8,8 +8,9 @@ Three engines, tried in order of cheapness:
   linear with coefficients in {1,2} and constants in {0..3}, a binary product
   x*y, and 2*x^2 for unary symbols.  Interpretations live over the naturals
   >= 2 (the product shape is only strictly monotone there); comparisons are
-  decided symbolically by shifting every variable by two and checking
-  coefficient nonnegativeness, so a stored certificate replays exactly.
+  decided symbolically by evaluating both sides with every variable x
+  entered as x + 2 and checking coefficient nonnegativeness, so a stored
+  certificate replays exactly.
   This engine also handles relative problems: all rules of S and P' must be
   weakly decreasing, some rules of S strictly; the strict ones are removed
   and the search repeats on the rest.
@@ -137,27 +138,6 @@ def _p_sub(a, b):
     return _p_add(a, _p_scale(b, -1))
 
 
-def _p_const(c):
-    return {(): c} if c else {}
-
-
-def _p_var(x):
-    return {((x, 1),): 1}
-
-
-def _p_shift2(p):
-    """Substitute x := x + 2 for every variable (domain embedding)."""
-    out = {}
-    for mono, c in p.items():
-        term = _p_const(c)
-        for x, e in mono:
-            binom = _p_add(_p_var(x), _p_const(2))
-            for _ in range(e):
-                term = _p_mul(term, binom)
-        out = _p_add(out, term)
-    return out
-
-
 def _nonneg(p) -> bool:
     return all(c >= 0 for c in p.values())
 
@@ -171,10 +151,11 @@ def shape_value(shape, args):
         _, coeffs, const = shape
         if len(coeffs) != len(args):
             raise MalformedCertificate(f"linear shape arity mismatch: {shape}")
-        out = _p_const(const)
+        out = {(): const}
         for c, a in zip(coeffs, args):
-            out = _p_add(out, _p_scale(a, c))
-        return out
+            for m, v in a.items():
+                out[m] = out.get(m, 0) + c * v
+        return {m: v for m, v in out.items() if v}
     if tag == "prod":
         if len(args) != 2:
             raise MalformedCertificate("product shape needs arity 2")
@@ -189,7 +170,9 @@ def shape_value(shape, args):
 def rule_decrease(assign: dict, rule: Rule, *, shift: bool = True):
     """(weak, strict) decrease of a rule under an interpretation.  Both sides
     are evaluated from the rule's flat key read right to left, where an arity
-    says how many values the symbol before it takes."""
+    says how many values the symbol before it takes.  With `shift`, each
+    variable x enters as x + 2, so the difference is taken over the naturals
+    >= 2."""
     values: list = []
     n = 0
     for c in reversed(rule.key()):
@@ -200,13 +183,11 @@ def rule_decrease(assign: dict, rule: Rule, *, shift: bool = True):
             del values[len(values) - n:]
             values.append(shape_value(assign[c], args[::-1]))
         elif c < 0:
-            values.append(_p_var(c))
+            values.append({((c, 1),): 1, (): 2} if shift else {((c, 1),): 1})
         else:
             n = c
     rhs, lhs = values
     diff = _p_sub(lhs, rhs)
-    if shift:
-        diff = _p_shift2(diff)
     weak = _nonneg(diff)
     strict = weak and diff.get((), 0) >= 1
     return weak, strict

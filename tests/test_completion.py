@@ -1,5 +1,7 @@
 """Reduction-preserving completion: transformation search with replayable
 side conditions."""
+import pytest
+
 from confl import termination
 from confl.certificate import certificate_text, verify_certificate
 from confl.completion import (
@@ -15,7 +17,7 @@ from confl.completion import (
 from confl.criteria import Partition, check_criterion
 from confl.reversibility import is_reversible
 from confl.rewriting import Rule, Trs, empty_trs, step_at
-from confl.run import Run
+from confl.run import Run, TimedOut
 from confl.terms import App
 from confl.trs_format import parse_trs
 
@@ -67,6 +69,15 @@ def test_decompose_prunes_oriented_leftovers():
     outs = decompose(q)
     assert any({r.name for r in p} == {"C"} for _, p in outs)
     assert (q, empty_trs()) == outs[-1] or len(outs[0][1]) == 1
+
+
+def test_decompose_keeps_the_deadline():
+    # the pruning rounds' reach searches call the check before each term
+    with pytest.raises(TimedOut, match="rewriting"):
+        decompose(R6, check=Run(timeout=0).check)
+    # a deadline passed while splitting the input still answers MAYBE
+    got = check_confluence(R6, timeout=0)
+    assert (got.verdict, got.reason) == ("MAYBE", "timed out in rewriting after 0 expansion(s)")
 
 
 def replaced(q: Trs, old: Rule, new: Rule) -> Trs:

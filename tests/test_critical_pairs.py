@@ -311,6 +311,8 @@ PARTITIONS = [
     (_wide(3), P_CA),
     (SWAP, P_CA),
     (_deep(4), P_CA),
+    # a variable shared by two inner positions: tuples unify jointly
+    (Trs([Rule(f2(plus(x, y), plus(x, z)), _const("c"), "nl")]), P_CA),
 ]
 
 
@@ -346,3 +348,18 @@ def test_dedup_keeps_the_deadline():
     assert critical_pairs._dedup(pairs, Run()) == pairs
     with pytest.raises(TimedOut):
         critical_pairs._dedup(pairs, Run(timeout=-1))
+
+
+def test_pcp_in_unifies_each_overlap_once(monkeypatch):
+    calls = []
+
+    def counting(eqs):
+        calls.append(eqs)
+        return unify_all(eqs)
+
+    monkeypatch.setattr(critical_pairs, "unify_all", counting)
+    got = pcp_in(P_CA.with_inverses(), _wide(4))
+    # 4 positions with 3 overlapping rules each: 12 overlaps, each unified on
+    # its own, and none of the 255 tuples built from them unified again
+    assert len(got) == 255
+    assert len(calls) == 12
