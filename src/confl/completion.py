@@ -1,7 +1,7 @@
-"""Reduction-preserving completion: search for an extension of the input
-system, built from rewrites of existing rules, on which one of the
-critical-pair criteria applies.  Additions and replacements are justified by
-forward rewrite sequences in the current system, which show that the
+"""Reduction-preserving completion: search the splits (S, P) of extensions
+of the input system, built from rewrites of existing rules, for one on which
+a critical-pair criterion applies.  Additions and replacements are justified
+by forward rewrite sequences in the current system, which show that the
 transformation keeps →* unchanged, so a YES verdict can be certified.
 
 The criteria only report which pairs failed; every repair is derived here.
@@ -23,7 +23,6 @@ from .rewriting import (
     FuelExhausted,
     Rule,
     Trs,
-    conversion_bounded,
     empty_trs,
     normalize_steps,
     reach_bounded,
@@ -67,7 +66,6 @@ class Justification:
 class SearchState:
     s: Trs
     p: Trs
-    criterion: str
     history: tuple = ()
 
     def system(self) -> Trs:
@@ -248,7 +246,7 @@ def _addition_candidates(state: SearchState, report: CriterionReport, run: Run):
             left, right = ((_normal_form(t, s) or (t,))[0] for t in (pair.left, pair.right))
             if left == right:
                 continue
-            conv = conversion_bounded(left, right, p, run.depth)
+            conv = reach_bounded(left, right, p.with_inverses(), run.depth)
             if conv is None:
                 continue
             remember(u_big, _valid_rule(left, right, named), conv, ())
@@ -326,10 +324,10 @@ def successors(state: SearchState, report: CriterionReport, run: Run) -> list:
         if q2.key() == q_key:
             continue
         for s2, p2 in decompose(q2, run.rev_bound, check=run.check):
-            k = (s2.key(), p2.key(), state.criterion)
+            k = (s2.key(), p2.key())
             if k not in seen:
                 seen.add(k)
-                out.append(SearchState(s2, p2, state.criterion, hist))
+                out.append(SearchState(s2, p2, hist))
         if len(out) >= MAX_SUCCESSORS:
             break
     return out[:MAX_SUCCESSORS]
@@ -339,14 +337,18 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
                      max_steps: int = 20, timeout: float = 60.0,
                      depth: int = DEFAULT_DEPTH, rev_bound: int = DEFAULT_DEPTH,
                      hook=None) -> CompletionResult:
-    """Breadth-first completion over (S, P, criterion) states.  Returns YES
-    with the successful report and state, or MAYBE with the last reason."""
+    """Breadth-first completion over (S, P) splits.  A split answers YES at
+    the first of the criteria that holds on it; otherwise it is expanded from
+    the failures of the first criterion that failed on pairs, at a cost of
+    one expansion per such criterion, if that keeps within max_steps.
+    Returns YES with the successful report and state, or MAYBE with the last
+    reason."""
     run = Run(depth, rev_bound, hook, timeout, named=_rule_names(trs))
     queue: deque = deque()
     seen = set()
 
     def enqueue(st: SearchState):
-        k = (st.s.key(), st.p.key(), st.criterion)
+        k = (st.s.key(), st.p.key())
         if k not in seen:
             seen.add(k)
             queue.append(st)
@@ -355,8 +357,7 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
     last_reason = "no applicable partition"
     try:
         for s0, p0 in decompose(trs, rev_bound, check=run.check):
-            for crit in criteria:
-                enqueue(SearchState(s0, p0, crit))
+            enqueue(SearchState(s0, p0))
         while queue:
             run.check("completion")
             state = queue.popleft()
@@ -365,17 +366,21 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
             except PreconditionViolation as exc:
                 last_reason = str(exc)
                 continue
-            rep = check_criterion(state.criterion, pt, run=run)
-            if rep.holds():
-                return CompletionResult(
-                    "YES", f"criterion {rep.tag} holds after {len(state.history)} "
-                           f"transformation step(s)",
-                    report=rep, state=state, explored=explored)
-            last_reason = f"{state.criterion}: {rep.reason}"
-            if explored >= max_steps or not rep.failing:
+            failed = []
+            for crit in criteria:
+                rep = check_criterion(crit, pt, run=run)
+                if rep.holds():
+                    return CompletionResult(
+                        "YES", f"criterion {rep.tag} holds after {len(state.history)} "
+                               f"transformation step(s)",
+                        report=rep, state=state, explored=explored)
+                last_reason = f"{crit}: {rep.reason}"
+                if rep.failing:
+                    failed.append(rep)
+            if not failed or explored + len(failed) > max_steps:
                 continue
-            explored += 1
-            for nxt in successors(state, rep, run=run):
+            explored += len(failed)
+            for nxt in successors(state, failed[0], run=run):
                 enqueue(nxt)
     except TimedOut as exc:
         return CompletionResult(

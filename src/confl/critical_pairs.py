@@ -77,7 +77,6 @@ class CriticalPair:
     inner_rule: Rule = field(compare=False)
     outer_rule: Rule = field(compare=False)
     position: Position = field(compare=False)
-    mgu: Subst = field(compare=False)
 
     def key(self):
         return (self.kind, shape_key((self.left, self.right))[0])
@@ -95,7 +94,6 @@ class ParallelCriticalPair:
     inner_rules: tuple = field(compare=False)  # one Rule per position
     outer_rule: Rule = field(compare=False)
     positions: tuple = field(compare=False)
-    mgu: Subst = field(compare=False)
     var_limit: frozenset = frozenset()  # ids of the constrained variables X
 
     def key(self):
@@ -152,7 +150,6 @@ def cp(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]
                         inner_rule=ren,
                         outer_rule=outer,
                         position=p,
-                        mgu=sigma,
                     )
                 )
     return _dedup(pairs, run)
@@ -234,7 +231,6 @@ def pcp_in(q_rules: Trs, r_rules: Trs, run: Run | None = None) -> list[ParallelC
                             inner_rules=tuple(pc.rule for pc in pieces),
                             outer_rule=outer,
                             positions=ps,
-                            mgu=sigma,
                             var_limit=frozenset().union(*(pc.var_ids for pc in pieces)),
                         )
                     )

@@ -400,9 +400,3 @@ def reach_bounded(s: Term, goal, trs: Trs, depth: int, cap: int = 4000, *, check
     found = _walk(s, trs, depth, cap, want, check=check)[1]
     return None if found is None else list(found)
 
-
-def conversion_bounded(s: Term, t: Term, p_rules: Trs, depth: int, cap: int = 4000):
-    """Conversion s ↔* t using steps of a bidirectional system in either
-    orientation, as a list of Steps over p_rules ∪ p_rules⁻¹; None if not
-    found within the bound."""
-    return reach_bounded(s, t, p_rules.with_inverses(), depth, cap)

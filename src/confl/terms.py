@@ -184,10 +184,8 @@ def all_parallel(ps) -> bool:
 
 
 def replace_parallel(t: Term, repl: list[tuple[Position, Term]]) -> Term:
-    """Replace at several pairwise parallel positions at once."""
-    ps = [p for p, _ in repl]
-    if not all_parallel(ps):
-        raise ValueError(f"positions not pairwise parallel: {ps}")
+    """Replace at several positions at once.  The positions must be pairwise
+    parallel; this is not checked (the caller has)."""
     for p, s in repl:
         t = replace_at(t, p, s)
     return t

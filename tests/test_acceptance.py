@@ -219,7 +219,7 @@ def expect_keys(pairs):
 def pkey(left, right, peak, limit_ids):
     return ParallelCriticalPair(
         left=left, right=right, kind="inner", peak=peak,
-        inner_rules=(), outer_rule=None, positions=(), mgu={},
+        inner_rules=(), outer_rule=None, positions=(),
         var_limit=frozenset(limit_ids),
     ).key()
 

@@ -537,7 +537,7 @@ def test_rendered_replacement_replays(cert_r3):
     s2, p2 = decompose(R2)[0]
     report = check_criterion("pcp", Partition(s2, p2))
     old, new, just = _replacement_candidates(
-        SearchState(s2, p2, "pcp"), report, Run(named=_rule_names(R2)))[0]
+        SearchState(s2, p2), report, Run(named=_rule_names(R2)))[0]
     assert old.name == "add2"
     result = decided(R3)
     text = certificate_text(R3, SimpleNamespace(

@@ -2,7 +2,7 @@
 side conditions."""
 import pytest
 
-from confl import termination
+from confl import completion, termination
 from confl.certificate import certificate_text, verify_certificate
 from confl.completion import (
     COMPLETION_CRITERIA,
@@ -25,6 +25,8 @@ from helpers import replay_steps
 from systems import (
     ADD3,
     ADD4,
+    CHAIN4,
+    SWAP,
     A,
     P5,
     P_CA,
@@ -110,8 +112,8 @@ def test_replacement_candidates_replay_both_ways():
     for trs in (R2, R6, R8):
         run = Run(named=_rule_names(trs))
         for s0, p0 in decompose(trs):
+            state = SearchState(s0, p0)
             for crit in COMPLETION_CRITERIA:
-                state = SearchState(s0, p0, crit)
                 rep = check_criterion(crit, Partition(s0, p0), run=run)
                 if rep.holds():
                     continue
@@ -244,6 +246,48 @@ def test_single_criterion_restriction():
     result = check_confluence(R3, criteria=("huet",))
     assert result.verdict == "YES"
     assert result.report.criterion == "huet"
+    # searches that expand: one criterion makes one expansion per split
+    result = check_confluence(R2, criteria=("huet",))
+    assert (result.verdict, result.explored, len(result.history)) == ("YES", 1, 4)
+    result = check_confluence(SWAP, criteria=("linear",))
+    assert (result.verdict, result.explored) == ("MAYBE", 4)
+
+
+def counted_calls(monkeypatch, *names):
+    """Count the calls completion makes to each of `names`."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(completion, name, counting(name, getattr(completion, name)))
+    return calls
+
+
+def test_a_split_is_checked_under_every_criterion_and_expanded_once(monkeypatch):
+    # R2's first split fails all three criteria on pairs, so it counts three
+    # expansions but is expanded once, from pcp's failing pairs; huet holds
+    # on a successor
+    calls = counted_calls(monkeypatch, "check_criterion", "successors")
+    result = check_confluence(R2)
+    assert (result.verdict, result.explored) == ("YES", 3)
+    assert calls == {"check_criterion": 9, "successors": 1}
+
+
+def test_each_failing_criterion_counts_one_expansion(monkeypatch):
+    # chain4 is confluent, but no criterion holds within the default budget
+    calls = counted_calls(monkeypatch, "check_criterion")
+    result = check_confluence(CHAIN4)
+    assert result.verdict == "MAYBE"
+    assert result.reason.startswith("search exhausted after 18 expansion(s);")
+    assert calls["check_criterion"] <= 316
+    # a split is expanded only while its failing criteria fit the budget
+    for max_steps in range(6):
+        assert check_confluence(SWAP, max_steps=max_steps).explored <= max_steps
 
 
 def test_budget_exhaustion_returns_maybe():

@@ -11,7 +11,7 @@ from itertools import combinations, product
 import pytest
 
 from confl import critical_pairs
-from confl.rewriting import Rule, Trs, step_at
+from confl.rewriting import Rule, Trs, replay, step_at
 from confl.run import Run, TimedOut
 from confl.terms import (
     App,
@@ -112,7 +112,7 @@ def test_pcp_in_golden_example():
     def pkey(left, right, peak, limit_ids):
         return ParallelCriticalPair(
             left=left, right=right, kind="inner", peak=peak,
-            inner_rules=(), outer_rule=None, positions=(), mgu={},
+            inner_rules=(), outer_rule=None, positions=(),
             var_limit=frozenset(limit_ids),
         ).key()
 
@@ -140,7 +140,6 @@ def test_pcp_in_contains_double_successor_overlap():
         inner_rules=(),
         outer_rule=None,
         positions=(),
-        mgu={},
         var_limit=frozenset({x.id}),
     ).key()
     assert expected_key in {p.key() for p in got}
@@ -164,15 +163,10 @@ def test_every_parallel_pair_is_a_genuine_parallel_peak():
     for pair in pairs:
         assert all_parallel(pair.positions)
         assert all(p != () for p in pair.positions)
-        repl = []
+        assert replay(pair.peak, zip(pair.positions, pair.inner_rules)) == pair.left
         below = set()
-        for pos, rule in zip(pair.positions, pair.inner_rules):
-            sub = apply(pair.mgu, rule.rhs)
-            repl.append((pos, sub))
-            from confl.terms import subterm_at
-
+        for pos in pair.positions:
             below |= var_ids(subterm_at(pair.peak, pos))
-        assert replace_parallel(pair.peak, repl) == pair.left
         st = step_at(pair.peak, (), pair.outer_rule)
         assert st is not None and st.target == pair.right
         assert pair.var_limit == below
@@ -217,7 +211,7 @@ def brute_cp(r_rules, q_rules):
                     right=apply(sigma, outer.rhs),
                     kind="outer" if p == () else "inner",
                     peak=apply(sigma, outer.lhs),
-                    inner_rule=ren, outer_rule=outer, position=p, mgu=sigma,
+                    inner_rule=ren, outer_rule=outer, position=p,
                 ))
     return critical_pairs._dedup(pairs, Run())
 
@@ -244,7 +238,7 @@ def brute_pcp_in(q_rules, r_rules):
                     pairs.append(ParallelCriticalPair(
                         left=left, right=apply(sigma, outer.rhs), kind="inner",
                         peak=peak, inner_rules=tuple(renamed), outer_rule=outer,
-                        positions=tuple(ps), mgu=sigma,
+                        positions=tuple(ps),
                         var_limit=frozenset(
                             v for p in ps for v in var_ids(subterm_at(peak, p))),
                     ))
@@ -343,7 +337,7 @@ def test_pcp_in_skips_non_unifying_tuples(monkeypatch):
 
 def test_dedup_keeps_the_deadline():
     pairs = [CriticalPair(left=App(f"c{i}"), right=zero, kind="outer", peak=zero,
-                          inner_rule=None, outer_rule=None, position=(), mgu={})
+                          inner_rule=None, outer_rule=None, position=())
              for i in range(1024)]
     assert critical_pairs._dedup(pairs, Run()) == pairs
     with pytest.raises(TimedOut):

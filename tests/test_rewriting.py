@@ -11,7 +11,6 @@ from confl.rewriting import (
     Rule,
     Step,
     Trs,
-    conversion_bounded,
     normalize_steps,
     parallel_step,
     reach_bounded,
@@ -246,11 +245,11 @@ def test_reach_bounded_goal_predicate():
 def test_conversion_bounded_roundtrip():
     lhs = plus(x, plus(y, z))
     rhs = plus(plus(x, y), z)
-    steps = conversion_bounded(lhs, rhs, P_CA, 6)
+    steps = reach_bounded(lhs, rhs, P_CA.with_inverses(), 6)
     assert steps is not None
     assert replay_steps(lhs, steps, P_CA.with_inverses()) == rhs
     # no conversion between different variables
-    assert conversion_bounded(x, y, P_CA, 4) is None
+    assert reach_bounded(x, y, P_CA.with_inverses(), 4) is None
 
 
 def test_replay_steps_rejects_foreign_and_broken_chains():

@@ -12,6 +12,7 @@ import pytest
 
 from confl import completion, criteria
 from confl.completion import (
+    COMPLETION_CRITERIA,
     MAX_SUCCESSORS,
     Justification,
     SearchState,
@@ -27,8 +28,8 @@ from confl.critical_pairs import ParallelCriticalPair, cp_in
 from confl.rewriting import (
     FuelExhausted,
     Trs,
-    conversion_bounded,
     normalize_steps,
+    reach_bounded,
     reducts,
     step_at,
 )
@@ -107,7 +108,7 @@ def ref_addition_candidates(state, report, named, depth):
             elif f.origin == "cp(S,S)":
                 if left_nf == right_nf:
                     continue
-                conv = conversion_bounded(left_nf, right_nf, p, depth)
+                conv = reach_bounded(left_nf, right_nf, p.with_inverses(), depth)
                 if conv is None:
                     continue
                 rule = _valid_rule(left_nf, right_nf, named)
@@ -217,10 +218,10 @@ def ref_successors(state, report, run):
         if q2.key() == state.system().key():
             continue
         for s2, p2 in decompose(q2, run.rev_bound):
-            k = (s2.key(), p2.key(), state.criterion)
+            k = (s2.key(), p2.key())
             if k not in seen:
                 seen.add(k)
-                out.append(SearchState(s2, p2, state.criterion, hist))
+                out.append(SearchState(s2, p2, hist))
         if len(out) >= MAX_SUCCESSORS:
             break
     return out[:MAX_SUCCESSORS]
@@ -229,34 +230,42 @@ def ref_successors(state, report, run):
 # --- the comparison -----------------------------------------------------------
 
 def identity(states):
-    return [(st.s.key(), st.p.key(), st.criterion, st.history) for st in states]
+    return [(st.s.key(), st.p.key(), st.history) for st in states]
 
 
 @pytest.fixture(scope="module")
 def successor_calls():
-    """(input, successors' states, the reference's) for every successors call
-    made while deciding each input once."""
+    """(input, criteria, successors' states, the reference's) for every
+    successors call made while deciding each input once under all criteria
+    and once under each single criterion.  R2 under pcp alone or linear alone
+    is left out: each takes 25-40 s, in the joins of one split."""
     calls = []
     successors = completion.successors
 
     def compared(state, report, *, run):
         got = successors(state, report, run=run)
-        calls.append((name, identity(got), identity(ref_successors(state, report, run))))
+        calls.append((name, criteria, identity(got),
+                      identity(ref_successors(state, report, run))))
         return got
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(completion, "successors", compared)
-        for name, trs in (("R2", R2), ("R6", R6), ("chain3", CHAIN3),
-                          ("chain4", CHAIN4), ("swap", SWAP)):
-            check_confluence(trs)
+        for criteria in [COMPLETION_CRITERIA] + [(c,) for c in COMPLETION_CRITERIA]:
+            for name, trs in (("R2", R2), ("R6", R6), ("chain3", CHAIN3),
+                              ("chain4", CHAIN4), ("swap", SWAP)):
+                if name != "R2" or criteria in (COMPLETION_CRITERIA, ("huet",)):
+                    check_confluence(trs, criteria)
     return calls
 
 
 def test_successors_match_the_reference(successor_calls):
-    assert {name for name, _, _ in successor_calls} == {"R2", "R6", "chain3", "chain4", "swap"}
-    for name, got, want in successor_calls:
-        assert got == want, name
-    assert any(got for _, got, _ in successor_calls)
+    assert {name for name, _, _, _ in successor_calls} == {"R2", "R6", "chain3", "chain4", "swap"}
+    for name, criteria, got, want in successor_calls:
+        assert got == want, (name, criteria)
+    assert any(got for _, _, got, _ in successor_calls)
+    default = [c for c in successor_calls if c[1] == COMPLETION_CRITERIA]
+    assert len(default) == 18
+    assert len(successor_calls) >= 68
 
 
 # --- fuel ---------------------------------------------------------------------
@@ -280,7 +289,7 @@ FUEL = parse_trs("""(VAR x y z)
 def fuel_report():
     """The pcp criterion's state and report on FUEL split as S and P."""
     s, p = Trs(list(FUEL)[:4]), Trs(list(FUEL)[4:])
-    return SearchState(s, p, "pcp"), check_criterion("pcp", Partition(s, p))
+    return SearchState(s, p), check_criterion("pcp", Partition(s, p))
 
 
 def fuel_candidates():
