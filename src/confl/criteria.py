@@ -19,7 +19,11 @@ from .rewriting import (
     reach_set_bounded,
     reducts,
 )
-from .critical_pairs import cp, cp_in, pcp_in
+from .critical_pairs import (  # called by name through globals() in Partition.pairs
+    cp,
+    cp_in,  # not called here: bench/tracing.py wraps criteria.cp_in
+    pcp_in,
+)
 from .termination import (
     TerminationCertificate,
     prove_relative_termination,
@@ -144,10 +148,13 @@ SHAPES = {
 # family) and they are checked in this order, which fixes the order of
 # the evidence.  A pair family (generator, left class, right class) names a
 # pair generator of critical_pairs and is labelled generator(left,right) in
-# FailingPair.origin.  Each module calls the generator through its own global
-# of that name, looked up at call time, so that wrappers put on those names
-# see the call.  A condition's pairs are joined through its SHAPES rows; a
-# condition with none (parallel's (ii)) requires its family to be empty.
+# FailingPair.origin.  The prover generates each family once per split, in
+# `Partition.pairs`, where a cp_in family is the inner part of the cp family of
+# the same classes; the verifier generates each family of its one criterion.
+# Both call the generator through their module's global of that name, looked
+# up at call time, so that wrappers put on those names see the call.  A
+# condition's pairs are joined through its SHAPES rows; a condition with none
+# (parallel's (ii)) requires its family to be empty.
 CRITERION_TABLE = {
     "linear": (("linear", ("S", "P")), (
         ("i", ("cp", "S", "S")),
@@ -180,7 +187,12 @@ class Partition:
     the rules allowed inside →* search segments.  p_prime=None selects the
     automatic mode: the largest prefix of P ∪ P⁻¹ that keeps S relatively
     terminating is used, and the P' actually consumed is collected from the
-    evidence afterwards."""
+    evidence afterwards.
+
+    What the criteria checked on a split share is computed once and kept as
+    long as the partition: each pair family (`pairs`), the reversibility
+    witness of P, and the search rules, so `pp_safe`'s prefix loop runs
+    once.  A partition is meant to be checked under one run."""
 
     def __init__(self, s: Trs, p: Trs, p_prime: Trs | None = None):
         if not p.bidirectional():
@@ -195,6 +207,28 @@ class Partition:
                         f"P' rule {r.name or r} is not a variant of a rule in P or P inverse"
                     )
         self.p_prime = p_prime
+        self._memo: dict = {}
+
+    def _once(self, key, make):
+        """make(), computed at the first request for key; a search cut off
+        by the deadline stores nothing."""
+        if key not in self._memo:
+            self._memo[key] = make()
+        return self._memo[key]
+
+    def pairs(self, gen: str, left: str, right: str, run: Run) -> list:
+        """The pair family gen(left, right) of CRITERION_TABLE on this split.
+        A cp_in family is the inner part of the cp family of the same
+        classes, so it is never generated on its own."""
+        base = "cp" if gen == "cp_in" else gen
+        classes = {"S": self.s, "PP": self.pp}
+        found = self._once((base, left, right), lambda: globals()[base](
+            classes[left], classes[right], run=run))
+        return found if gen == base else [pr for pr in found if pr.kind == "inner"]
+
+    def reversibility(self, run: Run) -> ReversibilityWitness | None:
+        return self._once(("rev", run.rev_bound),
+                          lambda: is_reversible(self.p, bound=run.rev_bound))
 
     def pp_safe(self, run: Run) -> Trs:
         """Largest greedily-built subset of P ∪ P⁻¹ relative to which S can be
@@ -209,9 +243,9 @@ class Partition:
         return Trs(kept)
 
     def search_rules(self, run: Run) -> Trs:
-        if self.p_prime is not None:
-            return self.s.union(self.p_prime)
-        return self.s.union(self.pp_safe(run))
+        """S ∪ P', with pp_safe standing for P' in the automatic mode."""
+        return self._once("search", lambda: self.s.union(
+            self.pp_safe(run) if self.p_prime is None else self.p_prime))
 
 
 def collect_p_prime(evidence: list, s: Trs) -> Trs:
@@ -259,7 +293,6 @@ class _Searcher:
     def __init__(self, pt: Partition, run: Run):
         self.pt = pt
         self.run = run
-        self._sp = None
         self._memo: dict = {}
 
     def _rules(self, cls: str) -> Trs:
@@ -267,9 +300,7 @@ class _Searcher:
             return self.pt.s
         if cls != "SP":  # PP, and P for the conversion over P ∪ P⁻¹
             return self.pt.pp
-        if self._sp is None:  # huet never needs it, so never pays for pp_safe
-            self._sp = self.pt.search_rules(self.run)
-        return self._sp
+        return self.pt.search_rules(self.run)  # huet never asks, so never pays for pp_safe
 
     def _table(self, cls: str) -> dict:
         """The root-contractum table of `_rules(cls)` for this join."""
@@ -408,7 +439,7 @@ def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, run: Ru
         if not getattr(pt.s if cls == "S" else pt.p, prop)():
             rep.reason = f"{cls} is not {prop.replace('_', '-')}"
             return False
-    rev = is_reversible(pt.p, bound=run.rev_bound)
+    rev = pt.reversibility(run)
     if rev is None:
         rep.reason = "P was not shown reversible within the search bound"
         return False
@@ -466,10 +497,9 @@ def check_criterion(name: str, pt: Partition, run: Run | None = None) -> Criteri
     if not _check_preconditions(rep, pt, linearity, run):
         return rep
     sr = _Searcher(pt, run)
-    classes = {"S": pt.s, "PP": pt.pp}
     for cond, (gen, left, right) in conditions:
         origin = f"{gen}({left},{right})"
-        pairs = globals()[gen](classes[left], classes[right], run=run)
+        pairs = pt.pairs(gen, left, right, run)
         if (name, cond, "A") not in SHAPES:  # parallel's (ii), which must be empty
             if pairs:
                 rep.failing.extend(FailingPair(pair, origin) for pair in pairs)

@@ -5,7 +5,11 @@ l1 -> r1 of R, a rule l2 -> r2 of Q (renamed apart) and a function position p
 of l2 unifiable with l1 (mgu s), the pair is <(l2 with r1 at p))s, r2 s> with
 peak l2 s.  Root overlaps of a rule with its own variant are skipped.  Pairs
 are deduplicated up to variable renaming, separately per kind; the first
-provenance found is kept.
+provenance found is kept.  cp renames each inner rule apart once per call,
+at its first overlap, and unifies that one variant with every outer rule's
+positions: each pair unifies it with a single subterm of a single outer left
+side, so its pairs need no variables apart from each other's.  The prover
+asks for each family once per (S, P) split (`criteria.Partition.pairs`).
 
 A pair's key is its identity up to renaming: the kind and the flat
 `terms.shape_key` of (left, right), built in one walk without new terms.  A
@@ -27,17 +31,19 @@ system order, then position sets by size and, within a size,
 lexicographically by preorder index, then tuples of inner rules in system
 order, the rule at the first position varying slowest.
 
-pcp_in unifies each (position, rule) overlap once, into a piece that keeps
-the unifier, the peak's subterm there and its contractum, and builds every
-tuple from the pieces of its positions; a rule no piece holds is never tried
-in a tuple.  When the outer left sides are linear, as the pcp criterion
-requires of S, the positions of a tuple share no variable, so its mgu is the
-union of its pieces' unifiers: the peak is the outer left side with each
-piece's subterm put in, the left side is the peak with each contractum put
-in, and X is the union of the pieces' variables.  Only the right side is
-built by substitution.  A system with a nonlinear left side, which the
-verifier reaches when it recomputes the pairs of a flagged precondition,
-unifies each tuple jointly and takes its pieces from the joint mgu.
+pcp_in renames a rule apart once per position, since one tuple can use the
+same rule at two positions.  It unifies each (position, rule) overlap once,
+into a piece that keeps the unifier, the peak's subterm there and its
+contractum, and builds every tuple from the pieces of its positions; a rule
+no piece holds is never tried in a tuple.  When the outer left sides are
+linear, as the pcp criterion requires of S, the positions of a tuple share
+no variable, so its mgu is the union of its pieces' unifiers: the peak is
+the outer left side with each piece's subterm put in, the left side is the
+peak with each contractum put in, and X is the union of the pieces'
+variables.  Only the right side is built by substitution.  A system with a
+nonlinear left side, which the verifier reaches when it recomputes the pairs
+of a flagged precondition, unifies each tuple jointly and takes its pieces
+from the joint mgu.
 
 cp checks the run's deadline before each unification (one deep rule
 overlaps itself at every position), pcp_in once per position set, and both
@@ -128,16 +134,18 @@ def cp(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]
     """Critical pairs of rules from r_rules overlapping into q_rules."""
     run = run or Run()
     pairs = []
+    renamed = {}  # index of an inner rule -> its variant on fresh variables
     for outer in q_rules:
         subterms = fun_subterms(outer.lhs)
-        for inner in r_rules:
-            ren = None  # renamed apart at the first position with its head symbol
+        for i, inner in enumerate(r_rules):
             self_overlap = inner.key() == outer.key()
             for p, sub in subterms:
                 if sub.fn != inner.lhs.fn or (p == () and self_overlap):
                     continue
                 run.check("critical_pairs")
-                ren = ren or inner.rename_apart()
+                if i not in renamed:  # at its first position with its head symbol
+                    renamed[i] = inner.rename_apart()
+                ren = renamed[i]
                 sigma = unify_all([(ren.lhs, sub)])
                 if sigma is None:
                     continue

@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import subprocess
 from dataclasses import dataclass
-from itertools import count, permutations, product
+from itertools import permutations, product
 
 from .rewriting import Rule, Trs, empty_trs
 from .run import Run
-from .terms import (App, Term, Var, fun_subterms, is_var, match_term, signature, unify_all,
-                    unrecurse, var_ids)
+from .terms import (App, Term, Var, fresh_id, fun_subterms, is_var, match_term, signature,
+                    unify_all, unrecurse, var_ids)
 from .trs_format import print_trs
 
 
@@ -313,37 +313,48 @@ def _mark(t: App) -> App:
     return App(t.fn + _MARK, t.args)
 
 
-def dependency_pairs(s_trs: Trs) -> list[Rule]:
+def dependency_pairs(s_trs: Trs, *, check=None) -> list[Rule]:
+    """The marked dependency pairs of s_trs.  `check(layer)`, if given, is
+    called before each pair is built: one deep rule can give thousands."""
+    check = check or Run().check
     defined = {r.lhs.fn for r in s_trs}
     dps = []
     for r in s_trs:
         k = 0
         for _, u in fun_subterms(r.rhs):
             if u.fn in defined:
+                check("termination")
                 k += 1
                 dps.append(Rule(_mark(r.lhs), _mark(u), f"{r.name}{_MARK}{k}"))
     return dps
 
 
-def _cap_ren(t: Term, defined: set, fresh):
+def _cap_ren(t: Term, defined: set):
     """Body of REN(CAP(t)), run by `unrecurse`: variables and defined-rooted
-    subterms become fresh vars."""
+    subterms become fresh vars, from the counter renaming apart draws on."""
     if isinstance(t, Var) or t.fn in defined:
-        return Var(next(fresh))
+        return Var(fresh_id())
     args = []
     for a in t.args:
-        args.append((yield a, defined, fresh))
+        args.append((yield a, defined))
     return App(t.fn, tuple(args))
 
 
-def dp_graph(dps: list[Rule], defined: set) -> set[tuple[Rule, Rule]]:
-    """Estimated edges d1 -> d2 between dependency pairs."""
+def dp_graph(dps: list[Rule], defined: set, *, check=None) -> set[tuple[Rule, Rule]]:
+    """Estimated edges d1 -> d2 between dependency pairs.  Each pair's left
+    side is renamed apart once; REN(CAP) gives every d1 fresh variables of
+    its own, so one renaming serves all of them.  `check(layer)`, if given,
+    is called before each renaming and each unification."""
+    check = check or Run().check
     edges = set()
-    fresh = count(5_000_000)
+    lhss = []
+    for d2 in dps:
+        check("termination")
+        lhss.append(d2.rename_apart().lhs)
     for d1 in dps:
-        rhs = unrecurse(_cap_ren, d1.rhs, defined, fresh)  # its marked root is kept
-        for d2 in dps:
-            lhs = d2.rename_apart().lhs
+        rhs = unrecurse(_cap_ren, d1.rhs, defined)  # its marked root is kept
+        for d2, lhs in zip(dps, lhss):
+            check("termination")
             if unify_all([(rhs, lhs)]) is not None:
                 edges.add((d1, d2))
     return edges
@@ -460,8 +471,8 @@ def _prove_termination(s_trs: Trs, p_trs: Trs, run: Run):
         return TerminationCertificate("poly", s_names, p_names, rounds=rounds), ""
     if relative:
         return None, "search exhausted"
-    dps = dependency_pairs(s_trs)  # removed until the graph is acyclic
-    edges = dp_graph(dps, {r.lhs.fn for r in s_trs})
+    dps = dependency_pairs(s_trs, check=run.check)  # removed until the graph is acyclic
+    edges = dp_graph(dps, {r.lhs.fn for r in s_trs}, check=run.check)
     dp_rounds = _removal_rounds(dps, list(s_trs.rules), _shapes_weak, shift=False, sort=True,
                                 done=lambda rest: not _has_cycle(rest, edges), run=run)
     if dp_rounds is not None:

@@ -92,6 +92,7 @@ _C_TEXT, _A_TEXT = "+(x,y) -> +(y,x)", "+(+(x,y),z) -> +(x,+(y,z))"
 CHAIN3 = _parsed("g(+(a0,+(a1,a2))) -> c", _C_TEXT, _A_TEXT)
 CHAIN4 = _parsed("g(+(a0,+(a1,+(a2,a3)))) -> c", _C_TEXT, _A_TEXT)
 SWAP = _parsed("g(+(a,b)) -> c", "g(+(b,a)) -> d", _C_TEXT, _A_TEXT)
+FORK = _parsed("f(x) -> g(x)", "f(x) -> h(x)")
 
 # inputs of the parallel benchmark: wide4's certificate holds 255 pcp (ii)
 # joins, and deep16's (iii) joins take parallel steps of P's rules

@@ -6,8 +6,10 @@ kind of obstacle (precondition vs unjoined pairs) so regressions stay loud.
 import pytest
 
 from confl import completion, criteria, rewriting
+from confl.completion import decompose
 from confl.criteria import (
     CRITERIA,
+    CRITERION_TABLE,
     SHAPES,
     Partition,
     PreconditionViolation,
@@ -21,6 +23,9 @@ from confl.terms import all_parallel
 
 from helpers import replay_reversibility, replay_steps
 from systems import (
+    ALL_SYSTEMS,
+    CHAIN3,
+    FORK,
     P5,
     P8,
     P_CA,
@@ -35,6 +40,7 @@ from systems import (
     S6,
     S8,
     SS1,
+    SWAP,
     decided,
     plus,
     s,
@@ -318,6 +324,54 @@ def test_failure_reports_name_the_unjoined_pairs():
     rep = check_criterion("linear", Partition(swap, empty_trs()))
     assert not rep.holds()
     assert "termination" in rep.reason
+
+
+# --- what one split's checks share ---------------------------------------------
+
+
+def test_a_split_generates_each_pair_family_once(monkeypatch):
+    """pcp, linear and huet all fail on pairs of chain3's first split.  On
+    one Partition they generate cp(S,S), cp(S,PP) and cp(PP,S) once each,
+    cp_in(PP,S) as the inner part of cp(PP,S), and show P reversible once."""
+    calls = {name: 0 for name in ("cp", "cp_in", "pcp_in", "is_reversible")}
+
+    def counted(name):
+        fn = getattr(criteria, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(criteria, name, counted(name))
+    pt, run = Partition(*decompose(CHAIN3)[0]), Run()
+    for name in ("pcp", "linear", "huet"):
+        rep = check_criterion(name, pt, run)
+        assert rep.failing and not rep.holds(), name
+    assert calls == {"cp": 3, "cp_in": 0, "pcp_in": 1, "is_reversible": 1}
+
+
+FAMILIES = list(dict.fromkeys(
+    family for _linearity, conditions in CRITERION_TABLE.values()
+    for _cond, family in conditions))
+SPLIT_INPUTS = {**{f"R{i}": trs for i, trs in enumerate(ALL_SYSTEMS, 1)},
+                "chain3": CHAIN3, "swap": SWAP, "fork": FORK}
+
+
+@pytest.mark.parametrize("name", SPLIT_INPUTS)
+def test_a_memoized_family_is_the_generators_own(name):
+    """Every family a split's memo hands out, in CRITERION_TABLE order (so a
+    cp_in family before the cp family it filters), has the pairs, kinds and
+    order of a fresh generator call: the order is part of the certificate."""
+    for s_trs, p_trs in decompose(SPLIT_INPUTS[name]):
+        pt, run = Partition(s_trs, p_trs), Run()
+        classes = {"S": pt.s, "PP": pt.pp}
+        for gen, left, right in FAMILIES:
+            fresh = getattr(criteria, gen)(classes[left], classes[right])
+            for _ in range(2):
+                got = pt.pairs(gen, left, right, run)
+                assert [pr.key() for pr in got] == [pr.key() for pr in fresh], (gen, left, right)
 
 
 # --- the join search's cost and deadline ------------------------------------------

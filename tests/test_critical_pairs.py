@@ -30,7 +30,8 @@ from confl.terms import (
 )
 
 from helpers import cp_out, replay_steps
-from systems import P5, P8, P_CA, R3, S2, S3, S4, S6, S8, SS1, SS2, f2, g1, h1, plus, s, x, y, z, zero
+from systems import (P5, P8, P_CA, R2, R3, S2, S3, S4, S6, S8, SS1, SS2, decided, f2, g1, h1,
+                     plus, s, x, y, z, zero)
 
 
 def keyset(pairs):
@@ -357,3 +358,20 @@ def test_pcp_in_unifies_each_overlap_once(monkeypatch):
     # its own, and none of the 255 tuples built from them unified again
     assert len(got) == 255
     assert len(calls) == 12
+
+
+def test_cp_renames_each_inner_rule_once_per_call(monkeypatch):
+    """One variant of an inner rule serves every outer rule: each pair
+    unifies it with one subterm of one outer left side."""
+    rep = decided(R2).report
+    renamed = []
+
+    def counting(rule):
+        renamed.append(rule.name)
+        return rename_apart_rule(rule)
+
+    rename_apart_rule = Rule.rename_apart
+    monkeypatch.setattr(Rule, "rename_apart", counting)
+    pairs = cp(rep.s, rep.s)
+    assert pairs and len(rep.s) > 4
+    assert len(renamed) == len(set(renamed)) <= len(rep.s)

@@ -17,6 +17,7 @@ from confl.termination import (
     _shapes_strict,
     _shapes_weak,
     dependency_pairs,
+    dp_graph,
     homeomorphic_embeds,
     lpo_gt,
     prove_relative_termination,
@@ -26,7 +27,7 @@ from confl.termination import (
 from confl.terms import App, fun_subterms, signature, subterm_at
 from confl.trs_format import parse_trs
 
-from systems import ALL_SYSTEMS, A, C, P_CA, S3, S6, f2, g1, plus, s, x, y, zero
+from systems import ALL_SYSTEMS, R7, A, C, P_CA, S3, S6, f2, g1, plus, s, x, y, zero
 
 
 def test_empty_system_is_trivially_terminating():
@@ -277,3 +278,28 @@ def test_pruned_interpretation_search_edge_cases():
     # no rules, no symbols: no interpretation removes anything
     assert _find_interpretation([], [], _shapes_strict, shift=True) is None
     assert_same_search(([], [], _shapes_strict), {"shift": True})
+
+
+def test_dp_graph_renames_each_pair_once(monkeypatch):
+    dps = dependency_pairs(R7)
+    defined = {r.lhs.fn for r in R7}
+    edges = dp_graph(dps, defined)
+    renamed = []
+
+    def counting(rule):
+        renamed.append(rule)
+        return rename_apart(rule)
+
+    rename_apart = Rule.rename_apart
+    monkeypatch.setattr(Rule, "rename_apart", counting)
+    assert dp_graph(dps, defined) == edges
+    assert len(dps) == 11 and len(renamed) == len(dps)
+
+
+def test_dependency_pairs_and_their_graph_keep_the_deadline():
+    dps = dependency_pairs(R7)
+    check = Run(timeout=0).check
+    with pytest.raises(TimedOut, match="termination"):
+        dependency_pairs(R7, check=check)
+    with pytest.raises(TimedOut, match="termination"):
+        dp_graph(dps, {r.lhs.fn for r in R7}, check=check)
