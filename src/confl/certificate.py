@@ -11,11 +11,13 @@ The joins come in the verifier's own pair order: conditions in
 `CRITERION_TABLE` order, and each family in the order `critical_pairs`
 documents.  So a join names no pair: the k-th join is checked against the
 verifier's k-th pair, and must connect a variant of it (for pcp's condition
-(ii), with the variable condition read through that renaming).  A join writes
-its left term and then each segment's end; a segment starts where the one
-before it ends.  A join still writes its condition, which its place already
-gives: a reader sees which family it closes, and a join out of place is
-reported as such.
+(ii), with the variable condition read through that renaming) through one of
+its condition's branches in `CRITERION_TABLE`, the row the prover built the
+join from.  The same row gives the linearity precondition and the termination
+certificates to check.  A join writes its left term and then each segment's
+end; a segment starts where the one before it ends.  A join still writes its
+condition, which its place already gives: a reader sees which family it
+closes, and a join out of place is reported as such.
 
 A history step is a forward derivation in the current system Q, named by
 Q's rule names: an addition l -> r gives l →*_Q r, a replacement of l -> r by
@@ -46,7 +48,7 @@ from .terms import (
 from .rewriting import Rule, Trs, empty_trs, replay
 # cp, cp_in and pcp_in are called by the names CRITERION_TABLE gives
 from .critical_pairs import cp, cp_in, pcp_in
-from .criteria import CRITERION_TABLE, SHAPES
+from .criteria import CRITERION_TABLE
 from .reversibility import reversal_problems
 from .termination import MalformedCertificate, TerminationCertificate, replay_certificate
 
@@ -435,11 +437,12 @@ def _replay(start: Term, steps, table: Trs):
     """The end term of the named steps [(position, rule name)] applied in
     order from start, or a string saying which step fails."""
     try:
-        return replay(start, ((pos, table.rule(rn)) for pos, rn in steps))
+        done = replay(start, ((pos, table.rule(rn)) for pos, rn in steps))
     except KeyError as exc:
         return f"rule {exc.args[0]!r} is not available"
     except ValueError as exc:
         return str(exc)
+    return done[-1].target if done else start
 
 
 def _replay_segment(seg: SegData, tables: dict, problems: list, label: str):
@@ -488,15 +491,15 @@ def _replay_segment(seg: SegData, tables: dict, problems: list, label: str):
     return par_positions
 
 
-def _check_join(join: JoinData, criterion: str, cond: str, pair, tables: dict,
-                problems: list):
+def _check_join(join: JoinData, criterion: str, cond: str, branches: tuple, pair,
+                tables: dict, problems: list):
     """Check one join against the recomputed pair of condition `cond` that it
-    stands for."""
+    stands for, and against that condition's branches."""
     label = f"join <{join.condition},{join.branch}>"
     if join.condition != cond:
         problems.append(f"{label}: stands where a condition {cond} join is due")
         return
-    shape = SHAPES.get((criterion, cond, join.branch))
+    shape = dict(zip("AB", branches)).get(join.branch)
     if shape is None:
         problems.append(f"{label}: no such condition/branch for {criterion}")
         return
@@ -519,10 +522,10 @@ def _check_join(join: JoinData, criterion: str, cond: str, pair, tables: dict,
     if flat != pair_flat:
         problems.append(f"{label}: does not connect its pair {pair!r}")
         return
-    if criterion == "pcp" and cond == "ii":
-        # the variables below the parallel step, numbered as the pair's own
-        # variables are, must be constrained ones; replay has checked that
-        # the positions are in the term
+    if getattr(pair, "var_limit", None) is not None:
+        # pcp's (ii): the variables below the parallel step, numbered as the
+        # pair's own variables are, must be constrained ones; replay has
+        # checked that the positions are in the term
         seg, positions = par_info
         target = seg.start if seg.reverse else seg.end
         used = set()
@@ -603,9 +606,14 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
         return False, problems + ["missing reversibility section"]
     problems.extend(reversal_problems(p, cert.rev_seqs))
 
+    crit = cert.criterion
+    if crit not in CRITERION_TABLE:
+        return False, problems + [f"unknown criterion {crit!r}"]
+    (prop, linear_classes), relative_to, conditions = CRITERION_TABLE[crit]
+
     # 4. P' and termination certificates
     p_prime = None
-    if cert.criterion != "huet":
+    if relative_to == "P'":
         pps = []
         for r in cert.pp_rules:
             if not pp.contains_variant(r):
@@ -631,10 +639,6 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
             problems.append(f"{label} malformed: {exc}")
 
     # 5. linearity preconditions
-    crit = cert.criterion
-    if crit not in CRITERION_TABLE:
-        return False, problems + [f"unknown criterion {crit!r}"]
-    (prop, linear_classes), conditions = CRITERION_TABLE[crit]
     classes = {"S": s, "P": p, "PP": pp}
     if not all(getattr(classes[c], prop)() for c in linear_classes):
         problems.append(f"{prop.replace('_', '-')}ity precondition violated")
@@ -642,17 +646,17 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     # 6. the k-th join joins the k-th recomputed critical pair
     sp = s.union(p_prime) if p_prime is not None else s
     tables = {"S": s, "PP": pp, "SP": sp, "P": pp}
-    due = []  # (condition, pair) in the order the joins are written
-    for cond, (gen, left, right) in conditions:
+    due = []  # (condition, branches, pair) in the order the joins are written
+    for cond, (gen, left, right), branches in conditions:
         pairs = globals()[gen](classes[left], classes[right])
-        if (crit, cond, "A") in SHAPES:
-            due.extend((cond, pair) for pair in pairs)
+        if branches:
+            due.extend((cond, branches, pair) for pair in pairs)
         elif pairs:  # parallel's (ii), the one family that must be empty
             problems.append("inner critical pairs of P∪P⁻¹ into S must be empty")
     if len(cert.joins) != len(due):
         problems.append(f"{len(cert.joins)} join(s) for {len(due)} recomputed pair(s)")
     else:
-        for join, (cond, pair) in zip(cert.joins, due):
-            _check_join(join, crit, cond, pair, tables, problems)
+        for join, (cond, branches, pair) in zip(cert.joins, due):
+            _check_join(join, crit, cond, branches, pair, tables, problems)
 
     return (not problems), problems

@@ -1,9 +1,12 @@
 """Command line front end: read a rewrite system, decide confluence, print
 YES or MAYBE on the first line, and optionally emit a replayable certificate.
 
-Exit status: 0 for YES, 1 for MAYBE, 2 for errors, internal ones included."""
+Exit status: 0 for YES, 1 for MAYBE, 2 for errors, internal ones and a
+closed standard output included."""
 import argparse
+import os
 import sys
+from contextlib import suppress
 
 from .trs_format import ParseError, parse_trs_file
 from .completion import COMPLETION_CRITERIA, check_confluence
@@ -34,7 +37,16 @@ def main(argv=None) -> int:
                         help="external termination prover to consult as a last resort")
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        status = _run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:  # the reader is gone: nothing more goes to stdout
+        # so that the flush at exit does not fail on the pipe again
+        with suppress(OSError, ValueError):  # unless stdout has no descriptor
+            fd = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), fd)
+        print("error: standard output is closed", file=sys.stderr)
+        return 2
     except Exception as exc:  # exit status 1 would read as MAYBE
         print("ERROR")
         print(f"internal error: {exc!r}", file=sys.stderr)

@@ -27,7 +27,7 @@ from .rewriting import (
     normalize_steps,
     reach_bounded,
     reducts,
-    step_at,
+    replay,
 )
 from .critical_pairs import ParallelCriticalPair, cp_in
 from .criteria import (
@@ -122,29 +122,19 @@ def decompose(q: Trs, rev_bound: int = DEFAULT_DEPTH, *, check=None) -> list:
     return out
 
 
-def _path(t, moves, end):
-    """The steps of the moves [(position, rule)] applied in order from t, or
-    None unless each move applies and the last one ends at `end`."""
-    steps = []
-    for pos, rule in moves:
-        st = step_at(t, pos, rule)
-        if st is None:
-            return None
-        steps.append(st)
-        t = st.target
-    return tuple(steps) if t == end else None
-
-
 def _reverse_steps(steps):
-    """The steps undone in reverse order by the inverses of their rules,
-    which must be bidirectional."""
+    """The steps undone in reverse order by the inverses of their rules.
+    The rules are bidirectional, so each inverse matches the target it
+    undoes with the step's own substitution and gives back its source."""
     moves = [(st.position, st.rule.inverse()) for st in reversed(steps)]
-    return _path(steps[-1].target, moves, steps[0].source)
+    return replay(steps[-1].target, moves)
 
 
 def _forward(steps, p: Trs, rev) -> tuple:
     """The P∪P⁻¹ steps as forward P steps: each P⁻¹ step is replaced by its P
-    rule's reversal sequence from the witness rev, shifted to its position."""
+    rule's reversal sequence from the witness rev, shifted to its position.
+    A P⁻¹ step rσ → lσ of the P rule l -> r is the witness's r →* l under
+    σ, so the shifted sequence applies and ends at the step's target."""
     fwd = {r.key(): r for r in p}
     undo = {r.inverse().key(): rev.sequence(r.name) for r in p}
     out = []
@@ -152,7 +142,7 @@ def _forward(steps, p: Trs, rev) -> tuple:
         rule = fwd.get(st.rule.key())
         chain = ([(st.position, rule)] if rule is not None else
                  [(st.position + rs.position, rs.rule) for rs in undo[st.rule.key()]])
-        out.extend(_path(st.source, chain, st.target))
+        out.extend(replay(st.source, chain))
     return tuple(out)
 
 
@@ -202,7 +192,9 @@ def _through_peak(f, s: Trs, named):
     """The repair of a failing pair t₁ ← peak → t₂ with one P∪P⁻¹ side: the
     rule from its P side to the S-normal form of the other side.  Returns
     (rule, P∪P⁻¹ steps back to the peak, S steps from the peak to the normal
-    form), or None."""
+    form), or None.  The pair's own redexes lead from the peak to its sides,
+    and P∪P⁻¹ is bidirectional, so both replays apply and end at the peak
+    and at the other side."""
     pair = f.pair
     if f.origin == "cp(S,PP)":  # the P side is the outer rule's reduct
         p_side, other = pair.right, pair.left
@@ -218,11 +210,7 @@ def _through_peak(f, s: Trs, named):
     rule = _valid_rule(p_side, nf, named)
     if rule is None:
         return None
-    to_peak = _path(p_side, back, pair.peak)
-    from_peak = _path(pair.peak, forward, other)
-    if to_peak is None or from_peak is None:
-        return None
-    return rule, to_peak, from_peak + tuple(nsteps)
+    return rule, replay(p_side, back), replay(pair.peak, forward) + tuple(nsteps)
 
 
 def _addition_candidates(state: SearchState, report: CriterionReport, run: Run):
@@ -252,9 +240,7 @@ def _addition_candidates(state: SearchState, report: CriterionReport, run: Run):
             remember(u_big, _valid_rule(left, right, named), conv, ())
             rule2 = _valid_rule(right, left, named)
             if rule2 is not None:
-                rconv = _reverse_steps(conv)
-                if rconv is not None:
-                    remember(u_big, rule2, rconv, ())
+                remember(u_big, rule2, _reverse_steps(conv), ())
         elif f.origin == "cp(S,PP)" or (f.origin.endswith("(PP,S)") and pair.kind == "inner"):
             # an outer (PP,S) pair mirrors a cp(S,PP) pair, so it is left out
             found = _through_peak(f, s, named)

@@ -1,10 +1,14 @@
 """Critical-pair criteria for rewrite systems split into a terminating part S
 and a reversible part P.
 
-Each checker decides one sufficient condition for Church-Rosser modulo the
-conversion generated by P (and hence confluence of S ∪ P).  All reachability
-searches are bounded; a "fails" outcome therefore means "not established
-within the search budget", never "refuted".
+Each criterion is one sufficient condition for Church-Rosser modulo the
+conversion generated by P (and hence confluence of S ∪ P), stated once, as a
+row of `CRITERION_TABLE`: its linearity precondition, what S must terminate
+relative to, and per condition the pair family and the join branches.
+`check_criterion` decides any row, and the certificate verifier checks a
+certified join against the same row.  All reachability searches are bounded;
+a "fails" outcome therefore means "not established within the search
+budget", never "refuted".
 """
 from dataclasses import dataclass, field
 
@@ -94,87 +98,67 @@ class CriterionReport:
         return self.outcome == "holds"
 
 
-# The join shapes per (criterion, condition, branch): a tuple of (rel, rules,
-# reverse) segments chaining a pair's left term to its right term.  The prover
-# builds every join from these rows (_Searcher, which also fixes the order the
-# joins are tried in) and the verifier checks every certified join against them.
-SHAPES = {
-    ("linear", "i", "A"): (("star", "SP", False), ("opt", "PP", True), ("star", "SP", True)),
-    ("linear", "ii", "A"): (("opt", "PP", True), ("star", "SP", True)),
-    ("linear", "ii", "B"): (
-        ("step", "S", False),
-        ("star", "SP", False),
-        ("opt", "PP", True),
-        ("star", "SP", True),
-    ),
-    ("linear", "iii", "A"): (("star", "SP", False), ("opt", "PP", False)),
-    ("linear", "iii", "B"): (
-        ("star", "SP", False),
-        ("opt", "PP", False),
-        ("star", "SP", True),
-        ("step", "S", True),
-    ),
-    ("parallel", "i", "A"): (("star", "SP", False), ("parallel", "PP", True), ("star", "SP", True)),
-    ("parallel", "iii", "A"): (("star", "SP", False), ("parallel", "PP", False)),
-    ("parallel", "iii", "B"): (
-        ("star", "SP", False),
-        ("parallel", "PP", False),
-        ("star", "SP", True),
-        ("step", "S", True),
-    ),
-    ("pcp", "i", "A"): (("star", "SP", False), ("parallel", "PP", True), ("star", "SP", True)),
-    ("pcp", "ii", "A"): (("parallel", "PP", True), ("star", "SP", True)),
-    ("pcp", "ii", "B"): (
-        ("step", "S", False),
-        ("star", "SP", False),
-        ("parallel", "PP", True),
-        ("star", "SP", True),
-    ),
-    ("pcp", "iii", "A"): (("star", "SP", False), ("parallel", "PP", False)),
-    ("pcp", "iii", "B"): (
-        ("star", "SP", False),
-        ("parallel", "PP", False),
-        ("star", "SP", True),
-        ("step", "S", True),
-    ),
-    ("huet", "i", "A"): (("star", "S", False), ("conv", "P", False), ("star", "S", True)),
-    ("huet", "ii", "A"): (("plus", "S", False), ("conv", "P", False), ("star", "S", True)),
-    ("huet", "iii", "A"): (("star", "S", False), ("conv", "P", False), ("plus", "S", True)),
-}
+# pcp's join branches for conditions (i) and (iii), which parallel shares.
+_PCP_I = ((("star", "SP", False), ("parallel", "PP", True), ("star", "SP", True)),)
+_PCP_III = (
+    (("star", "SP", False), ("parallel", "PP", False)),
+    (("star", "SP", False), ("parallel", "PP", False), ("star", "SP", True), ("step", "S", True)),
+)
 
-# What each criterion checks, for the prover and the verifier alike:
-# (linearity precondition, conditions).  The precondition is a Trs predicate
-# and the rule classes it must hold for.  Each condition is (condition, pair
-# family) and they are checked in this order, which fixes the order of
-# the evidence.  A pair family (generator, left class, right class) names a
-# pair generator of critical_pairs and is labelled generator(left,right) in
-# FailingPair.origin.  The prover generates each family once per split, in
-# `Partition.pairs`, where a cp_in family is the inner part of the cp family of
-# the same classes; the verifier generates each family of its one criterion.
-# Both call the generator through their module's global of that name, looked
-# up at call time, so that wrappers put on those names see the call.  A
-# condition's pairs are joined through its SHAPES rows; a condition with none
+# One row per criterion: (linearity precondition, termination obligation,
+# conditions).  The precondition is a Trs predicate and the rule classes it
+# must hold for.  The obligation "P" asks S terminating relative to all of P
+# and fixes P' = ∅; "P'" asks S terminating, and terminating relative to P'.
+# Each condition is (condition, pair family, join branches), checked in this
+# order, which fixes the order of the evidence.  A pair family (generator,
+# left class, right class) names a pair generator of critical_pairs and is
+# labelled generator(left,right) in FailingPair.origin.  The prover generates
+# each family once per split, in `Partition.pairs`, where a cp_in family is
+# the inner part of the cp family of the same classes; the verifier generates
+# each family of its one criterion.  Both call the generator through their
+# module's global of that name, looked up at call time, so that wrappers put
+# on those names see the call.  A branch is a tuple of (rel, rules, reverse)
+# segments chaining a pair's left term to its right term; the prover builds
+# every join from the branches, A then B (_Searcher), and the verifier checks
+# every certified join against them.  A condition without branches
 # (parallel's (ii)) requires its family to be empty.
 CRITERION_TABLE = {
-    "linear": (("linear", ("S", "P")), (
-        ("i", ("cp", "S", "S")),
-        ("ii", ("cp_in", "PP", "S")),
-        ("iii", ("cp", "S", "PP")),
+    "linear": (("linear", ("S", "P")), "P'", (
+        ("i", ("cp", "S", "S"), (
+            (("star", "SP", False), ("opt", "PP", True), ("star", "SP", True)),
+        )),
+        ("ii", ("cp_in", "PP", "S"), (
+            (("opt", "PP", True), ("star", "SP", True)),
+            (("step", "S", False), ("star", "SP", False), ("opt", "PP", True),
+             ("star", "SP", True)),
+        )),
+        ("iii", ("cp", "S", "PP"), (
+            (("star", "SP", False), ("opt", "PP", False)),
+            (("star", "SP", False), ("opt", "PP", False), ("star", "SP", True),
+             ("step", "S", True)),
+        )),
     )),
-    "parallel": (("left_linear", ("S", "P")), (
-        ("ii", ("cp_in", "PP", "S")),
-        ("i", ("cp", "S", "S")),
-        ("iii", ("cp", "S", "PP")),
+    "parallel": (("left_linear", ("S", "P")), "P'", (
+        ("ii", ("cp_in", "PP", "S"), ()),
+        ("i", ("cp", "S", "S"), _PCP_I),
+        ("iii", ("cp", "S", "PP"), _PCP_III),
     )),
-    "pcp": (("left_linear", ("S", "P")), (
-        ("i", ("cp", "S", "S")),
-        ("ii", ("pcp_in", "PP", "S")),
-        ("iii", ("cp", "S", "PP")),
+    "pcp": (("left_linear", ("S", "P")), "P'", (
+        ("i", ("cp", "S", "S"), _PCP_I),
+        ("ii", ("pcp_in", "PP", "S"), (
+            (("parallel", "PP", True), ("star", "SP", True)),
+            (("step", "S", False), ("star", "SP", False), ("parallel", "PP", True),
+             ("star", "SP", True)),
+        )),
+        ("iii", ("cp", "S", "PP"), _PCP_III),
     )),
-    "huet": (("left_linear", ("S",)), (
-        ("i", ("cp", "S", "S")),
-        ("ii", ("cp", "PP", "S")),
-        ("iii", ("cp", "S", "PP")),
+    "huet": (("left_linear", ("S",)), "P", (
+        ("i", ("cp", "S", "S"),
+         ((("star", "S", False), ("conv", "P", False), ("star", "S", True)),)),
+        ("ii", ("cp", "PP", "S"),
+         ((("plus", "S", False), ("conv", "P", False), ("star", "S", True)),)),
+        ("iii", ("cp", "S", "PP"),
+         ((("star", "S", False), ("conv", "P", False), ("plus", "S", True)),)),
     )),
 }
 
@@ -263,12 +247,13 @@ def collect_p_prime(evidence: list, s: Trs) -> Trs:
 
 
 class _Searcher:
-    """Bounded join search shared by all four criteria, built from SHAPES.
+    """Bounded join search shared by all four criteria, built from the
+    branches of CRITERION_TABLE.
 
-    A branch is its SHAPES row split at the middle segment, the one over PP
-    or P.  Each side is read inwards from the pair's term: an optional outer
-    S-step, tried in `reducts` order, then an optional star/plus reach set
-    over S or SP (a side without one ends where it starts).  The scan cap is
+    A branch is split at its middle segment, the one over PP or P.  Each
+    side is read inwards from the pair's term: an optional outer S-step,
+    tried in `reducts` order, then an optional star/plus reach set over S or
+    SP (a side without one ends where it starts).  The scan cap is
     checked on |ru|·|rv| before plus drops the empty paths.  The middle is a
     single PP step (opt), a parallel PP step (with the variable condition
     when the pair carries var_limit), or a P-conversion (conv).
@@ -370,8 +355,8 @@ class _Searcher:
                 if st is not None:
                     yield a, pa, b, pb, (st,)
 
-    def _branch(self, crit: str, cond: str, branch: str, pair):
-        shape = SHAPES[(crit, cond, branch)]
+    def _branch(self, shape: tuple, pair):
+        """The segments of the first join of the pair through one branch."""
         k = next(i for i, (_, rules, _) in enumerate(shape) if rules in ("PP", "P"))
         left, (kind, _, reverse), right = shape[:k], shape[k], shape[k + 1:]
         x_ids = getattr(pair, "var_limit", None)
@@ -386,21 +371,19 @@ class _Searcher:
                     rt, rs = _inwards(right, last, b, pb)
                     terms = [pair.left, *lt, *rt[::-1], pair.right]
                     steps = [*ls, mid, *rs[::-1]]
-                    segments = tuple(
+                    return tuple(
                         Segment(rel, rules, rev, start, end, path)
                         for (rel, rules, rev), start, end, path
                         in zip(shape, terms, terms[1:], steps))
-                    return JoinEvidence(crit, cond, branch, pair.left, pair.right, segments)
         return None
 
-    def join(self, crit: str, cond: str, pair) -> JoinEvidence | None:
-        """The first join of the pair under its condition's SHAPES rows."""
+    def join(self, crit: str, cond: str, branches: tuple, pair) -> JoinEvidence | None:
+        """The first join of the pair through its condition's branches."""
         self._memo = {}
-        for branch in ("A", "B"):
-            if (crit, cond, branch) in SHAPES:
-                ev = self._branch(crit, cond, branch, pair)
-                if ev is not None:
-                    return ev
+        for branch, shape in zip("AB", branches):
+            segments = self._branch(shape, pair)
+            if segments is not None:
+                return JoinEvidence(crit, cond, branch, pair.left, pair.right, segments)
         return None
 
 
@@ -432,7 +415,8 @@ def _base_report(name: str, pt: Partition) -> CriterionReport:
                            s=pt.s, p=pt.p)
 
 
-def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, run: Run) -> bool:
+def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, relative_to: str,
+                         run: Run) -> bool:
     """Fill in reversibility/termination facts; False if a precondition fails."""
     prop, classes = linearity
     for cls in classes:
@@ -444,7 +428,7 @@ def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, run: Ru
         rep.reason = "P was not shown reversible within the search bound"
         return False
     rep.reversibility = rev
-    if rep.criterion == "huet":
+    if relative_to == "P":
         rcert, rwhy = prove_relative_termination(pt.s, pt.p, run=run)
         if rcert is None:
             rep.reason = f"relative termination of S w.r.t. P not established: {rwhy}"
@@ -466,12 +450,12 @@ def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, run: Ru
     return True
 
 
-def _finish(rep: CriterionReport, pt: Partition, run: Run) -> CriterionReport:
+def _finish(rep: CriterionReport, pt: Partition, relative_to: str, run: Run) -> CriterionReport:
     """Resolve the outcome after all pairs were scanned."""
     if rep.failing:
         rep.reason = f"{len(rep.failing)} critical pair(s) not joined within the bound"
         return rep
-    if rep.criterion == "huet":
+    if relative_to == "P":
         rep.p_prime = empty_trs()
     elif pt.p_prime is None:
         used = collect_p_prime(rep.evidence, pt.s)
@@ -492,15 +476,15 @@ def check_criterion(name: str, pt: Partition, run: Run | None = None) -> Criteri
     if name not in CRITERION_TABLE:
         raise ValueError(f"unknown criterion {name!r}; expected one of {CRITERIA}")
     run = run or Run()
-    linearity, conditions = CRITERION_TABLE[name]
+    linearity, relative_to, conditions = CRITERION_TABLE[name]
     rep = _base_report(name, pt)
-    if not _check_preconditions(rep, pt, linearity, run):
+    if not _check_preconditions(rep, pt, linearity, relative_to, run):
         return rep
     sr = _Searcher(pt, run)
-    for cond, (gen, left, right) in conditions:
+    for cond, (gen, left, right), branches in conditions:
         origin = f"{gen}({left},{right})"
         pairs = pt.pairs(gen, left, right, run)
-        if (name, cond, "A") not in SHAPES:  # parallel's (ii), which must be empty
+        if not branches:  # parallel's (ii), which must be empty
             if pairs:
                 rep.failing.extend(FailingPair(pair, origin) for pair in pairs)
                 rep.reason = "inner critical pairs of P∪P⁻¹ into S exist"
@@ -508,9 +492,9 @@ def check_criterion(name: str, pt: Partition, run: Run | None = None) -> Criteri
             continue
         for pair in pairs:
             run.check("criteria")
-            ev = sr.join(name, cond, pair)
+            ev = sr.join(name, cond, branches, pair)
             if ev is None:
                 rep.failing.append(FailingPair(pair, origin))
             else:
                 rep.evidence.append(ev)
-    return _finish(rep, pt, run)
+    return _finish(rep, pt, relative_to, run)

@@ -49,14 +49,14 @@ def reversal_problems(p_trs: Trs, sequences) -> list[str]:
     for name, moves in sequences:
         try:
             rule = p_trs.rule(name)
-            end = replay(rule.rhs, ((pos, p_trs.rule(rn)) for pos, rn in moves))
+            steps = replay(rule.rhs, ((pos, p_trs.rule(rn)) for pos, rn in moves))
         except KeyError as exc:
             problems.append(f"reversibility: P rule {exc.args[0]!r} is not available for {name}")
             continue
         except ValueError as exc:
             problems.append(f"reversibility: {exc} for {name}")
             continue
-        if end != rule.lhs:
+        if (steps[-1].target if steps else rule.rhs) != rule.lhs:
             problems.append(f"reversibility: sequence for {name} does not reach the left side")
         else:
             covered.add(name)

@@ -9,8 +9,9 @@ over one system, as the join search does per join, matches each (rule,
 subterm) once however many terms hold the subterm.  Steps are plain records
 built from a match (by `step_at` and `parallel_step`).  A step is checked
 when it is replayed, by `replay`, the one routine that re-applies
-(position, rule) moves.  A rule's key is `terms.shape_key` of its two sides,
-the identity up to renaming that pairs and witnesses use too.
+(position, rule) moves and returns the steps it takes.  A rule's key is
+`terms.shape_key` of its two sides, the identity up to renaming that pairs
+and witnesses use too.
 
 Reach sets and goal searches are one breadth-first walk, `_walk`, which
 builds a `Step` only for a term it has not reached before and, given a
@@ -128,8 +129,12 @@ class Trs:
     def __hash__(self):
         return hash(self.key())
 
-    def key(self):
+    def key(self) -> frozenset:
         """Set identity up to renaming and rule order."""
+        return self._key
+
+    @cached_property
+    def _key(self):
         return frozenset(r.key() for r in self.rules)
 
     def rule(self, name: str) -> Rule:
@@ -149,7 +154,7 @@ class Trs:
         return all(r.is_bidirectional() for r in self.rules)
 
     def contains_variant(self, rule: Rule) -> bool:
-        return rule.key() in {r.key() for r in self.rules}
+        return rule.key() in self.key()
 
     def replace(self, old: Rule, new: Rule) -> Trs:
         """The system with the variants of `old` removed and `new` last."""
@@ -162,7 +167,7 @@ class Trs:
 
     def union(self, other) -> Trs:
         out = list(self.rules)
-        keys = {r.key() for r in out}
+        keys = set(self.key())
         names = {r.name for r in out}
         for r in other:
             if r.key() in keys:
@@ -235,9 +240,11 @@ def _contracta(sub: App, trs: Trs, table: dict) -> tuple:
     return out
 
 
-def replay(t: Term, moves) -> Term:
-    """The end term of the moves [(position, rule)] applied in order from t.
-    Raises ValueError naming the first move that does not apply."""
+def replay(t: Term, moves) -> tuple[Step, ...]:
+    """The steps of the moves [(position, rule)] applied in order from t; the
+    end term is the last step's target, or t without steps.  Raises
+    ValueError naming the first move that does not apply."""
+    steps = []
     for pos, rule in moves:
         try:
             st = step_at(t, pos, rule)
@@ -245,8 +252,9 @@ def replay(t: Term, moves) -> Term:
             st = None
         if st is None:
             raise ValueError(f"step {rule.name} at {pos_str(pos)} does not apply")
+        steps.append(st)
         t = st.target
-    return t
+    return tuple(steps)
 
 
 def _rewrites(t: Term, trs: Trs, table: dict):

@@ -21,7 +21,8 @@ def replay_steps(s: Term, steps, trs: Trs | None = None) -> Term:
             raise ValueError("step sequence does not chain")
         if keys is not None and st.rule.key() not in keys:
             raise ValueError(f"step uses foreign rule {st.rule.name}")
-        cur = replay(cur, [(st.position, st.rule)])
+        (done,) = replay(cur, [(st.position, st.rule)])
+        cur = done.target
         if cur != st.target:
             raise ValueError(f"step {st.rule.name} at {pos_str(st.position)} "
                              f"does not reach its stated target")

@@ -301,6 +301,35 @@ def test_tampered_join_step_rule_rejected(cert_r3):
     rejected(bad, R3)
 
 
+def test_join_through_a_branch_its_condition_lacks_rejected(cert_r3):
+    # pcp's condition (i) has branch A only
+    assert parse_certificate(cert_r3).criterion == "pcp"
+    bad = mutate(cert_r3, "join i A ", lambda ln: ln.replace("join i A ", "join i B "))
+    assert rejected(bad, R3) == ["join <i,B>: no such condition/branch for pcp"]
+
+
+@pytest.mark.parametrize("segment", ["plus SP fwd", "star S fwd"])
+def test_join_segment_off_its_branch_rejected(cert_r3, segment):
+    # the first join's first segment is star SP fwd in pcp's (i) branch A; its
+    # steps (none) still replay as the other relation or class would
+    bad = mutate(cert_r3, "segment star SP fwd",
+                 lambda ln: ln.replace("star SP fwd", segment))
+    assert rejected(bad, R3) == ["join <i,A>: segment shape mismatch"]
+
+
+def test_parallel_segment_of_a_single_step_rejected(cert_r3):
+    # the same redex contracted by a step line instead of a pstep line
+    # reaches the same end, but a parallel segment takes one pstep
+    lines = cert_r3.splitlines()
+    at = lines.index("pstep C@1")
+    join = next(ln for ln in reversed(lines[:at]) if ln.startswith("join "))
+    segment = sum(ln.startswith("segment ") for ln in lines[lines.index(join):at])
+    lines[at] = "step 1 C"
+    label = f"join <{join.split()[1]},{join.split()[2]}>"
+    assert rejected("\n".join(lines) + "\n", R3) == [
+        f"{label} segment {segment}: step count violates relation 'parallel'"]
+
+
 def test_wild_position_rejected_not_crash(cert_r3):
     bad = mutate(cert_r3, "step ",
                  lambda ln: "step 9.9.9 " + ln.rsplit(" ", 1)[1])

@@ -1,4 +1,5 @@
 """End-to-end runs of the command line front end."""
+import io
 import re
 import subprocess
 import sys
@@ -126,6 +127,23 @@ def test_internal_error_exits_2_not_maybe(tmp_path, capsys, monkeypatch):
     assert captured.out.splitlines() == ["ERROR"]
     assert len(captured.err.splitlines()) == 1
     assert "injected failure" in captured.err
+
+
+class ClosedPipe(io.TextIOBase):
+    """Standard output whose reader has gone, as `confl ... | head -c0`
+    leaves it: every write fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_exits_2_with_one_stderr_line(tmp_path, capsys, monkeypatch):
+    path = write_system(tmp_path, R3)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    rc = main([str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.splitlines() == ["error: standard output is closed"]
 
 
 def test_readme_example_matches_the_cli(tmp_path, capsys, monkeypatch):

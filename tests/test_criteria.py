@@ -3,6 +3,9 @@
 Each cell asserts both the verdict and, where the verdict is negative, the
 kind of obstacle (precondition vs unjoined pairs) so regressions stay loud.
 """
+import re
+from pathlib import Path
+
 import pytest
 
 from confl import completion, criteria, rewriting
@@ -10,7 +13,6 @@ from confl.completion import decompose
 from confl.criteria import (
     CRITERIA,
     CRITERION_TABLE,
-    SHAPES,
     Partition,
     PreconditionViolation,
     _Searcher,
@@ -20,6 +22,7 @@ from confl.rewriting import Rule, Trs, empty_trs, replay
 from confl.run import Run, TimedOut
 from confl.termination import replay_certificate
 from confl.terms import all_parallel
+from confl.trs_format import parse_trs
 
 from helpers import replay_reversibility, replay_steps
 from systems import (
@@ -51,8 +54,8 @@ from systems import (
 
 
 def segments_replay(rep):
-    """Every evidence must have its SHAPES row, and every segment must chain
-    and replay over its declared rules.  A failing auto-mode report has no
+    """Every evidence must have its CRITERION_TABLE branch, and every segment
+    must chain and replay over its declared rules.  A failing auto-mode report has no
     collected P', so its SP segments replay over S ∪ P ∪ P⁻¹."""
     pp = rep.p.with_inverses()
     tables = {
@@ -64,7 +67,9 @@ def segments_replay(rep):
     for ev in rep.evidence:
         assert ev.criterion == rep.criterion
         shape = tuple((seg.rel, seg.rules, seg.reverse) for seg in ev.segments)
-        assert shape == SHAPES[(rep.criterion, ev.condition, ev.branch)]
+        rows = {cond: dict(zip("AB", branches))
+                for cond, _family, branches in CRITERION_TABLE[rep.criterion][2]}
+        assert shape == rows[ev.condition][ev.branch]
         cur = ev.pair_left
         for seg in ev.segments:
             assert seg.start == cur
@@ -76,7 +81,8 @@ def segments_replay(rep):
                 # parallel redexes contract one after another to the same end
                 assert all_parallel(wit.positions)
                 assert all(rules.contains_variant(rule) for _, rule in wit.parts)
-                assert replay(src, wit.parts) == dst
+                done = replay(src, wit.parts)
+                assert (done[-1].target if done else src) == dst
             else:
                 assert replay_steps(src, seg.steps, rules) == dst
                 if seg.rel == "step":
@@ -281,6 +287,36 @@ def test_r8_huet_blocked():
     assert "relative termination" in rep.reason
 
 
+# --- parallel against pcp --------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_parallel_split():
+    """The final split of the README example decided under parallel alone."""
+    blocks = re.findall(r"```text\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    trs = parse_trs(next(b for b in blocks if b.startswith("(VAR")))
+    rep = completion.check_confluence(trs, criteria=("parallel",)).report
+    return Partition(rep.s, rep.p)
+
+
+@pytest.mark.parametrize("case", ["R3", "R4", "R6", "README"])
+def test_where_parallel_holds_pcp_holds_with_the_same_joins(case):
+    """parallel joins (i) and (iii) through pcp's branches and asks (ii)'s
+    inner pairs to be absent, where pcp has no pairs to join either."""
+    if case == "README":
+        pt = readme_parallel_split()
+    else:
+        pt = Partition({"R3": S3, "R4": S4, "R6": S6}[case], P_CA)
+    par, pcp = check_criterion("parallel", pt), check_criterion("pcp", pt)
+    assert par.holds() and pcp.holds()
+    assert par.evidence
+
+    def joins(rep):
+        return [(ev.condition, ev.branch, ev.segments) for ev in rep.evidence]
+    assert joins(par) == joins(pcp)
+
+
 # --- every report of a completion run -------------------------------------------
 
 
@@ -353,8 +389,8 @@ def test_a_split_generates_each_pair_family_once(monkeypatch):
 
 
 FAMILIES = list(dict.fromkeys(
-    family for _linearity, conditions in CRITERION_TABLE.values()
-    for _cond, family in conditions))
+    family for _linearity, _relative_to, conditions in CRITERION_TABLE.values()
+    for _cond, family, _branches in conditions))
 SPLIT_INPUTS = {**{f"R{i}": trs for i, trs in enumerate(ALL_SYSTEMS, 1)},
                 "chain3": CHAIN3, "swap": SWAP, "fork": FORK}
 

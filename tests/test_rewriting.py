@@ -91,7 +91,8 @@ def test_replay_steps_rejects_forged_steps():
 
 def test_replay_names_the_move_that_fails():
     t = plus(zero, plus(zero, num(1)))
-    assert replay(t, [((2,), ADD1), ((), ADD1)]) == num(1)
+    first, second = replay(t, [((2,), ADD1), ((), ADD1)])
+    assert (first.source, first.target, second.target) == (t, plus(zero, num(1)), num(1))
     with pytest.raises(ValueError, match=r"step add1 at 1 does not apply"):
         replay(t, [((2,), ADD1), ((1,), ADD1)])
     # a position outside the term does not apply either
