@@ -261,7 +261,8 @@ def _replacement_candidates(state: SearchState, report: CriterionReport, run: Ru
                 involved.add(r.key())
     out = []
     for rule in s:
-        if rule.key() not in involved and not cp_in(pp, Trs([rule])):
+        # the blocks of the split's cp(PP,S), shared through the run's pair memo
+        if rule.key() not in involved and not cp_in(pp, Trs([rule]), run):
             continue
         for st in reducts(rule.rhs, pp):
             new_rule = _valid_rule(rule.lhs, st.target, named)

@@ -114,8 +114,9 @@ _PCP_III = (
 # left class, right class) names a pair generator of critical_pairs and is
 # labelled generator(left,right) in FailingPair.origin.  The prover generates
 # each family once per split, in `Partition.pairs`, where a cp_in family is
-# the inner part of the cp family of the same classes; the verifier generates
-# each family of its one criterion.  Both call the generator through their
+# the inner part of the cp family of the same classes, and each rule pair's
+# block once per run (`Run.pairs`); the verifier generates each family of its
+# one criterion afresh.  Both call the generator through their
 # module's global of that name, looked up at call time, so that wrappers put
 # on those names see the call.  A branch is a tuple of (rel, rules, reverse)
 # segments chaining a pair's left term to its right term; the prover builds
@@ -176,7 +177,9 @@ class Partition:
     What the criteria checked on a split share is computed once and kept as
     long as the partition: each pair family (`pairs`), the reversibility
     witness of P, and the search rules, so `pp_safe`'s prefix loop runs
-    once.  A partition is meant to be checked under one run."""
+    once.  A partition is meant to be checked under one run.  Its families
+    are built from the run's pair memo, which outlives it: a split generates
+    pairs only for the rule pairs no earlier split of the run held."""
 
     def __init__(self, s: Trs, p: Trs, p_prime: Trs | None = None):
         if not p.bidirectional():
@@ -201,9 +204,10 @@ class Partition:
         return self._memo[key]
 
     def pairs(self, gen: str, left: str, right: str, run: Run) -> list:
-        """The pair family gen(left, right) of CRITERION_TABLE on this split.
-        A cp_in family is the inner part of the cp family of the same
-        classes, so it is never generated on its own."""
+        """The pair family gen(left, right) of CRITERION_TABLE on this split,
+        from the blocks of the run's pair memo.  A cp_in family is the inner
+        part of the cp family of the same classes, so it is never generated
+        on its own."""
         base = "cp" if gen == "cp_in" else gen
         classes = {"S": self.s, "PP": self.pp}
         found = self._once((base, left, right), lambda: globals()[base](

@@ -11,8 +11,25 @@ positions: each pair unifies it with a single subterm of a single outer left
 side, so its pairs need no variables apart from each other's.  The prover
 asks for each family once per (S, P) split (`criteria.Partition.pairs`).
 
+Given a run, cp and pcp_in build a family from blocks kept in the run's pair
+memo (`Run.pairs`), so each rule pair is overlapped once per completion run
+however many splits and successors hold it, as completion provers overlap
+each new rule with the kept ones once (the given-clause discipline of
+DISCOUNT and Waldmeister).  cp keeps one block per (outer rule, inner rule),
+pcp_in one per outer rule, keyed also by the inner rules and by whether
+tuples are unified jointly, which depends on the whole outer system.  Keys
+are the Rule objects, names included, since a pair records its rules.  A
+family is its blocks concatenated in enumeration order and deduplicated on
+every call, so it has the pairs of a call without a run, up to the
+variables of memoized pairs.  Only a block generated in a call renames its
+inner rule, in that call: a rule made from a memoized pair carries that
+pair's variables, so a variant kept for the whole run would not be apart
+from it.  A block cut off by the deadline stores nothing.  Without a run, as
+the verifier calls them, nothing is looked up or stored.
+
 A pair's key is its identity up to renaming: the kind and the flat
-`terms.shape_key` of (left, right), built in one walk without new terms.  A
+`terms.shape_key` of (left, right), built in one walk without new terms and
+kept on the pair, so deduplicating memoized pairs again costs no walk.  A
 parallel pair's key adds the indexes of its constrained variables, numbered
 through left, right and then peak, so the peak counts only through the
 variables it constrains.
@@ -54,6 +71,7 @@ be exponentially many.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 
 from .rewriting import Rule, Trs
@@ -85,6 +103,10 @@ class CriticalPair:
     position: Position = field(compare=False)
 
     def key(self):
+        return self._key
+
+    @cached_property
+    def _key(self):  # computed once, outside the fields, like Rule._key
         return (self.kind, shape_key((self.left, self.right))[0])
 
     def __repr__(self):
@@ -107,6 +129,10 @@ class ParallelCriticalPair:
         constrained variables.  Variables are numbered through left, right,
         then peak, so the peak only fixes the numbering of constrained
         variables that occur in neither side."""
+        return self._key
+
+    @cached_property
+    def _key(self):  # computed once, outside the fields, like Rule._key
         flat, index = shape_key((self.left, self.right))
         for v in term_vars(self.peak):
             index.setdefault(v.id, len(index))
@@ -131,13 +157,24 @@ def _dedup(pairs, run: Run):
 
 
 def cp(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]:
-    """Critical pairs of rules from r_rules overlapping into q_rules."""
+    """Critical pairs of rules from r_rules overlapping into q_rules.  Given
+    a run, each (outer, inner) block comes from the run's pair memo, and a
+    block not there yet is generated and stored."""
+    memo = None if run is None else run.pairs
     run = run or Run()
     pairs = []
     renamed = {}  # index of an inner rule -> its variant on fresh variables
     for outer in q_rules:
-        subterms = fun_subterms(outer.lhs)
+        subterms = None
         for i, inner in enumerate(r_rules):
+            key = None if memo is None else (outer, inner)
+            block = None if key is None else memo.get(key)
+            if block is not None:
+                pairs.extend(block)
+                continue
+            block = pairs if key is None else []
+            if subterms is None:
+                subterms = fun_subterms(outer.lhs)
             self_overlap = inner.key() == outer.key()
             for p, sub in subterms:
                 if sub.fn != inner.lhs.fn or (p == () and self_overlap):
@@ -149,7 +186,7 @@ def cp(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]
                 sigma = unify_all([(ren.lhs, sub)])
                 if sigma is None:
                     continue
-                pairs.append(
+                block.append(
                     CriticalPair(
                         left=apply(sigma, replace_at(outer.lhs, p, ren.rhs)),
                         right=apply(sigma, outer.rhs),
@@ -160,6 +197,9 @@ def cp(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]
                         position=p,
                     )
                 )
+            if key is not None:
+                memo[key] = block
+                pairs.extend(block)
     return _dedup(pairs, run)
 
 
@@ -204,11 +244,20 @@ def _overlapping(q_rules: Trs, outer: Rule) -> list[tuple[Position, Term, list[_
 
 
 def pcp_in(q_rules: Trs, r_rules: Trs, run: Run | None = None) -> list[ParallelCriticalPair]:
-    """Inner parallel critical pairs of q_rules into r_rules."""
+    """Inner parallel critical pairs of q_rules into r_rules.  Given a run,
+    each outer rule's block comes from the run's pair memo, and a block not
+    there yet is generated and stored."""
+    memo = None if run is None else run.pairs
     run = run or Run()
     joint = not r_rules.left_linear()  # else a tuple's mgu is the union of its pieces'
     pairs = []
     for outer in r_rules:
+        key = None if memo is None else (outer, q_rules.rules, joint)
+        block = None if key is None else memo.get(key)
+        if block is not None:
+            pairs.extend(block)
+            continue
+        block = pairs if key is None else []
         candidates = _overlapping(q_rules, outer)
         for n in range(1, len(candidates) + 1):
             for chosen in combinations(candidates, n):
@@ -228,7 +277,7 @@ def pcp_in(q_rules: Trs, r_rules: Trs, run: Run | None = None) -> list[ParallelC
                         peak = replace_parallel(
                             outer.lhs, [(p, pc.redex) for p, pc in zip(ps, pieces)]
                         )
-                    pairs.append(
+                    block.append(
                         ParallelCriticalPair(
                             left=replace_parallel(
                                 peak, [(p, pc.contractum) for p, pc in zip(ps, pieces)]
@@ -242,4 +291,7 @@ def pcp_in(q_rules: Trs, r_rules: Trs, run: Run | None = None) -> list[ParallelC
                             var_limit=frozenset().union(*(pc.var_ids for pc in pieces)),
                         )
                     )
+        if key is not None:
+            memo[key] = block
+            pairs.extend(block)
     return _dedup(pairs, run)

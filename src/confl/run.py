@@ -1,7 +1,9 @@
 """The settings and state of one confluence check.  `check_confluence` builds
-one Run and passes it down, so nothing a check learns outlives it.  Searches
-that can grow without bound call `check`, which raises TimedOut once the
-deadline has passed; `check_confluence` then answers MAYBE."""
+one Run and passes it down, so nothing a check learns outlives it: the
+termination memo, and the pair memo, which holds the critical pairs of each
+rule pair once for every split and successor of the run.  Searches that can
+grow without bound call `check`, which raises TimedOut once the deadline has
+passed; `check_confluence` then answers MAYBE."""
 import math
 import time
 from dataclasses import dataclass, field
@@ -28,6 +30,11 @@ class Run:
     # (S key, P key) -> (certificate or None, reason); a search cut off by
     # the deadline stores nothing
     termination: dict = field(default_factory=dict, repr=False)
+    # (outer Rule, inner Rule) -> cp's pairs of that overlap, and (outer Rule,
+    # inner rules, joint) -> pcp_in's pairs of that outer rule, in generation
+    # order and not deduplicated (see critical_pairs); a block cut off by the
+    # deadline stores nothing
+    pairs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.deadline = math.inf if self.timeout is None else time.monotonic() + self.timeout

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from confl import certificate
+from confl import certificate, critical_pairs, termination
 from confl.certificate import (
     FORMAT,
     CertificateError,
@@ -31,7 +31,7 @@ from confl.criteria import Partition, check_criterion
 from confl.critical_pairs import _dedup
 from confl.rewriting import Rule, Trs
 from confl.run import Run
-from confl.terms import App, var_ids
+from confl.terms import App, unify_all, var_ids
 from confl.trs_format import parse_trs
 
 from systems import CHAIN3, DEEP16, R2, R3, R5, R6, R8, WIDE4, decided
@@ -156,6 +156,29 @@ GOLDEN_DIGESTS = {
     "cert_r6": "16c00be35bd5166aaec418d64c62e79df2b020ac1bd80eb57de24d187444d659",
     "cert_chain3": "dfe8ccc1fdd89230466252c5b0958e4a5060900e5c569252eca2fa0c7669aea9",
 }
+
+
+@pytest.mark.parametrize("case, unifications, renamings",
+                         [("chain3", 204, 84), ("R2", 96, 15)])
+def test_the_verifier_generates_its_pairs_without_a_memo(case, unifications, renamings,
+                                                         cert_chain3, cert_r2, monkeypatch):
+    """The verifier recomputes the pairs without a run, so without the pair
+    memo: its unifications and renamings are those of generating every
+    family afresh, as before the prover kept one."""
+    text, problem = {"chain3": (cert_chain3, CHAIN3), "R2": (cert_r2, R2)}[case]
+    calls = {"unify_all": 0, "rename_apart": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for module in (critical_pairs, termination):
+        monkeypatch.setattr(module, "unify_all", counted("unify_all", unify_all))
+    monkeypatch.setattr(Rule, "rename_apart", counted("rename_apart", Rule.rename_apart))
+    assert verify_certificate(text, problem) == (True, [])
+    assert calls == {"unify_all": unifications, "rename_apart": renamings}
 
 
 def test_certificate_bytes_are_pinned(cert_r2, cert_r3, cert_r5, cert_r8, cert_r3_huet,

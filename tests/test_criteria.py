@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from confl import completion, criteria, rewriting
+from confl import completion, criteria, critical_pairs, rewriting
 from confl.completion import decompose
 from confl.criteria import (
     CRITERIA,
@@ -28,6 +28,7 @@ from helpers import replay_reversibility, replay_steps
 from systems import (
     ALL_SYSTEMS,
     CHAIN3,
+    CHAIN4,
     FORK,
     P5,
     P8,
@@ -408,6 +409,41 @@ def test_a_memoized_family_is_the_generators_own(name):
             for _ in range(2):
                 got = pt.pairs(gen, left, right, run)
                 assert [pr.key() for pr in got] == [pr.key() for pr in fresh], (gen, left, right)
+
+
+RUN_INPUTS = {"R2": R2, "R6": R6, "chain3": CHAIN3, "chain4": CHAIN4, "swap": SWAP,
+              "fork": FORK}
+
+
+@pytest.mark.parametrize("name", RUN_INPUTS)
+def test_a_family_drawn_through_the_runs_memo_is_the_generators_own(name, monkeypatch):
+    """Over a whole completion run, where the run's pair memo hands later
+    splits and `successors` the blocks of earlier ones, every family a
+    checked split draws, and every `cp_in` of the replacement candidates,
+    has the keys, kinds and order of a fresh generator call without a run."""
+    drawn = []  # (generator, pairs drawn, left system, right system)
+    pairs = Partition.pairs
+
+    def recording(self, gen, left, right, run):
+        got = pairs(self, gen, left, right, run)
+        classes = {"S": self.s, "PP": self.pp}
+        drawn.append((gen, got, classes[left], classes[right]))
+        return got
+
+    def recording_cp_in(r_rules, q_rules, run=None):
+        assert run is not None
+        got = critical_pairs.cp_in(r_rules, q_rules, run)
+        drawn.append(("cp_in", got, r_rules, q_rules))
+        return got
+
+    monkeypatch.setattr(Partition, "pairs", recording)
+    monkeypatch.setattr(completion, "cp_in", recording_cp_in)
+    assert completion.check_confluence(RUN_INPUTS[name]).explored  # more than one split
+    assert {gen for gen, *_ in drawn} >= {"cp", "cp_in"}
+    for gen, got, left, right in drawn:
+        fresh = getattr(critical_pairs, gen)(left, right)
+        assert [(pr.kind, pr.key()) for pr in got] == \
+            [(pr.kind, pr.key()) for pr in fresh], gen
 
 
 # --- the join search's cost and deadline ------------------------------------------

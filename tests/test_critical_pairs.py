@@ -11,6 +11,7 @@ from itertools import combinations, product
 import pytest
 
 from confl import critical_pairs
+from confl.completion import check_confluence
 from confl.rewriting import Rule, Trs, replay, step_at
 from confl.run import Run, TimedOut
 from confl.terms import (
@@ -30,8 +31,8 @@ from confl.terms import (
 )
 
 from helpers import cp_out, replay_steps
-from systems import (P5, P8, P_CA, R2, R3, S2, S3, S4, S6, S8, SS1, SS2, decided, f2, g1, h1,
-                     plus, s, x, y, z, zero)
+from systems import (CHAIN3, P5, P8, P_CA, R2, R3, S2, S3, S4, S6, S8, SS1, SS2, decided, f2,
+                     g1, h1, plus, s, x, y, z, zero)
 
 
 def keyset(pairs):
@@ -375,3 +376,46 @@ def test_cp_renames_each_inner_rule_once_per_call(monkeypatch):
     pairs = cp(rep.s, rep.s)
     assert pairs and len(rep.s) > 4
     assert len(renamed) == len(set(renamed)) <= len(rep.s)
+
+
+def test_a_rule_made_from_a_memoized_pair_is_overlapped_on_a_fresh_variant():
+    """A memoized pair keeps the variables of the inner variant it was made
+    with, and so does a rule made from its sides.  A later call on the same
+    run renames the inner rule apart afresh, so its overlaps with that rule
+    are the ones a call without a run finds: on the first call's variant,
+    s(s(x')) would meet s(x') in D's left side and fail the occurs check."""
+    ss = Rule(s(s(x)), x, "ss")
+    s_trs, run = Trs([ss]), Run()
+    first = cp(s_trs, s_trs, run)
+    assert len(first) == 1  # s(x') ← s(s(s(x'))) → s(x')
+    d = Rule(g1(first[0].left), first[0].right, "d")
+    q_rules = Trs([ss, d])
+    got = cp(s_trs, q_rules, run)
+    assert got[0] is first[0]  # the (ss, ss) block comes from the memo
+    assert [pr.key() for pr in got] == [pr.key() for pr in cp(s_trs, q_rules)]
+    assert len(got) == 2
+
+
+@pytest.mark.parametrize("gen", [cp, pcp_in])
+def test_a_block_cut_off_by_the_deadline_stores_nothing(gen):
+    run = Run(timeout=-1)
+    with pytest.raises(TimedOut):
+        gen(P_CA.with_inverses(), _wide(2), run)
+    assert run.pairs == {}
+
+
+def test_critical_pairs_unify_each_overlap_once_per_completion_run(monkeypatch):
+    """chain3's run checks 47 splits that differ by few rules.  Each (outer,
+    inner) overlap is unified in the first split that asks for it, and the
+    replacement candidates of `successors` read the same blocks.  Generated
+    afresh per split, and once per S rule in `successors`, the same run took
+    1,666 unifications."""
+    calls = [0]
+
+    def counting(eqs):
+        calls[0] += 1
+        return unify_all(eqs)
+
+    monkeypatch.setattr(critical_pairs, "unify_all", counting)
+    assert check_confluence(CHAIN3).verdict == "YES"
+    assert calls[0] == 258
