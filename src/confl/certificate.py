@@ -14,10 +14,18 @@ verifier's k-th pair, and must connect a variant of it (for pcp's condition
 (ii), with the variable condition read through that renaming) through one of
 its condition's branches in `CRITERION_TABLE`, the row the prover built the
 join from.  The same row gives the linearity precondition and the termination
-certificates to check.  A join writes its left term and then each segment's
-end; a segment starts where the one before it ends.  A join still writes its
-condition, which its place already gives: a reader sees which family it
-closes, and a join out of place is reported as such.
+certificates to check.  A join writes its left term and then each written
+segment's end; a segment starts where the one before it ends.  A join still
+writes its condition, which its place already gives: a reader sees which
+family it closes, and a join out of place is reported as such.
+
+Every branch's star, opt, conv and parallel segments are reflexive, so a
+segment with no rewrite step says only that its end is its start: it is not
+written.  The written segments must be a subsequence of the branch, each one
+in the place of an entry of its own (relation, rules, direction); every entry
+left over must be reflexive, which a step or plus entry is not.  A block has
+no end marker: it runs to the next join, segment, addition, replace or section
+line.
 
 A history step is a forward derivation in the current system Q, named by
 Q's rule names: an addition l -> r gives l →*_Q r, a replacement of l -> r by
@@ -41,7 +49,6 @@ from .terms import (
     subterm_at,
     term_tokens,
     token_offset,
-    unrecurse,
     var_ids,
     write_term,
 )
@@ -52,7 +59,7 @@ from .criteria import CRITERION_TABLE
 from .reversibility import reversal_problems
 from .termination import MalformedCertificate, TerminationCertificate, replay_certificate
 
-FORMAT = "3"
+FORMAT = "4"
 
 
 # --- term scope: stable local variable names per block ------------------------
@@ -77,11 +84,6 @@ class _Scope:
 class _ParseScope:
     def __init__(self):
         self.vars: dict[str, Var] = {}
-        # an empty segment writes its start again as its end, so a block
-        # repeats its terms; each distinct text is read once, and equal
-        # terms are one object, which `==` decides at once.  This goes when
-        # a certificate leaves its empty segments out
-        self.terms: dict[str, Term] = {}
 
     def leaf(self, name: str) -> Var | None:
         if name[0] != "?":
@@ -98,8 +100,6 @@ class CertificateError(ValueError):
 
 def parse_term(text: str, scope: _ParseScope) -> Term:
     text = text.strip()
-    if text in scope.terms:
-        return scope.terms[text]
     tokens = _TOKENS.findall(text)
     try:
         t, i = read_term(tokens, 0, scope.leaf)
@@ -108,7 +108,6 @@ def parse_term(text: str, scope: _ParseScope) -> Term:
         raise CertificateError(f"bad term syntax at offset {at} in {text!r}: {exc}") from exc
     if tokens[i][1] or tokens[i][2]:
         raise CertificateError(f"trailing input after term: {text[token_offset(tokens, i):]!r}")
-    scope.terms[text] = t
     return t
 
 
@@ -124,24 +123,14 @@ def _parse_pos(s: str) -> Position:
 # --- json round-trip for termination certificates ------------------------------
 
 
-def _tuplify(x):
-    """Body of a copy of x with every list made a tuple, run by `unrecurse`."""
-    if isinstance(x, list):
-        out = []
-        for v in x:
-            out.append((yield v,))
-        return tuple(out)
-    return x
-
-
 def _term_cert_json(cert: TerminationCertificate) -> str:
     return json.dumps(asdict(cert), sort_keys=True)
 
 
 def _term_cert_from_json(payload: str) -> TerminationCertificate:
     try:
-        d = json.loads(payload)  # RecursionError on arrays nested too deeply
-        return TerminationCertificate(**{k: unrecurse(_tuplify, v) for k, v in d.items()})
+        # RecursionError on arrays nested too deeply
+        return TerminationCertificate(**json.loads(payload))
     except (TypeError, ValueError, RecursionError) as exc:
         raise CertificateError(f"bad termination certificate payload: {exc}") from exc
 
@@ -192,14 +181,12 @@ def certificate_text(problem: Trs, result) -> str:
                 lines.append(f"addition {j.rule.name}: {sc.print_term(j.rule.lhs)}")
                 lines.extend(_step_lines("step", j.steps, q, "history"))
                 lines.append(f"yields {sc.print_term(j.rule.rhs)}")
-                lines.append("endadd")
                 q = q.union(Trs([j.rule]))
             else:
                 lines.append(f"replace {j.old_rule.name} with {j.rule.name}")
                 lines.extend(_step_lines("step", j.steps, q, "history"))
                 q = q.replace(j.old_rule, j.rule)
                 lines.extend(_step_lines("back", j.back, q, "history"))
-                lines.append("endreplace")
 
     lines.append("section partition")
     lines.append(f"final-s {','.join(r.name for r in rep.s)}")
@@ -236,22 +223,18 @@ def certificate_text(problem: Trs, result) -> str:
         sc = _Scope()
         lines.append(f"join {ev.condition} {ev.branch} | {sc.print_term(ev.pair_left)}")
         for seg in ev.segments:
+            parallel = seg.rel == "parallel"
+            if not (seg.steps[0].parts if parallel else seg.steps):
+                continue  # no rewrite step: the end is the start
             table = tables[seg.rules]
             dirn = "rev" if seg.reverse else "fwd"
             lines.append(f"segment {seg.rel} {seg.rules} {dirn} | {sc.print_term(seg.end)}")
-            if seg.rel == "parallel":
-                wit = seg.steps[0]
-                if wit.parts:
-                    body = ",".join(
-                        f"{_resolve_name(rl, table, 'parallel')}@{pos_str(p)}"
-                        for p, rl in wit.parts)
-                else:
-                    body = "-"
-                lines.append(f"pstep {body}")
+            if parallel:
+                lines.append("pstep " + ",".join(
+                    f"{_resolve_name(rl, table, 'parallel')}@{pos_str(p)}"
+                    for p, rl in seg.steps[0].parts))
             else:
                 lines.extend(_step_lines("step", seg.steps, table, f"{seg.rel} segment"))
-            lines.append("endsegment")
-        lines.append("endjoin")
     lines.append("END CERTIFICATE")
     return "\n".join(lines) + "\n"
 
@@ -352,6 +335,7 @@ def parse_certificate(text: str) -> CertificateData:
             cert.tag = rest
         elif word == "section":
             section = rest
+            cur_join = cur_seg = cur_hist = cur_scope = None
             if section == "partition":
                 cert.has_partition = True
             if section == "reversibility":
@@ -374,9 +358,6 @@ def parse_certificate(text: str) -> CertificateData:
                 (_parse_pos(pos_s), rn.strip()))
         elif word == "yields" and section == "history":
             cur_hist.yields = parse_term(rest, cur_scope)
-        elif word in ("endadd", "endreplace") and section == "history":
-            cur_hist = None
-            cur_scope = None
         elif word == "final-s" and section == "partition":
             cert.s_names = _parse_names(rest)
         elif word == "final-p" and section == "partition":
@@ -403,6 +384,7 @@ def parse_certificate(text: str) -> CertificateData:
             cond, branch = head.split()
             cur_scope = _ParseScope()
             cur_join = JoinData(cond, branch, parse_term(left_s, cur_scope))
+            cur_seg = None
             cert.joins.append(cur_join)
         elif word == "segment":
             head, _, end_s = rest.partition("|")
@@ -415,16 +397,10 @@ def parse_certificate(text: str) -> CertificateData:
             cur_seg.ops.append(("step", _parse_pos(pos_s), rn.strip()))
         elif word == "pstep":
             parts = []
-            if rest != "-":
-                for chunk in rest.split(","):
-                    rn, _, pos_s = chunk.strip().rpartition("@")
-                    parts.append((rn, _parse_pos(pos_s)))
+            for chunk in rest.split(","):
+                rn, _, pos_s = chunk.strip().rpartition("@")
+                parts.append((rn, _parse_pos(pos_s)))
             cur_seg.ops.append(("pstep", parts))
-        elif word == "endsegment":
-            cur_seg = None
-        elif word == "endjoin":
-            cur_join = None
-            cur_scope = None
         else:
             raise CertificateError(f"unexpected line in section {section!r}: {line!r}")
     return cert
@@ -503,13 +479,19 @@ def _check_join(join: JoinData, criterion: str, cond: str, branches: tuple, pair
     if shape is None:
         problems.append(f"{label}: no such condition/branch for {criterion}")
         return
-    if len(shape) != len(join.segments):
-        problems.append(f"{label}: expected {len(shape)} segments, got {len(join.segments)}")
-        return
-    for seg, (rel, rules, rev) in zip(join.segments, shape):
-        if (seg.rel, seg.rules, seg.reverse) != (rel, rules, rev):
-            problems.append(f"{label}: segment shape mismatch")
+    # the written segments take branch entries in order; an entry left
+    # unwritten stands for no step, which only a reflexive relation allows
+    written = [(seg.rel, seg.rules, seg.reverse) for seg in join.segments]
+    k = 0
+    for entry in shape:
+        if written[k:k + 1] == [entry]:
+            k += 1
+        elif entry[0] in ("step", "plus"):
+            problems.append(f"{label}: unwritten {entry[0]} segment")
             return
+    if k < len(written):
+        problems.append(f"{label}: segment shape mismatch")
+        return
     par_info = None
     for k, seg in enumerate(join.segments):
         got = _replay_segment(seg, tables, problems, f"{label} segment {k + 1}")
@@ -517,15 +499,17 @@ def _check_join(join: JoinData, criterion: str, cond: str, branches: tuple, pair
             return
         if seg.rel == "parallel":
             par_info = (seg, got)
-    flat, index = shape_key((join.left, join.segments[-1].end))
+    end = join.segments[-1].end if join.segments else join.left
+    flat, index = shape_key((join.left, end))
     pair_flat, pair_index = shape_key((pair.left, pair.right))
     if flat != pair_flat:
         problems.append(f"{label}: does not connect its pair {pair!r}")
         return
-    if getattr(pair, "var_limit", None) is not None:
+    if getattr(pair, "var_limit", None) is not None and par_info is not None:
         # pcp's (ii): the variables below the parallel step, numbered as the
         # pair's own variables are, must be constrained ones; replay has
-        # checked that the positions are in the term
+        # checked that the positions are in the term.  An unwritten parallel
+        # step has no redex, so nothing below it
         seg, positions = par_info
         target = seg.start if seg.reverse else seg.end
         used = set()

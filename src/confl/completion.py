@@ -234,7 +234,7 @@ def _addition_candidates(state: SearchState, report: CriterionReport, run: Run):
             left, right = ((_normal_form(t, s) or (t,))[0] for t in (pair.left, pair.right))
             if left == right:
                 continue
-            conv = reach_bounded(left, right, p.with_inverses(), run.depth)
+            conv = reach_bounded(left, right, p.with_inverses(), run.depth, check=run.check)
             if conv is None:
                 continue
             remember(u_big, _valid_rule(left, right, named), conv, ())

@@ -216,7 +216,7 @@ class Partition:
 
     def reversibility(self, run: Run) -> ReversibilityWitness | None:
         return self._once(("rev", run.rev_bound),
-                          lambda: is_reversible(self.p, bound=run.rev_bound))
+                          lambda: is_reversible(self.p, bound=run.rev_bound, check=run.check))
 
     def pp_safe(self, run: Run) -> Trs:
         """Largest greedily-built subset of P ∪ P⁻¹ relative to which S can be

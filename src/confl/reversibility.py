@@ -22,17 +22,18 @@ class ReversibilityWitness:
         raise KeyError(name)
 
 
-def is_reversible(p_trs: Trs, bound: int = 10) -> ReversibilityWitness | None:
+def is_reversible(p_trs: Trs, bound: int = 10, *, check=None) -> ReversibilityWitness | None:
     """A witness that p_trs is reversible, or None if none found in bound.
 
     Being bidirectional (flippable rules) is necessary, so that is checked
-    first as a fast filter.
+    first as a fast filter.  `check(layer)`, if given, is called before each
+    term the search expands.
     """
     if not p_trs.bidirectional():
         return None
     sequences = []
     for rule in p_trs:
-        steps = reach_bounded(rule.rhs, rule.lhs, p_trs, bound)
+        steps = reach_bounded(rule.rhs, rule.lhs, p_trs, bound, check=check)
         if steps is None:
             return None
         sequences.append((rule.name, tuple(steps)))

@@ -467,15 +467,6 @@ def renaming_apart(ts) -> dict[int, Var]:
     return mapping
 
 
-def rename_apart(t1: Term, t2: Term) -> tuple[Term, dict[int, Var]]:
-    """Rename t2 so it shares no variables with t1; returns (t2', mapping).
-
-    The mapping is a bijection onto fresh variables, so t2' is a variant.
-    """
-    mapping = renaming_apart([t2])
-    return apply(mapping, t2), mapping
-
-
 # --- identity up to renaming -------------------------------------------------
 
 

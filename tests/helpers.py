@@ -1,10 +1,10 @@
 """Test oracles over the prover's own objects: replay a Step sequence, the
-outer critical pairs, and a reversibility witness re-checked with the
-verifier's reversal check."""
+outer critical pairs, a reversibility witness re-checked with the verifier's
+reversal check, and a term renamed apart from another."""
 from confl.critical_pairs import CriticalPair, cp
 from confl.reversibility import ReversibilityWitness, reversal_problems
 from confl.rewriting import Trs, replay
-from confl.terms import Term, pos_str
+from confl.terms import Term, Var, apply, pos_str, renaming_apart
 
 
 def replay_steps(s: Term, steps, trs: Trs | None = None) -> Term:
@@ -39,3 +39,13 @@ def replay_reversibility(p_trs: Trs, witness: ReversibilityWitness) -> bool:
     return not reversal_problems(p_trs, [
         (name, [(st.position, st.rule.name) for st in steps])
         for name, steps in witness.sequences])
+
+
+def rename_apart(t1: Term, t2: Term) -> tuple[Term, dict[int, Var]]:
+    """Rename t2 so it shares no variables with t1; returns (t2', mapping).
+
+    The mapping is a bijection onto fresh variables, so t2' is a variant
+    that shares no variable with t1 or any other term built before it.
+    """
+    mapping = renaming_apart([t2])
+    return apply(mapping, t2), mapping

@@ -34,7 +34,7 @@ from confl.run import Run
 from confl.terms import App, unify_all, var_ids
 from confl.trs_format import parse_trs
 
-from systems import CHAIN3, DEEP16, R2, R3, R5, R6, R8, WIDE4, decided
+from systems import CHAIN3, DEEP16, R1, R2, R3, R4, R5, R6, R7, R8, WIDE4, decided
 
 # the non-confluent fork, and the confluent system with g(x) -> h(x) added
 FORK = parse_trs("(VAR x)\n(RULES\n  f(x) -> g(x)\n  f(x) -> h(x)\n)\n")
@@ -146,15 +146,15 @@ def test_yes_certificates_verify(cert_r3, cert_r2, cert_r5, cert_r8, cert_r3_hue
 # sha256 of each certificate above: a change that should leave the prover's
 # output alone (a speed-up, a refactor) must leave these bytes alone too
 GOLDEN_DIGESTS = {
-    "cert_r2": "c696a847d2cde0b5d7d448057c5d5b7de969a830f8cd8b2d3dcd263aa684ee03",
-    "cert_r3": "12bcdbc7b5b7651f1be33bf5124d14ad84623d6c9f9718efaeb445531c2dfe32",
-    "cert_r5": "e9abfd99463536d76d55151cfce636010d1cd3859e3563660d7dd5cf72db7024",
-    "cert_r8": "928609ed0b6dda50d5a9d9d1a39e687bf99868b15ea44820de5f508aacbf2da6",
-    "cert_r3_huet": "c9707b52e669dbc57737ae754523e59a23a9f06e9c26b1cab0637c39825e0296",
-    "cert_fork_closed": "b8647a9983a5a1d81195cc7483d656da440f25881d9e0aa6bb25480a09b9314e",
+    "cert_r2": "57db2fc150a40703fc2c1d050fdd949b95cfa3ed554cd61b3d81e1e30d4fcda8",
+    "cert_r3": "3974f0aedf89f9cfdc5bfae02a1c8f6d3228b7c52e02f6a8a8e8b8b1281d011a",
+    "cert_r5": "9e6c9edfd3b1d17bf2ed8ea44c5b2441d8c485b1ffa55d1fcc397abcba9af7e9",
+    "cert_r8": "bf6ca09fc36523f5c0ade3dab317752227404c7a9e4a0a93db2e5e9a5aebd40a",
+    "cert_r3_huet": "30c9a1144688f164c20ae588f47468efa8d41817ef5d8a77d1214db7fdaa5e63",
+    "cert_fork_closed": "aadff3c59fa6055643455c385498d397b011fd94901ab48bb55b7a6e07257b00",
     # R6 and chain3 need completion: 4 and 11 additions
-    "cert_r6": "16c00be35bd5166aaec418d64c62e79df2b020ac1bd80eb57de24d187444d659",
-    "cert_chain3": "dfe8ccc1fdd89230466252c5b0958e4a5060900e5c569252eca2fa0c7669aea9",
+    "cert_r6": "f22426c1947f0004491dc3fa77f7e7cd6c0dcd5e8db414d1c62df38bb48eb048",
+    "cert_chain3": "2005eedcf7b71d3a9476c0e038959e0d60e6dca8abba0710089bb7b309243079",
 }
 
 
@@ -202,7 +202,11 @@ def test_round_trip_structure(cert_r3):
     # the commutativity rule can never live on the terminating side
     assert "C" in cert.p_names
     assert cert.has_partition and cert.has_reversibility
-    assert cert.joins and all(j.segments for j in cert.joins)
+    # a join writes only segments that do a step; a pair whose sides are
+    # one term, as <0, 0> is, writes none
+    assert any(j.segments for j in cert.joins)
+    assert all(seg.ops for j in cert.joins for seg in j.segments)
+    assert "pstep -" not in cert_r3.splitlines()
 
 
 def test_certificate_text_is_deterministic(cert_r3):
@@ -273,10 +277,20 @@ def test_nonreversible_rule_in_p_rejected(cert_r3):
 
 def join_blocks(text):
     """The lines of the certificate, and the [start, end) line span of each
-    join block in order."""
+    join block in order: a block runs to the next join or the end line."""
     lines = text.splitlines()
     starts = [i for i, ln in enumerate(lines) if ln.startswith("join ")]
-    return lines, [(i, lines.index("endjoin", i) + 1) for i in starts]
+    return lines, list(zip(starts, starts[1:] + [lines.index("END CERTIFICATE")]))
+
+
+def segment_span(lines, header):
+    """The [start, end) line span of the first segment written as header:
+    the header and its step lines."""
+    start = lines.index(header)
+    end = start + 1
+    while lines[end].startswith(("step ", "pstep ")):
+        end += 1
+    return start, end
 
 
 def test_missing_join_rejected(cert_r3):
@@ -308,12 +322,12 @@ def test_join_in_another_conditions_slot_rejected(cert_r3):
 
 
 def test_join_that_ends_off_its_pair_rejected(cert_r3):
-    # s(?v1) joins s(+(?v1,0)) by one add3 step backwards; without that step
-    # the last segment ends at s(?v1), which still replays but joins nothing
+    # s(?v1) joins s(+(?v1,0)) by one add3 step backwards; without that
+    # segment the join ends at its left term s(?v1), which joins nothing
     lines = cert_r3.splitlines()
-    at = lines.index("segment star SP rev | s(+(?v1,0))")
-    assert lines[at + 1] == "step 1 add3" and lines[at + 2] == "endsegment"
-    lines[at:at + 2] = ["segment star SP rev | s(?v1)"]
+    start, end = segment_span(lines, "segment star SP rev | s(+(?v1,0))")
+    assert lines[start - 1] == "join i A | s(?v1)" and lines[start + 1:end] == ["step 1 add3"]
+    del lines[start:end]
     problems = rejected("\n".join(lines) + "\n", R3)
     assert len(problems) == 1
     assert problems[0].startswith("join <i,A>: does not connect its pair <s(")
@@ -331,13 +345,52 @@ def test_join_through_a_branch_its_condition_lacks_rejected(cert_r3):
     assert rejected(bad, R3) == ["join <i,B>: no such condition/branch for pcp"]
 
 
-@pytest.mark.parametrize("segment", ["plus SP fwd", "star S fwd"])
+@pytest.mark.parametrize("segment", ["plus SP fwd", "star S fwd", "step S rev"])
 def test_join_segment_off_its_branch_rejected(cert_r3, segment):
-    # the first join's first segment is star SP fwd in pcp's (i) branch A; its
-    # steps (none) still replay as the other relation or class would
+    # the first written segment is star SP fwd in pcp's (i) branch A; its one
+    # step, by the S rule add1, still replays as the other relation or class
+    # would.  pcp has step S rev segments, in (iii)'s branch B, but (i) has none
     bad = mutate(cert_r3, "segment star SP fwd",
                  lambda ln: ln.replace("star SP fwd", segment))
     assert rejected(bad, R3) == ["join <i,A>: segment shape mismatch"]
+
+
+@pytest.mark.parametrize("case, header, problem", [
+    ("step", "segment step S rev | +(?v1,0)", "join <iii,B>: unwritten step segment"),
+    ("plus", "segment plus S rev | +(?v1,0)", "join <iii,A>: unwritten plus segment"),
+], ids=["step", "plus"])
+def test_join_without_its_step_or_plus_segment_rejected(cert_r3, cert_r3_huet, case,
+                                                        header, problem):
+    # ?v1 joins +(?v1,0) only by an S step backwards: a step or plus entry
+    # is not reflexive, so its segment must be written
+    text = {"step": cert_r3, "plus": cert_r3_huet}[case]
+    lines = text.splitlines()
+    start, end = segment_span(lines, header)
+    assert lines[start - 1].endswith(" | ?v1") and lines[end].startswith("join ")
+    del lines[start:end]
+    assert rejected("\n".join(lines) + "\n", R3) == [problem]
+
+
+def test_written_segments_out_of_branch_order_rejected(cert_r3):
+    # s(+(s(?v1),?v2)) joins its pair by star SP fwd, then star SP rev; each
+    # segment is sound, but the written ones must keep the branch's order
+    lines = cert_r3.splitlines()
+    fwd = segment_span(lines, "segment star SP fwd | s(s(+(?v1,?v2)))")
+    rev = segment_span(lines, "segment star SP rev | s(+(?v1,s(?v2)))")
+    assert lines[fwd[0] - 1] == "join i A | s(+(s(?v1),?v2))" and fwd[1] == rev[0]
+    lines[fwd[0]:rev[1]] = lines[rev[0]:rev[1]] + lines[fwd[0]:fwd[1]]
+    assert rejected("\n".join(lines) + "\n", R3) == ["join <i,A>: segment shape mismatch"]
+
+
+def test_no_join_writes_a_term_twice():
+    # a written segment does a step, so a join's left term and its segments'
+    # ends are distinct terms, written once each
+    for trs in (R1, R2, R3, R4, R5, R6, R7, R8, CHAIN3, WIDE4, DEEP16):
+        lines, blocks = join_blocks(certificate_text(trs, decided(trs)))
+        for start, end in blocks:
+            terms = [ln.rpartition(" | ")[2] for ln in lines[start:end]
+                     if ln.startswith(("join ", "segment "))]
+            assert len(set(terms)) == len(terms), lines[start:end]
 
 
 def test_parallel_segment_of_a_single_step_rejected(cert_r3):
@@ -543,7 +596,7 @@ def test_forged_history_cannot_make_a_fork_confluent(cert_fork_closed, steps):
     ok, problems = verify_certificate(cert_fork_closed, FORK_CLOSED)
     assert ok, problems
     # g(x) -> h(x) is only convertible in the fork (g ← f → h), not derivable
-    block = ["addition r3: g(?v1)", *steps, "yields h(?v1)", "endadd"]
+    block = ["addition r3: g(?v1)", *steps, "yields h(?v1)"]
     problems = rejected(with_history(cert_fork_closed, block, ["r3"]), FORK)
     assert history_problems(problems, "r3"), problems
 
@@ -552,7 +605,7 @@ def test_format_1_forgery_rejected(cert_fork_closed):
     # format 1 replayed this step as a conversion over a P it never checked
     # for reversibility, and accepted the certificate
     block = ["addition r3: g(?v1)", "with S=r2 P=r1", "cstep e r1~", "sstep e r2",
-             "yields h(?v1)", "endadd"]
+             "yields h(?v1)"]
     forged = with_history(cert_fork_closed, block, ["r3"])
     assert f"\nformat {FORMAT}\n" in forged
     rejected(forged.replace(f"format {FORMAT}", "format 1"), FORK)
@@ -566,19 +619,19 @@ def test_format_2_rejected(cert_r3):
 
 
 def test_replacement_name_clash_rejected_not_raised(cert_r3):
-    block = ["replace add2 with add1", "step 1 C", "back 1 C", "endreplace"]
+    block = ["replace add2 with add1", "step 1 C", "back 1 C"]
     problems = rejected(with_history(cert_r3, block), R3)
     assert history_problems(problems, "add1"), problems
 
 
 def test_replacement_needs_its_back_steps(cert_r3):
-    honest = ["replace add2 with q1", "step 1 C", "back 1 C", "endreplace"]
+    honest = ["replace add2 with q1", "step 1 C", "back 1 C"]
     text = mutate(with_history(cert_r3, honest), "final-s ",
                   lambda ln: ln.replace("add2", "q1"))
     ok, problems = verify_certificate(text, R3)
     assert not history_problems(problems, "q1"), problems
     # without back steps nothing shows that the old rule stays derivable
-    forged = ["replace add2 with q1", "step 1 C", "endreplace"]
+    forged = ["replace add2 with q1", "step 1 C"]
     problems = rejected(with_history(cert_r3, forged), R3)
     assert history_problems(problems, "q1"), problems
 

@@ -21,7 +21,6 @@ from confl.terms import (
     apply,
     fun_subterms,
     pos_le,
-    rename_apart,
     replace_at,
     replace_parallel,
     shape_key,
@@ -30,7 +29,7 @@ from confl.terms import (
     var_ids,
 )
 
-from helpers import cp_out, replay_steps
+from helpers import cp_out, rename_apart, replay_steps
 from systems import (CHAIN3, P5, P8, P_CA, R2, R3, S2, S3, S4, S6, S8, SS1, SS2, decided, f2,
                      g1, h1, plus, s, x, y, z, zero)
 

@@ -1,9 +1,13 @@
 """Reversibility witnesses: found where expected, replayable, honest."""
+import pytest
+
+from confl.criteria import Partition
 from confl.reversibility import ReversibilityWitness, is_reversible
 from confl.rewriting import Rule, Trs
+from confl.run import Run, TimedOut
 
 from helpers import replay_reversibility
-from systems import A, C, P5, P_CA, S3, SS1, SS2, g1, h1, plus, s, x, y, z
+from systems import A, C, P5, P_CA, S2, S3, SS1, SS2, g1, h1, plus, s, x, y, z
 
 
 def test_assoc_comm_is_reversible():
@@ -58,3 +62,13 @@ def test_replay_rejects_tampering():
         tuple((n, steps[:-1]) for n, steps in wit.sequences),
     )
     assert not replay_reversibility(P_CA, broken)
+
+
+def test_reversibility_keeps_the_deadline():
+    # every split's P is searched through Partition.reversibility, whose
+    # reach searches call the run's check before each term
+    split = Partition(S2, P_CA)
+    with pytest.raises(TimedOut, match="rewriting"):
+        split.reversibility(Run(timeout=-1))
+    # the cut-off search stored nothing
+    assert split.reversibility(Run()) == is_reversible(P_CA)

@@ -326,6 +326,14 @@ def test_without_fuel_only_the_s_s_pair_is_repaired(monkeypatch):
     assert b_singles == []
 
 
+def test_addition_candidates_keep_the_deadline():
+    # the (S,S) pair's sides are joined by a P∪P⁻¹ conversion search, which
+    # calls the run's check before each term
+    state, rep = fuel_report()
+    with pytest.raises(TimedOut, match="rewriting"):
+        _addition_candidates(state, rep, Run(named=_rule_names(FUEL), timeout=-1))
+
+
 def test_successors_keep_the_deadline():
     state, rep = fuel_report()
     assert completion.successors(state, rep, run=Run(named=_rule_names(FUEL)))

@@ -15,7 +15,6 @@ from confl.terms import (
     fun_subterms,
     match_term,
     read_term,
-    rename_apart,
     replace_at,
     replace_parallel,
     shape_key,
@@ -28,6 +27,8 @@ from confl.terms import (
     var_ids,
     write_term,
 )
+
+from helpers import rename_apart
 
 FUNS = [("0", 0), ("c", 0), ("s", 1), ("g", 1), ("+", 2), ("f", 2)]
 VARS = [Var(1, "x"), Var(2, "y"), Var(3, "z")]
