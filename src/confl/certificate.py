@@ -52,7 +52,7 @@ from .terms import (
     var_ids,
     write_term,
 )
-from .rewriting import Rule, Trs, empty_trs, replay
+from .rewriting import Rule, Trs, empty_trs, replay_named
 # cp, cp_in and pcp_in are called by the names CRITERION_TABLE gives
 from .critical_pairs import cp, cp_in, pcp_in
 from .criteria import CRITERION_TABLE
@@ -305,6 +305,14 @@ def _parse_names(s: str) -> tuple:
     return tuple(n for n in s.split(",") if n) if s else ()
 
 
+def _open(block, line: str):
+    """The block a line continues; a line that no header of its block
+    precedes is an error."""
+    if block is None:
+        raise CertificateError(f"line outside its block: {line!r}")
+    return block
+
+
 def parse_certificate(text: str) -> CertificateData:
     cert = CertificateData()
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
@@ -354,10 +362,10 @@ def parse_certificate(text: str) -> CertificateData:
             cert.history.append(cur_hist)
         elif word in ("step", "back") and section == "history":
             pos_s, _, rn = rest.partition(" ")
-            getattr(cur_hist, "steps" if word == "step" else "back").append(
+            getattr(_open(cur_hist, line), "steps" if word == "step" else "back").append(
                 (_parse_pos(pos_s), rn.strip()))
-        elif word == "yields" and section == "history":
-            cur_hist.yields = parse_term(rest, cur_scope)
+        elif word == "yields" and section == "history":  # an addition's, which has a scope
+            _open(cur_hist, line).yields = parse_term(rest, _open(cur_scope, line))
         elif word == "final-s" and section == "partition":
             cert.s_names = _parse_names(rest)
         elif word == "final-p" and section == "partition":
@@ -386,39 +394,28 @@ def parse_certificate(text: str) -> CertificateData:
             cur_join = JoinData(cond, branch, parse_term(left_s, cur_scope))
             cur_seg = None
             cert.joins.append(cur_join)
-        elif word == "segment":
+        elif word == "segment" and section == "joins":
             head, _, end_s = rest.partition("|")
             rel, rules, dirn = head.split()
-            start = cur_join.segments[-1].end if cur_join.segments else cur_join.left
+            join = _open(cur_join, line)
+            start = join.segments[-1].end if join.segments else join.left
             cur_seg = SegData(rel, rules, dirn == "rev", start, parse_term(end_s, cur_scope))
-            cur_join.segments.append(cur_seg)
+            join.segments.append(cur_seg)
         elif word == "step" and section == "joins":
             pos_s, _, rn = rest.partition(" ")
-            cur_seg.ops.append(("step", _parse_pos(pos_s), rn.strip()))
-        elif word == "pstep":
+            _open(cur_seg, line).ops.append(("step", _parse_pos(pos_s), rn.strip()))
+        elif word == "pstep" and section == "joins":
             parts = []
             for chunk in rest.split(","):
                 rn, _, pos_s = chunk.strip().rpartition("@")
                 parts.append((rn, _parse_pos(pos_s)))
-            cur_seg.ops.append(("pstep", parts))
+            _open(cur_seg, line).ops.append(("pstep", parts))
         else:
             raise CertificateError(f"unexpected line in section {section!r}: {line!r}")
     return cert
 
 
 # --- verification --------------------------------------------------------------
-
-
-def _replay(start: Term, steps, table: Trs):
-    """The end term of the named steps [(position, rule name)] applied in
-    order from start, or a string saying which step fails."""
-    try:
-        done = replay(start, ((pos, table.rule(rn)) for pos, rn in steps))
-    except KeyError as exc:
-        return f"rule {exc.args[0]!r} is not available"
-    except ValueError as exc:
-        return str(exc)
-    return done[-1].target if done else start
 
 
 def _replay_segment(seg: SegData, tables: dict, problems: list, label: str):
@@ -446,7 +443,7 @@ def _replay_segment(seg: SegData, tables: dict, problems: list, label: str):
                 return None
             psteps += 1
             par_positions = tuple(positions)
-        cur = _replay(cur, steps, table)
+        cur = replay_named(cur, steps, table)
         if isinstance(cur, str):
             problems.append(f"{label}: {seg.rules} {cur}")
             return None
@@ -505,7 +502,7 @@ def _check_join(join: JoinData, criterion: str, cond: str, branches: tuple, pair
     if flat != pair_flat:
         problems.append(f"{label}: does not connect its pair {pair!r}")
         return
-    if getattr(pair, "var_limit", None) is not None and par_info is not None:
+    if pair.var_limit is not None and par_info is not None:
         # pcp's (ii): the variables below the parallel step, numbered as the
         # pair's own variables are, must be constrained ones; replay has
         # checked that the positions are in the term.  An unwritten parallel
@@ -553,7 +550,7 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
                 problems.append(f"{label}: unknown rule {h.old_name}")
                 return False, problems
         lhs, start = (h.lhs, h.lhs) if old is None else (old.lhs, old.rhs)
-        rhs = _replay(start, h.steps, q)
+        rhs = replay_named(start, h.steps, q)
         if isinstance(rhs, str):
             problems.append(f"{label}: {rhs}")
             return False, problems
@@ -567,7 +564,7 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
             problems.append(f"{label}: invalid rule: {exc}")
             return False, problems
         if old is not None:
-            back = _replay(rhs, h.back, q)
+            back = replay_named(rhs, h.back, q)
             if back != old.rhs:
                 why = back if isinstance(back, str) else "steps do not reach the old right side"
                 problems.append(f"{label}: back {why}")

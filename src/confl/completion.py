@@ -29,13 +29,8 @@ from .rewriting import (
     reducts,
     replay,
 )
-from .critical_pairs import ParallelCriticalPair, cp_in
-from .criteria import (
-    CriterionReport,
-    Partition,
-    PreconditionViolation,
-    check_criterion,
-)
+from .critical_pairs import cp_in
+from .criteria import CriterionReport, Partition, check_criterion
 from .run import DEFAULT_DEPTH, Run, TimedOut
 
 COMPLETION_CRITERIA = ("pcp", "linear", "huet")
@@ -171,14 +166,6 @@ def _valid_rule(lhs, rhs, named):
         return None
 
 
-def _inner_redexes(pair) -> list:
-    """[(position, rule)] of the pair's inner step: one redex for a critical
-    pair, one per position for a parallel critical pair."""
-    if isinstance(pair, ParallelCriticalPair):
-        return list(zip(pair.positions, pair.inner_rules))
-    return [(pair.position, pair.inner_rule)]
-
-
 def _normal_form(t, s: Trs):
     """(S-normal form of t, the steps to it), or None when S does not reach
     one within 2,000 steps."""
@@ -198,10 +185,10 @@ def _through_peak(f, s: Trs, named):
     pair = f.pair
     if f.origin == "cp(S,PP)":  # the P side is the outer rule's reduct
         p_side, other = pair.right, pair.left
-        back, forward = [((), pair.outer_rule.inverse())], _inner_redexes(pair)
+        back, forward = [((), pair.outer_rule.inverse())], pair.redexes
     else:  # an inner (PP,S) pair: the P side holds the inner reducts
         p_side, other = pair.left, pair.right
-        back = [(pos, rule.inverse()) for pos, rule in _inner_redexes(pair)]
+        back = [(pos, rule.inverse()) for pos, rule in pair.redexes]
         forward = [((), pair.outer_rule)]
     found = _normal_form(other, s)
     if found is None:
@@ -256,7 +243,7 @@ def _replacement_candidates(state: SearchState, report: CriterionReport, run: Ru
     involved = set()
     for f in report.failing:
         pair = f.pair
-        for r in [rule for _, rule in _inner_redexes(pair)] + [pair.outer_rule]:
+        for r in [rule for _, rule in pair.redexes] + [pair.outer_rule]:
             if s.contains_variant(r):
                 involved.add(r.key())
     out = []
@@ -348,11 +335,7 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
         while queue:
             run.check("completion")
             state = queue.popleft()
-            try:
-                pt = Partition(state.s, state.p)
-            except PreconditionViolation as exc:
-                last_reason = str(exc)
-                continue
+            pt = Partition(state.s, state.p)  # decompose only makes bidirectional P
             failed = []
             for crit in criteria:
                 rep = check_criterion(crit, pt, run=run)

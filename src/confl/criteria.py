@@ -75,7 +75,7 @@ class JoinEvidence:
 
 @dataclass(frozen=True)
 class FailingPair:
-    pair: object  # CriticalPair or ParallelCriticalPair
+    pair: object  # a critical_pairs.CriticalPair, ordinary or parallel
     origin: str  # which overlap family produced it
 
 
@@ -260,7 +260,7 @@ class _Searcher:
     SP (a side without one ends where it starts).  The scan cap is
     checked on |ru|·|rv| before plus drops the empty paths.  The middle is a
     single PP step (opt), a parallel PP step (with the variable condition
-    when the pair carries var_limit), or a P-conversion (conv).
+    on a parallel pair's var_limit), or a P-conversion (conv).
 
     The scan order is part of the contract: the first join found is the one
     reported and certified, and in auto mode it decides which P' rules are
@@ -363,7 +363,7 @@ class _Searcher:
         """The segments of the first join of the pair through one branch."""
         k = next(i for i, (_, rules, _) in enumerate(shape) if rules in ("PP", "P"))
         left, (kind, _, reverse), right = shape[:k], shape[k], shape[k + 1:]
-        x_ids = getattr(pair, "var_limit", None)
+        x_ids = pair.var_limit
         for first, ru in self._side(left, pair.left):
             for last, rv in self._side(right[::-1], pair.right):
                 if len(ru) * len(rv) > PAIR_SCAN_CAP:

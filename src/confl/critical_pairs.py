@@ -11,21 +11,27 @@ positions: each pair unifies it with a single subterm of a single outer left
 side, so its pairs need no variables apart from each other's.  The prover
 asks for each family once per (S, P) split (`criteria.Partition.pairs`).
 
-Given a run, cp and pcp_in build a family from blocks kept in the run's pair
-memo (`Run.pairs`), so each rule pair is overlapped once per completion run
+cp and pcp_in build a family from blocks kept in a run's pair memo
+(`Run.pairs`), so each rule pair is overlapped once per completion run
 however many splits and successors hold it, as completion provers overlap
 each new rule with the kept ones once (the given-clause discipline of
-DISCOUNT and Waldmeister).  cp keeps one block per (outer rule, inner rule),
-pcp_in one per outer rule, keyed also by the inner rules and by whether
-tuples are unified jointly, which depends on the whole outer system.  Keys
-are the Rule objects, names included, since a pair records its rules.  A
-family is its blocks concatenated in enumeration order and deduplicated on
-every call, so it has the pairs of a call without a run, up to the
-variables of memoized pairs.  Only a block generated in a call renames its
-inner rule, in that call: a rule made from a memoized pair carries that
-pair's variables, so a variant kept for the whole run would not be apart
-from it.  A block cut off by the deadline stores nothing.  Without a run, as
-the verifier calls them, nothing is looked up or stored.
+DISCOUNT and Waldmeister).  Without a run they use a fresh Run's memo, so
+each block is generated once per call.  cp keeps one block per (outer
+rule, inner rule), pcp_in one per outer rule, keyed also by the inner rules
+and by whether tuples are unified jointly, which depends on the whole outer
+system.  Keys are the Rule objects, names included, since a pair records
+its rules.  A family is its blocks concatenated in enumeration order and
+deduplicated on every call, so it has the same pairs whatever the memo
+held, up to the variables of memoized pairs.  Only a block generated in a
+call renames its inner rule, in that call: a rule made from a memoized pair
+carries that pair's variables, so a variant kept for the whole run would
+not be apart from it.  A block cut off by the deadline stores nothing.
+
+Both kinds of pair are one record, `CriticalPair`.  Its `redexes` are the
+(position, inner rule renamed apart) of its inner step, as in
+`rewriting.ParallelStep.parts`: one for an ordinary pair, one per position
+for a parallel one.  Its `var_limit` is None for an ordinary pair and the
+set X of a parallel pair, possibly empty.
 
 A pair's key is its identity up to renaming: the kind and the flat
 `terms.shape_key` of (left, right), built in one walk without new terms and
@@ -98,49 +104,31 @@ class CriticalPair:
     right: Term
     kind: str  # "outer" (root overlap) or "inner"
     peak: Term = field(compare=False)
-    inner_rule: Rule = field(compare=False)
     outer_rule: Rule = field(compare=False)
-    position: Position = field(compare=False)
+    redexes: tuple = field(compare=False)  # ((position, inner Rule renamed apart), ...)
+    var_limit: frozenset | None = None  # a parallel pair's constrained variable ids X
 
     def key(self):
-        return self._key
-
-    @cached_property
-    def _key(self):  # computed once, outside the fields, like Rule._key
-        return (self.kind, shape_key((self.left, self.right))[0])
-
-    def __repr__(self):
-        return f"<{self.left!r}, {self.right!r}> ({self.kind})"
-
-
-@dataclass(frozen=True)
-class ParallelCriticalPair:
-    left: Term
-    right: Term
-    kind: str  # "inner" or "outer"
-    peak: Term = field(compare=False)
-    inner_rules: tuple = field(compare=False)  # one Rule per position
-    outer_rule: Rule = field(compare=False)
-    positions: tuple = field(compare=False)
-    var_limit: frozenset = frozenset()  # ids of the constrained variables X
-
-    def key(self):
-        """The kind, the pair up to renaming, and the indexes of its
-        constrained variables.  Variables are numbered through left, right,
-        then peak, so the peak only fixes the numbering of constrained
-        variables that occur in neither side."""
+        """The kind, the pair up to renaming and, for a parallel pair, the
+        indexes of its constrained variables.  Variables are numbered
+        through left, right, then peak, so the peak only fixes the numbering
+        of constrained variables that occur in neither side."""
         return self._key
 
     @cached_property
     def _key(self):  # computed once, outside the fields, like Rule._key
         flat, index = shape_key((self.left, self.right))
+        if self.var_limit is None:
+            return self.kind, flat
         for v in term_vars(self.peak):
             index.setdefault(v.id, len(index))
         return self.kind, flat, frozenset(index[x] for x in self.var_limit)
 
     def __repr__(self):
-        xs = "{" + ",".join(map(str, sorted(self.var_limit))) + "}"
-        return f"<{self.left!r}, {self.right!r}>_{xs} ({self.kind})"
+        xs = ""
+        if self.var_limit is not None:
+            xs = "_{" + ",".join(map(str, sorted(self.var_limit))) + "}"
+        return f"<{self.left!r}, {self.right!r}>{xs} ({self.kind})"
 
 
 def _dedup(pairs, run: Run):
@@ -157,22 +145,20 @@ def _dedup(pairs, run: Run):
 
 
 def cp(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]:
-    """Critical pairs of rules from r_rules overlapping into q_rules.  Given
-    a run, each (outer, inner) block comes from the run's pair memo, and a
-    block not there yet is generated and stored."""
-    memo = None if run is None else run.pairs
+    """Critical pairs of rules from r_rules overlapping into q_rules.  Each
+    (outer, inner) block comes from the pair memo of the run, or of a fresh
+    Run without one, and a block not there yet is generated and stored."""
     run = run or Run()
     pairs = []
     renamed = {}  # index of an inner rule -> its variant on fresh variables
     for outer in q_rules:
         subterms = None
         for i, inner in enumerate(r_rules):
-            key = None if memo is None else (outer, inner)
-            block = None if key is None else memo.get(key)
+            block = run.pairs.get((outer, inner))
             if block is not None:
                 pairs.extend(block)
                 continue
-            block = pairs if key is None else []
+            block = []
             if subterms is None:
                 subterms = fun_subterms(outer.lhs)
             self_overlap = inner.key() == outer.key()
@@ -192,14 +178,12 @@ def cp(r_rules: Trs, q_rules: Trs, run: Run | None = None) -> list[CriticalPair]
                         right=apply(sigma, outer.rhs),
                         kind="outer" if p == () else "inner",
                         peak=apply(sigma, outer.lhs),
-                        inner_rule=ren,
                         outer_rule=outer,
-                        position=p,
+                        redexes=((p, ren),),
                     )
                 )
-            if key is not None:
-                memo[key] = block
-                pairs.extend(block)
+            run.pairs[outer, inner] = block
+            pairs.extend(block)
     return _dedup(pairs, run)
 
 
@@ -243,21 +227,20 @@ def _overlapping(q_rules: Trs, outer: Rule) -> list[tuple[Position, Term, list[_
     return out
 
 
-def pcp_in(q_rules: Trs, r_rules: Trs, run: Run | None = None) -> list[ParallelCriticalPair]:
-    """Inner parallel critical pairs of q_rules into r_rules.  Given a run,
-    each outer rule's block comes from the run's pair memo, and a block not
-    there yet is generated and stored."""
-    memo = None if run is None else run.pairs
+def pcp_in(q_rules: Trs, r_rules: Trs, run: Run | None = None) -> list[CriticalPair]:
+    """Inner parallel critical pairs of q_rules into r_rules.  Each outer
+    rule's block comes from the pair memo of the run, or of a fresh Run
+    without one, and a block not there yet is generated and stored."""
     run = run or Run()
     joint = not r_rules.left_linear()  # else a tuple's mgu is the union of its pieces'
     pairs = []
     for outer in r_rules:
-        key = None if memo is None else (outer, q_rules.rules, joint)
-        block = None if key is None else memo.get(key)
+        key = (outer, q_rules.rules, joint)
+        block = run.pairs.get(key)
         if block is not None:
             pairs.extend(block)
             continue
-        block = pairs if key is None else []
+        block = []
         candidates = _overlapping(q_rules, outer)
         for n in range(1, len(candidates) + 1):
             for chosen in combinations(candidates, n):
@@ -278,20 +261,18 @@ def pcp_in(q_rules: Trs, r_rules: Trs, run: Run | None = None) -> list[ParallelC
                             outer.lhs, [(p, pc.redex) for p, pc in zip(ps, pieces)]
                         )
                     block.append(
-                        ParallelCriticalPair(
+                        CriticalPair(
                             left=replace_parallel(
                                 peak, [(p, pc.contractum) for p, pc in zip(ps, pieces)]
                             ),
                             right=apply(sigma, outer.rhs),
                             kind="inner",
                             peak=peak,
-                            inner_rules=tuple(pc.rule for pc in pieces),
                             outer_rule=outer,
-                            positions=ps,
+                            redexes=tuple((p, pc.rule) for p, pc in zip(ps, pieces)),
                             var_limit=frozenset().union(*(pc.var_ids for pc in pieces)),
                         )
                     )
-        if key is not None:
-            memo[key] = block
-            pairs.extend(block)
+        run.pairs[key] = block
+        pairs.extend(block)
     return _dedup(pairs, run)

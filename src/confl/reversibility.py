@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rewriting import Trs, reach_bounded, replay
+from .rewriting import Trs, reach_bounded, replay_named
 
 
 @dataclass(frozen=True)
@@ -50,14 +50,13 @@ def reversal_problems(p_trs: Trs, sequences) -> list[str]:
     for name, moves in sequences:
         try:
             rule = p_trs.rule(name)
-            steps = replay(rule.rhs, ((pos, p_trs.rule(rn)) for pos, rn in moves))
-        except KeyError as exc:
-            problems.append(f"reversibility: P rule {exc.args[0]!r} is not available for {name}")
+        except KeyError:
+            problems.append(f"reversibility: P rule {name!r} is not available for {name}")
             continue
-        except ValueError as exc:
-            problems.append(f"reversibility: {exc} for {name}")
-            continue
-        if (steps[-1].target if steps else rule.rhs) != rule.lhs:
+        end = replay_named(rule.rhs, moves, p_trs)
+        if isinstance(end, str):
+            problems.append(f"reversibility: P {end} for {name}")
+        elif end != rule.lhs:
             problems.append(f"reversibility: sequence for {name} does not reach the left side")
         else:
             covered.add(name)

@@ -9,7 +9,9 @@ over one system, as the join search does per join, matches each (rule,
 subterm) once however many terms hold the subterm.  Steps are plain records
 built from a match (by `step_at` and `parallel_step`).  A step is checked
 when it is replayed, by `replay`, the one routine that re-applies
-(position, rule) moves and returns the steps it takes.  A rule's key is
+(position, rule) moves and returns the steps it takes; `replay_named`, which
+the certificate verifier calls for every step sequence a certificate names,
+resolves rule names and reports a failing move as text.  A rule's key is
 `terms.shape_key` of its two sides, the identity up to renaming that pairs
 and witnesses use too.
 
@@ -74,6 +76,13 @@ class Rule:
     def _key(self):
         # stored outside the fields, so == and hash are unaffected
         return shape_key((self.lhs, self.rhs))[0]
+
+    def __hash__(self):  # rules key the pair memo: hash the fields once
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        return hash((self.lhs, self.rhs, self.name))
 
     def rename_apart(self) -> Rule:
         """A variant on fresh variables."""
@@ -255,6 +264,19 @@ def replay(t: Term, moves) -> tuple[Step, ...]:
         steps.append(st)
         t = st.target
     return tuple(steps)
+
+
+def replay_named(t: Term, moves, trs: Trs):
+    """The end term of the moves [(position, rule name)] of trs applied in
+    order from t, or a string saying which move fails: the one replay of
+    steps that a certificate names."""
+    try:
+        done = replay(t, ((pos, trs.rule(name)) for pos, name in moves))
+    except KeyError as exc:
+        return f"rule {exc.args[0]!r} is not available"
+    except ValueError as exc:
+        return str(exc)
+    return done[-1].target if done else t
 
 
 def _rewrites(t: Term, trs: Trs, table: dict):

@@ -32,8 +32,9 @@ class Run:
     termination: dict = field(default_factory=dict, repr=False)
     # (outer Rule, inner Rule) -> cp's pairs of that overlap, and (outer Rule,
     # inner rules, joint) -> pcp_in's pairs of that outer rule, in generation
-    # order and not deduplicated (see critical_pairs); a block cut off by the
-    # deadline stores nothing
+    # order and not deduplicated (see critical_pairs); cp and pcp_in called
+    # without a run fill a fresh Run's; a block cut off by the deadline
+    # stores nothing
     pairs: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):

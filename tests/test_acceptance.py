@@ -25,7 +25,7 @@ from types import SimpleNamespace
 from confl.certificate import certificate_text, verify_certificate
 from confl.completion import check_confluence
 from confl.criteria import Partition, check_criterion
-from confl.critical_pairs import ParallelCriticalPair, cp, cp_in, pcp_in
+from confl.critical_pairs import CriticalPair, cp, cp_in, pcp_in
 from confl.reversibility import is_reversible
 from confl.rewriting import Rule, Trs, empty_trs, reach_bounded, step_at
 from confl.terms import (
@@ -217,9 +217,9 @@ def expect_keys(pairs):
 
 
 def pkey(left, right, peak, limit_ids):
-    return ParallelCriticalPair(
+    return CriticalPair(
         left=left, right=right, kind="inner", peak=peak,
-        inner_rules=(), outer_rule=None, positions=(),
+        outer_rule=None, redexes=(),
         var_limit=frozenset(limit_ids),
     ).key()
 

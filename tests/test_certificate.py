@@ -162,9 +162,10 @@ GOLDEN_DIGESTS = {
                          [("chain3", 204, 84), ("R2", 96, 15)])
 def test_the_verifier_generates_its_pairs_without_a_memo(case, unifications, renamings,
                                                          cert_chain3, cert_r2, monkeypatch):
-    """The verifier recomputes the pairs without a run, so without the pair
-    memo: its unifications and renamings are those of generating every
-    family afresh, as before the prover kept one."""
+    """The verifier recomputes the pairs without a run, so each call fills a
+    fresh Run's pair memo and no block comes from a prover run: its
+    unifications and renamings are those of generating every family afresh,
+    each block once per call."""
     text, problem = {"chain3": (cert_chain3, CHAIN3), "R2": (cert_r2, R2)}[case]
     calls = {"unify_all": 0, "rename_apart": 0}
 
@@ -233,6 +234,33 @@ def test_malformed_text_is_rejected_not_raised():
         assert "unparsable" in problems[0]
     with pytest.raises(CertificateError):
         parse_certificate("no markers here at all")
+
+
+@pytest.mark.parametrize("after, block", [
+    ("join ", ["step 1 add1"]),
+    ("join ", ["pstep C@1"]),
+    ("section joins", ["segment star SP fwd | 0"]),
+    ("section partition", ["segment star SP fwd | 0"]),
+    ("section partition", ["pstep C@1"]),
+    (None, ["step 1 C"]),
+    (None, ["back 1 C"]),
+    (None, ["yields 0"]),
+    (None, ["replace add2 with q1", "yields 0"]),
+], ids=["join-step", "join-pstep", "segment-before-join", "segment-outside-joins",
+        "pstep-outside-joins", "history-step", "history-back", "history-yields",
+        "replacement-yields"])
+def test_line_outside_its_block_rejected_not_raised(cert_r3, after, block):
+    """A line that no header of its block precedes (a segment's, a join's,
+    an addition's), or that stands outside its section, is a parse error."""
+    if after is None:  # a history section of just these lines
+        text = with_history(cert_r3, block)
+    else:
+        text = mutate(cert_r3, after, lambda ln: "\n".join([ln, *block]))
+    with pytest.raises(CertificateError):
+        parse_certificate(text)
+    problems = rejected(text, R3)
+    assert problems[0].startswith("unparsable certificate: "), problems
+    assert not any("NoneType" in p for p in problems), problems
 
 
 def test_unknown_format_or_verdict_rejected(cert_r3):

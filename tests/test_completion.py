@@ -21,6 +21,7 @@ from confl.run import Run, TimedOut
 from confl.terms import App
 from confl.trs_format import parse_trs
 
+import systems
 from helpers import replay_steps
 from systems import (
     ADD3,
@@ -63,6 +64,11 @@ def test_decompose_finds_reversible_parts():
     assert len(outs) == 1
     assert {r.name for r in outs[0][1]} == {"C", "A"}
     assert len(outs[0][0]) == 0
+
+    # every split's P is bidirectional, as a Partition requires
+    for trs in [v for v in vars(systems).values() if isinstance(v, Trs)]:
+        for _, p in decompose(trs):
+            assert p.bidirectional()
 
 
 def test_decompose_prunes_oriented_leftovers():

@@ -1,7 +1,6 @@
 """Golden critical-pair sets for the reference systems, plus structural laws."""
 from confl.critical_pairs import (
     CriticalPair,
-    ParallelCriticalPair,
     cp,
     cp_in,
     pcp_in,
@@ -111,9 +110,9 @@ def test_pcp_in_golden_example():
     got = pcp_in(q, r_big)
 
     def pkey(left, right, peak, limit_ids):
-        return ParallelCriticalPair(
+        return CriticalPair(
             left=left, right=right, kind="inner", peak=peak,
-            inner_rules=(), outer_rule=None, positions=(),
+            outer_rule=None, redexes=(),
             var_limit=frozenset(limit_ids),
         ).key()
 
@@ -133,14 +132,13 @@ def test_pcp_in_golden_example():
 def test_pcp_in_contains_double_successor_overlap():
     pp = P5.with_inverses()
     got = pcp_in(pp, S3)
-    expected_key = ParallelCriticalPair(
+    expected_key = CriticalPair(
         left=plus(s(s(x)), y),
         right=s(plus(x, y)),
         kind="inner",
         peak=plus(s(x), y),
-        inner_rules=(),
         outer_rule=None,
-        positions=(),
+        redexes=(),
         var_limit=frozenset({x.id}),
     ).key()
     assert expected_key in {p.key() for p in got}
@@ -148,13 +146,18 @@ def test_pcp_in_contains_double_successor_overlap():
 
 def test_every_pair_is_a_genuine_peak():
     pp = P5.with_inverses()
-    for pair in cp(S3, pp) + cp(pp, S3) + cp(S3, S3):
-        # inner rule rewrites peak to left at the stored position
-        st = step_at(pair.peak, pair.position, pair.inner_rule)
-        assert st is not None and st.target == pair.left
-        # outer rule rewrites peak to right at the root
-        st2 = step_at(pair.peak, (), pair.outer_rule)
-        assert st2 is not None and st2.target == pair.right
+    for pairs, ordinary in [(cp(S3, pp) + cp(pp, S3) + cp(S3, S3), True),
+                            (pcp_in(pp, S3), False)]:
+        assert pairs
+        for pair in pairs:
+            # the inner redexes rewrite peak to left; an ordinary pair has one
+            assert replay(pair.peak, pair.redexes)[-1].target == pair.left
+            assert len(pair.redexes) == 1 or not ordinary
+            # outer rule rewrites peak to right at the root
+            st2 = step_at(pair.peak, (), pair.outer_rule)
+            assert st2 is not None and st2.target == pair.right
+            # only a parallel pair constrains variables
+            assert (pair.var_limit is None) == ordinary
 
 
 def test_every_parallel_pair_is_a_genuine_parallel_peak():
@@ -162,11 +165,12 @@ def test_every_parallel_pair_is_a_genuine_parallel_peak():
     pairs = pcp_in(pp, S3)
     assert pairs
     for pair in pairs:
-        assert all_parallel(pair.positions)
-        assert all(p != () for p in pair.positions)
-        assert replay(pair.peak, zip(pair.positions, pair.inner_rules))[-1].target == pair.left
+        positions = [pos for pos, _ in pair.redexes]
+        assert all_parallel(positions)
+        assert all(p != () for p in positions)
+        assert replay(pair.peak, pair.redexes)[-1].target == pair.left
         below = set()
-        for pos in pair.positions:
+        for pos in positions:
             below |= var_ids(subterm_at(pair.peak, pos))
         st = step_at(pair.peak, (), pair.outer_rule)
         assert st is not None and st.target == pair.right
@@ -212,7 +216,7 @@ def brute_cp(r_rules, q_rules):
                     right=apply(sigma, outer.rhs),
                     kind="outer" if p == () else "inner",
                     peak=apply(sigma, outer.lhs),
-                    inner_rule=ren, outer_rule=outer, position=p,
+                    outer_rule=outer, redexes=((p, ren),),
                 ))
     return critical_pairs._dedup(pairs, Run())
 
@@ -236,23 +240,18 @@ def brute_pcp_in(q_rules, r_rules):
                     peak = apply(sigma, outer.lhs)
                     left = apply(sigma, replace_parallel(
                         outer.lhs, [(p, rr.rhs) for rr, p in zip(renamed, ps)]))
-                    pairs.append(ParallelCriticalPair(
+                    pairs.append(CriticalPair(
                         left=left, right=apply(sigma, outer.rhs), kind="inner",
-                        peak=peak, inner_rules=tuple(renamed), outer_rule=outer,
-                        positions=tuple(ps),
+                        peak=peak, outer_rule=outer, redexes=tuple(zip(ps, renamed)),
                         var_limit=frozenset(
                             v for p in ps for v in var_ids(subterm_at(peak, p))),
                     ))
     return critical_pairs._dedup(pairs, Run())
 
 
-def cp_trail(pairs):
-    return [(pr.key(), pr.position, pr.inner_rule.name, pr.outer_rule.name) for pr in pairs]
-
-
-def pcp_trail(pairs):
+def trail(pairs):
     return [
-        (pr.key(), pr.positions, tuple(r.name for r in pr.inner_rules), pr.outer_rule.name)
+        (pr.key(), tuple((p, r.name) for p, r in pr.redexes), pr.outer_rule.name)
         for pr in pairs
     ]
 
@@ -315,14 +314,14 @@ def test_pcp_in_and_cp_match_brute_force():
     for s_rules, p_rules in PARTITIONS:
         pp = p_rules.with_inverses()
         for q, r in [(pp, s_rules), (s_rules, s_rules), (s_rules, pp)]:
-            assert pcp_trail(pcp_in(q, r)) == pcp_trail(brute_pcp_in(q, r))
-            assert cp_trail(cp(q, r)) == cp_trail(brute_cp(q, r))
+            assert trail(pcp_in(q, r)) == trail(brute_pcp_in(q, r))
+            assert trail(cp(q, r)) == trail(brute_cp(q, r))
 
 
 def test_pcp_in_skips_non_unifying_tuples(monkeypatch):
     pp = P_CA.with_inverses()
     chain = _chain(4)
-    expected = pcp_trail(brute_pcp_in(pp, chain))
+    expected = trail(brute_pcp_in(pp, chain))
     calls = []
 
     def counting(eqs):
@@ -333,12 +332,12 @@ def test_pcp_in_skips_non_unifying_tuples(monkeypatch):
     got = pcp_in(pp, chain)
     # the brute force tries 318 tuples here, nearly all doomed
     assert len(calls) <= 30
-    assert pcp_trail(got) == expected
+    assert trail(got) == expected
 
 
 def test_dedup_keeps_the_deadline():
     pairs = [CriticalPair(left=App(f"c{i}"), right=zero, kind="outer", peak=zero,
-                          inner_rule=None, outer_rule=None, position=())
+                          outer_rule=None, redexes=())
              for i in range(1024)]
     assert critical_pairs._dedup(pairs, Run()) == pairs
     with pytest.raises(TimedOut):

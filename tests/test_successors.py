@@ -24,7 +24,7 @@ from confl.completion import (
     decompose,
 )
 from confl.criteria import Partition, check_criterion
-from confl.critical_pairs import ParallelCriticalPair, cp_in
+from confl.critical_pairs import cp_in
 from confl.rewriting import (
     FuelExhausted,
     Trs,
@@ -98,7 +98,8 @@ def ref_addition_candidates(state, report, named, depth):
                 st0 = step_at(pair.right, (), inv)
                 if st0 is None or st0.target != pair.peak:
                     continue
-                st1 = step_at(pair.peak, pair.position, pair.inner_rule)
+                (pos, irule), = pair.redexes
+                st1 = step_at(pair.peak, pos, irule)
                 if st1 is None or st1.target != pair.left:
                     continue
                 nf, nsteps = normalize_steps(pair.left, s, fuel=2_000)
@@ -124,12 +125,8 @@ def ref_addition_candidates(state, report, named, depth):
                 rule = _valid_rule(pair.left, right_nf, named)
                 if rule is None:
                     continue
-                if isinstance(pair, ParallelCriticalPair):
-                    redexes = list(zip(pair.positions, pair.inner_rules))
-                else:
-                    redexes = [(pair.position, pair.inner_rule)]
                 cur, csteps, ok = pair.left, [], True
-                for pos, irule in redexes:
+                for pos, irule in pair.redexes:
                     inv = ref_maybe_inverse(irule)
                     st = step_at(cur, pos, inv) if inv is not None else None
                     if st is None:
@@ -157,11 +154,7 @@ def ref_replacement_candidates(state, report, named):
     involved = set()
     for f in report.failing:
         pair = f.pair
-        if isinstance(pair, ParallelCriticalPair):
-            prov = list(pair.inner_rules) + [pair.outer_rule]
-        else:
-            prov = [pair.inner_rule, pair.outer_rule]
-        for r in prov:
+        for r in [rule for _, rule in pair.redexes] + [pair.outer_rule]:
             if s.contains_variant(r):
                 involved.add(r.key())
     out = []
