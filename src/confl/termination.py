@@ -19,8 +19,10 @@ Three engines, tried in order of cheapness:
   polynomials (coefficient 0 allowed), iterated removal of strictly
   decreasing pairs until the remaining graph is acyclic.
 
-Certificates carry the method tag and per-round facts; replay_certificate
-re-checks every claim without searching.
+A certificate carries its method and that method's facts, and nothing
+else: it is for the systems its caller hands over, so it names no system.
+replay_certificate re-checks every claim without searching, and rejects a
+fact its method does not read.
 Nothing here recurses: `rule_decrease` reads a rule's flat key, and the
 other term walkers are generator bodies run by `terms.unrecurse`.
 """
@@ -28,7 +30,7 @@ other term walkers are generator bodies run by `terms.unrecurse`.
 from __future__ import annotations
 
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import permutations, product
 
 from .rewriting import Rule, Trs, empty_trs
@@ -45,12 +47,14 @@ class MalformedCertificate(Exception):
 @dataclass(frozen=True)
 class TerminationCertificate:
     method: str  # trivial | lpo | poly | dp | external
-    s_names: tuple  # rule names proved terminating
-    p_names: tuple = ()  # rules only required to be weakly compatible
     precedence: tuple = ()  # lpo: symbols, highest first
     rounds: tuple = ()  # poly: ((interp items, strict names), ...)
     dp_rounds: tuple = ()  # dp: ((interp items, strict pair names), ...)
-    detail: str = ""
+
+
+# the one field each method's replay reads; every other is at its default
+_FACTS = {"trivial": None, "lpo": "precedence", "poly": "rounds", "dp": "dp_rounds",
+          "external": None}
 
 
 # ---------------------------------------------------------------------------
@@ -455,20 +459,18 @@ def prove_relative_termination(s_trs: Trs, p_trs: Trs, run: Run | None = None):
 
 
 def _prove_termination(s_trs: Trs, p_trs: Trs, run: Run):
-    s_names = tuple(r.name for r in s_trs)
-    p_names = tuple(r.name for r in p_trs)
     if not s_trs.rules:
-        return TerminationCertificate("trivial", s_names, p_names), ""
+        return TerminationCertificate("trivial"), ""
     if any(_rule_loops(r) for r in s_trs):
         return None, _failure_reason(s_trs.rules, run)
     relative = bool(p_trs.rules)  # then only the polynomial engine applies
     prec = None if relative else _find_lpo(s_trs.rules, run)
     if prec is not None:
-        return TerminationCertificate("lpo", s_names, precedence=prec), ""
+        return TerminationCertificate("lpo", precedence=prec), ""
     rounds = _removal_rounds(list(s_trs.rules), list(p_trs.rules), _shapes_strict, shift=True,
                              sort=False, done=lambda rest: not rest, run=run)
     if rounds is not None:
-        return TerminationCertificate("poly", s_names, p_names, rounds=rounds), ""
+        return TerminationCertificate("poly", rounds=rounds), ""
     if relative:
         return None, "search exhausted"
     dps = dependency_pairs(s_trs, check=run.check)  # removed until the graph is acyclic
@@ -476,9 +478,9 @@ def _prove_termination(s_trs: Trs, p_trs: Trs, run: Run):
     dp_rounds = _removal_rounds(dps, list(s_trs.rules), _shapes_weak, shift=False, sort=True,
                                 done=lambda rest: not _has_cycle(rest, edges), run=run)
     if dp_rounds is not None:
-        return TerminationCertificate("dp", s_names, dp_rounds=dp_rounds), ""
+        return TerminationCertificate("dp", dp_rounds=dp_rounds), ""
     if run.hook and run_external_prover(run.hook, s_trs):
-        return TerminationCertificate("external", s_names, detail=run.hook), ""
+        return TerminationCertificate("external"), ""
     return None, _failure_reason(s_trs.rules, run)
 
 
@@ -509,16 +511,18 @@ def replay_certificate(s_trs: Trs, p_trs: Trs, cert: TerminationCertificate, hoo
     """
     if not isinstance(cert, TerminationCertificate):
         raise MalformedCertificate("not a termination certificate")
-    if set(cert.s_names) != {r.name for r in s_trs}:
-        raise MalformedCertificate("certificate names do not match the system")
-    if set(cert.p_names) != {r.name for r in p_trs}:
-        raise MalformedCertificate("certificate relative part does not match")
+    if cert.method not in _FACTS:
+        raise MalformedCertificate(f"unknown method {cert.method!r}")
+    unread = [f.name for f in fields(cert)[1:]
+              if f.name != _FACTS[cert.method] and getattr(cert, f.name) != f.default]
+    if unread:
+        raise MalformedCertificate(f"a {cert.method} certificate has no {', '.join(unread)}")
+    if p_trs.rules and cert.method in ("lpo", "dp"):
+        raise MalformedCertificate(f"{cert.method} certificates cannot be relative")
 
     if cert.method == "trivial":
         return not s_trs.rules
     if cert.method == "lpo":
-        if p_trs.rules:
-            raise MalformedCertificate("lpo certificates cannot be relative")
         if set(s_trs.signature) - set(cert.precedence):
             raise MalformedCertificate("precedence does not cover the signature")
         prec = {f: len(cert.precedence) - i for i, f in enumerate(cert.precedence)}
@@ -526,13 +530,9 @@ def replay_certificate(s_trs: Trs, p_trs: Trs, cert: TerminationCertificate, hoo
     if cert.method == "poly":
         return _replay_poly(s_trs, p_trs, cert)
     if cert.method == "dp":
-        if p_trs.rules:
-            raise MalformedCertificate("dp certificates cannot be relative")
         return _replay_dp(s_trs, cert)
-    if cert.method == "external":
-        # not independently checkable; accept only with the same hook present
-        return bool(hook) and run_external_prover(hook, s_trs)
-    raise MalformedCertificate(f"unknown method {cert.method!r}")
+    # external: not independently checkable; accept only with the same hook present
+    return bool(hook) and run_external_prover(hook, s_trs)
 
 
 def _replay_rounds(rounds, candidates, weak, *, shift, what, noun):

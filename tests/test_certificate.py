@@ -146,15 +146,15 @@ def test_yes_certificates_verify(cert_r3, cert_r2, cert_r5, cert_r8, cert_r3_hue
 # sha256 of each certificate above: a change that should leave the prover's
 # output alone (a speed-up, a refactor) must leave these bytes alone too
 GOLDEN_DIGESTS = {
-    "cert_r2": "57db2fc150a40703fc2c1d050fdd949b95cfa3ed554cd61b3d81e1e30d4fcda8",
-    "cert_r3": "3974f0aedf89f9cfdc5bfae02a1c8f6d3228b7c52e02f6a8a8e8b8b1281d011a",
-    "cert_r5": "9e6c9edfd3b1d17bf2ed8ea44c5b2441d8c485b1ffa55d1fcc397abcba9af7e9",
-    "cert_r8": "bf6ca09fc36523f5c0ade3dab317752227404c7a9e4a0a93db2e5e9a5aebd40a",
-    "cert_r3_huet": "30c9a1144688f164c20ae588f47468efa8d41817ef5d8a77d1214db7fdaa5e63",
-    "cert_fork_closed": "aadff3c59fa6055643455c385498d397b011fd94901ab48bb55b7a6e07257b00",
+    "cert_r2": "bfef44ca9962c71be20ad2a0520133c3f83714f9913ddaaa762ec8b1bbadeebd",
+    "cert_r3": "5f590446ea251385150bc2e1c0e3fec13f349c1094c7e32f52b08d2843863bd8",
+    "cert_r5": "1578f973370b18591e487570e566018ae63914f97f00860fac1e7beb8d92d099",
+    "cert_r8": "85f0cba36730b1e77680d67fd36ce0bf93e714bd715fac60f4d9c09b5b6fa7c9",
+    "cert_r3_huet": "2d220ac734eb6478ff3d85aed8d38a5e4cb38e3aab91f939fd64d94c1b02eb2f",
+    "cert_fork_closed": "1383c2e05c974a09d2ae1aaeb5ecf9f1b0558a03d75e07beb327152c74d14e3a",
     # R6 and chain3 need completion: 4 and 11 additions
-    "cert_r6": "f22426c1947f0004491dc3fa77f7e7cd6c0dcd5e8db414d1c62df38bb48eb048",
-    "cert_chain3": "2005eedcf7b71d3a9476c0e038959e0d60e6dca8abba0710089bb7b309243079",
+    "cert_r6": "00fe75e1766dfa07fe195a4401a0ac1fb57cf80d51139ae20a6de1ead65c80b6",
+    "cert_chain3": "b972db10c42a1debff00be8c3c185a090a2b7f094159ab163c0d1bf834d4ff16",
 }
 
 
@@ -202,7 +202,7 @@ def test_round_trip_structure(cert_r3):
     assert not set(cert.s_names) & set(cert.p_names)
     # the commutativity rule can never live on the terminating side
     assert "C" in cert.p_names
-    assert cert.has_partition and cert.has_reversibility
+    assert {"section partition", "section reversibility"} <= set(cert_r3.splitlines())
     # a join writes only segments that do a step; a pair whose sides are
     # one term, as <0, 0> is, writes none
     assert any(j.segments for j in cert.joins)
@@ -261,6 +261,71 @@ def test_line_outside_its_block_rejected_not_raised(cert_r3, after, block):
     problems = rejected(text, R3)
     assert problems[0].startswith("unparsable certificate: "), problems
     assert not any("NoneType" in p for p in problems), problems
+
+
+@pytest.mark.parametrize("case, line", [("R2", "back 9.9.9 nosuchrule"), ("chain3", "back 1 r3")],
+                         ids=["R2", "chain3"])
+def test_back_line_under_an_addition_rejected(cert_r2, cert_chain3, case, line):
+    """Only a replacement has back steps, so a back line under an addition
+    would never be replayed: it stands outside its block."""
+    text, problem = {"R2": (cert_r2, R2), "chain3": (cert_chain3, CHAIN3)}[case]
+    lines = text.splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("addition ")) + 1
+    while lines[at].startswith("step "):
+        at += 1
+    lines.insert(at, line)
+    assert rejected("\n".join(lines) + "\n", problem) == [
+        f"unparsable certificate: line {line!r}: line outside its block"]
+
+
+@pytest.mark.parametrize("after, line", [
+    ("section joins", "join i | 0"),
+    ("section joins", "join i A"),
+    ("join ", "segment star SP | 0"),
+    ("join ", "segment star SP sideways | 0"),
+    ("segment ", "step 1"),
+    ("rule add1:", "rule add9 +(0,?v1) -> ?v1"),
+    ("rule add1:", "rule add9: +(0,?v1)"),
+    ("revseq ", "revseq A e C"),
+    ("section partition", "section history\nreplace add2"),
+], ids=["join-fields", "join-term", "segment-fields", "segment-direction", "step-fields",
+        "rule-colon", "rule-arrow", "revseq-colon", "replace-with"])
+def test_malformed_line_rejected_by_its_text(cert_r3, after, line):
+    """A line short of a field, or with a field no line takes, is an error
+    that quotes the line."""
+    problems = rejected(mutate(cert_r3, after, lambda ln: f"{ln}\n{line}"), R3)
+    last = line.splitlines()[-1]
+    assert len(problems) == 1, problems
+    assert problems[0].startswith(f"unparsable certificate: line {last!r}: "), problems
+
+
+@pytest.mark.parametrize("after, line, problem", [
+    ("criterion ", "criterion huet", "repeats an earlier line"),
+    ("relterm ", 'relterm {"method": "trivial"}', "repeats an earlier line"),
+    ("final-s ", "final-s add1", "repeats an earlier line"),
+    ("section joins", "section joins", "repeats an earlier line"),
+    ("section joins", "section notes", "no such section"),
+], ids=["criterion", "relterm", "final-s", "section", "unknown-section"])
+def test_line_the_verifier_would_not_read_rejected(cert_r3, after, line, problem):
+    # of two copies of a one-fact line only one would be read, and no line
+    # would be read in a section the format does not have
+    bad = mutate(cert_r3, after, lambda ln: f"{ln}\n{line}")
+    assert rejected(bad, R3) == [f"unparsable certificate: line {line!r}: {problem}"]
+
+
+def test_reason_in_a_yes_certificate_rejected(cert_r3):
+    bad = mutate(cert_r3, "verdict ", lambda ln: f"{ln}\nreason trust me")
+    assert rejected(bad, R3) == ["a YES certificate gives no reason"]
+
+
+@pytest.mark.parametrize("after, line", [
+    ("section termination", 'termcert {"method": "trivial"}'),
+    ("final-p ", "pprime C"),
+], ids=["termcert", "pprime"])
+def test_huet_reads_no_p_prime_and_no_plain_termination(cert_r3_huet, after, line):
+    # huet's obligation is S terminating relative to all of P, so P' = ∅
+    bad = mutate(cert_r3_huet, after, lambda ln: f"{ln}\n{line}")
+    assert rejected(bad, R3) == ["huet fixes P' = ∅ and reads no pprime or termcert line"]
 
 
 def test_unknown_format_or_verdict_rejected(cert_r3):
@@ -450,7 +515,7 @@ def test_tampered_termination_payload_rejected(cert_r3):
         return change
 
     # an unknown method, then payloads of the wrong type or shape
-    edits = ({"method": "mystery"}, {"precedence": 5}, {"s_names": 3},
+    edits = ({"method": "mystery"}, {"precedence": 5}, {"rounds": 3},
              {"method": "poly", "rounds": [[1, 2, 3]]})
     for prefix, label in (("termcert ", "plain termination"),
                           ("relterm ", "relative termination")):
@@ -498,18 +563,19 @@ def test_history_replays_and_rejects_tampering(cert_r2):
 def test_p_prime_rules_checked_against_p(cert_r5):
     cert = parse_certificate(cert_r5)
     assert cert.criterion == "pcp"
-    names = {r.name for r in cert.pp_rules}
-    assert "ss2" in names and "ss1" not in names
-    # a rule outside P and its inverses cannot be smuggled into P'
-    bad = mutate(cert_r5, "final-p ",
-                 lambda ln: ln + "\npprule zz: s(?w1) -> ?w1")
-    problems = rejected(bad, R5)
-    assert any("P'" in p for p in problems)
+    assert "ss2" in cert.p_prime and "ss1" not in cert.p_prime
+    # P' names rules of P and its inverses: an S rule, or a name given twice,
+    # cannot be smuggled into P'
+    for extra, problem in (("add1", "P' rule add1 is not a rule of P∪P⁻¹"),
+                           ("ss2", "bad P' set: duplicate rule names")):
+        bad = mutate(cert_r5, "pprime ", lambda ln: f"{ln},{extra}")
+        problems = rejected(bad, R5)
+        assert any(p.startswith(problem) for p in problems), problems
     # dropping P' breaks either the joins or the relative termination replay
-    bad = cert_r5
-    while any(ln.startswith("pprule") for ln in bad.splitlines()):
-        bad = mutate(bad, "pprule")
-    rejected(bad, R5)
+    rejected(mutate(cert_r5, "pprime "), R5)
+    # P' = ∅ is spelled by leaving the line out
+    problems = rejected(mutate(cert_r5, "pprime ", lambda ln: "pprime"), R5)
+    assert problems[0].startswith("unparsable certificate: line 'pprime': "), problems
 
 
 # S = f(+(x,y)) -> g(x,y), P = commutativity of + and of g: the one inner
@@ -610,7 +676,8 @@ def test_huet_certificate_shape(cert_r3_huet):
     cert = parse_certificate(cert_r3_huet)
     assert cert.criterion == "huet"
     assert cert.relterm_cert is not None
-    assert not cert.pp_rules
+    assert cert.p_prime is None and cert.term_cert is None
+    assert not any(ln.startswith(("pprime", "termcert")) for ln in cert_r3_huet.splitlines())
     problems = rejected(mutate(cert_r3_huet, "relterm ", None), R3)
     assert any("relative termination" in p for p in problems)
     # swapping the criterion invalidates every join shape
@@ -624,7 +691,7 @@ def test_forged_history_cannot_make_a_fork_confluent(cert_fork_closed, steps):
     ok, problems = verify_certificate(cert_fork_closed, FORK_CLOSED)
     assert ok, problems
     # g(x) -> h(x) is only convertible in the fork (g ← f → h), not derivable
-    block = ["addition r3: g(?v1)", *steps, "yields h(?v1)"]
+    block = ["addition r3: g(?v1)", *steps]
     problems = rejected(with_history(cert_fork_closed, block, ["r3"]), FORK)
     assert history_problems(problems, "r3"), problems
 
@@ -632,8 +699,7 @@ def test_forged_history_cannot_make_a_fork_confluent(cert_fork_closed, steps):
 def test_format_1_forgery_rejected(cert_fork_closed):
     # format 1 replayed this step as a conversion over a P it never checked
     # for reversibility, and accepted the certificate
-    block = ["addition r3: g(?v1)", "with S=r2 P=r1", "cstep e r1~", "sstep e r2",
-             "yields h(?v1)"]
+    block = ["addition r3: g(?v1)", "with S=r2 P=r1", "cstep e r1~", "sstep e r2"]
     forged = with_history(cert_fork_closed, block, ["r3"])
     assert f"\nformat {FORMAT}\n" in forged
     rejected(forged.replace(f"format {FORMAT}", "format 1"), FORK)
