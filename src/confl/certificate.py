@@ -8,17 +8,19 @@ certificates are checked arithmetically, critical pairs are recomputed.
 
 Every line is checked, and each fact is written once.  What the verifier
 derives is not written: a history step's right side is where its steps end,
-P' is named by its rules in P ∪ P⁻¹, and a termination certificate holds
-only its method's facts, for the systems the verifier hands it.  A line the
-verifier would not read is an error: one outside its block or section, a
-second copy of a one-fact line, a YES certificate's reason, and `pprime` or
-`termcert` under huet, whose obligation fixes P' = ∅.  Errors quote the line.
+P' is named by its rules in P ∪ P⁻¹, and the one termination certificate,
+for S relative to P' (or to all of P), is its method and that method's
+facts, for the systems the verifier hands it; it proves S terminating too.
+A line the verifier would not read is an error: one outside its block or
+section, a second copy of a one-fact line, a YES certificate's reason, and
+`pprime` under huet, whose obligation fixes P' = ∅.  Errors quote the line.
 
-Format 5, a line each (<names> comma-separated, <pos> `e` or `1.2`, and
-?v1, ?v2, ... variables numbered per rule, history block or join):
+Format 6, a line each (<names> comma-separated, <pos> `e` or `1.2`, <name>
+one word without `,;:@`, and ?v1, ?v2, ... variables numbered per rule,
+history block or join):
 
     BEGIN CERTIFICATE
-    format 5
+    format 6
     verdict YES                            (else: reason <text>, then END)
     criterion <linear|parallel|pcp|huet>
     section input                          then per input rule:
@@ -30,8 +32,8 @@ Format 5, a line each (<names> comma-separated, <pos> `e` or `1.2`, and
       <names>, and pprime <names> when P' ⊆ P ∪ P⁻¹ is nonempty
     section reversibility                  then per rule of P:
       revseq <name>: <pos> <rule>; ...     (- for no step)
-    section termination                    then termcert <json> (obligation
-      P' only) and relterm <json> (S relative to P', or to P)
+    section termination                    then relterm <method>, followed by
+      its facts as a JSON array when it has any (S relative to P', or to P)
     section joins                          then per recomputed pair:
       join <cond> <branch> | <left>        then per segment that steps:
       segment <rel> <rules> <fwd|rev> | <end>
@@ -56,7 +58,8 @@ new rule's sides differ.  So →* never changes, and the final system is
 confluent exactly when the input is.
 """
 import json
-from dataclasses import dataclass, field, fields
+import re
+from dataclasses import dataclass, field
 
 from .terms import (
     Position,
@@ -74,14 +77,14 @@ from .terms import (
     var_ids,
     write_term,
 )
-from .rewriting import Rule, Trs, empty_trs, replay_named
+from .rewriting import Rule, Trs, replay_named
 # cp, cp_in and pcp_in are called by the names CRITERION_TABLE gives
 from .critical_pairs import cp, cp_in, pcp_in
 from .criteria import CRITERION_TABLE
 from .reversibility import reversal_problems
 from .termination import MalformedCertificate, TerminationCertificate, replay_certificate
 
-FORMAT = "5"
+FORMAT = "6"
 
 
 # --- term scope: stable local variable names per block ------------------------
@@ -142,21 +145,26 @@ def _parse_pos(s: str) -> Position:
         raise CertificateError(f"bad position {s!r}") from exc
 
 
-# --- json round-trip for termination certificates ------------------------------
+_NAME = re.compile(r"[^\s,;:@]+")
 
 
-def _term_cert_json(cert: TerminationCertificate) -> str:
-    """The certificate's fields that are not at their default."""
-    return json.dumps({f.name: getattr(cert, f.name) for f in fields(cert)
-                       if getattr(cert, f.name) != f.default}, sort_keys=True)
+def _name(text: str) -> str:
+    """A header's rule name: one word without the separators of the lines
+    that refer to it."""
+    if not _NAME.fullmatch(name := text.strip()):
+        raise CertificateError(f"bad rule name {name!r}")
+    return name
 
 
-def _term_cert_from_json(payload: str) -> TerminationCertificate:
+def _facts(payload: str) -> list:
+    """A termination certificate's facts: a nonempty JSON array."""
     try:
-        # RecursionError on arrays nested too deeply
-        return TerminationCertificate(**json.loads(payload))
-    except (TypeError, ValueError, RecursionError) as exc:
-        raise CertificateError(f"bad termination certificate payload: {exc}") from exc
+        facts = json.loads(payload)
+    except (ValueError, RecursionError) as exc:  # RecursionError: arrays nested too deeply
+        raise CertificateError(f"bad termination facts: {exc}") from exc
+    if not isinstance(facts, list) or not facts:
+        raise CertificateError("termination facts must be a nonempty JSON array")
+    return facts
 
 
 # --- serialization -------------------------------------------------------------
@@ -218,10 +226,9 @@ def certificate_text(problem: Trs, result) -> str:
             lines.append(f"revseq {name}: {'; '.join(_moves(steps, rep.p, 'reversal')) or '-'}")
 
     lines.append("section termination")
-    if rep.term_cert is not None:
-        lines.append(f"termcert {_term_cert_json(rep.term_cert)}")
-    if rep.relterm_cert is not None:
-        lines.append(f"relterm {_term_cert_json(rep.relterm_cert)}")
+    term = rep.relterm_cert
+    facts = f" {json.dumps(term.facts, separators=(',', ':'))}" if term.facts else ""
+    lines.append(f"relterm {term.method}{facts}")
 
     lines.append("section joins")
     tables = {"S": rep.s, "PP": pp, "SP": rep.s.union(Trs([pp.rule(n) for n in pp_names])),
@@ -288,13 +295,12 @@ class CertificateData:
     p_names: tuple = ()
     p_prime: tuple | None = None  # names in P ∪ P⁻¹; None without a pprime line
     rev_seqs: list = field(default_factory=list)  # (name, [(pos, rulename)])
-    term_cert: TerminationCertificate | None = None
     relterm_cert: TerminationCertificate | None = None
     joins: list = field(default_factory=list)
 
 
 # the lines that state one fact each, so a second copy is never read
-_ONCE = frozenset("verdict reason criterion final-s final-p pprime termcert relterm".split())
+_ONCE = frozenset("verdict reason criterion final-s final-p pprime relterm".split())
 _SECTIONS = frozenset("input history partition reversibility termination joins".split())
 
 
@@ -353,16 +359,16 @@ def parse_certificate(text: str) -> CertificateData:
                 lhs_s, rhs_s = body.split("->")
                 sc = _ParseScope()
                 cert.input_rules.append(Rule(parse_term(lhs_s, sc), parse_term(rhs_s, sc),
-                                             name.strip()))
+                                             _name(name)))
             elif word == "addition" and section == "history":
                 name, lhs_s = rest.split(":", 1)
-                cur_hist = HistoryData("addition", name.strip(),
+                cur_hist = HistoryData("addition", _name(name),
                                        lhs=parse_term(lhs_s, _ParseScope()))
                 cur_back = None  # back lines belong to a replacement
                 cert.history.append(cur_hist)
             elif word == "replace" and section == "history":
                 old, new = rest.split(" with ")
-                cur_hist = HistoryData("replacement", new.strip(), old_name=old.strip())
+                cur_hist = HistoryData("replacement", _name(new), old_name=_name(old))
                 cur_back = cur_hist.back
                 cert.history.append(cur_hist)
             elif word == "step" and section == "history":
@@ -382,10 +388,9 @@ def parse_certificate(text: str) -> CertificateData:
                 steps_s = steps_s.strip()
                 steps = [] if steps_s == "-" else [_move(chunk) for chunk in steps_s.split(";")]
                 cert.rev_seqs.append((name.strip(), steps))
-            elif word == "termcert" and section == "termination":
-                cert.term_cert = _term_cert_from_json(rest)
             elif word == "relterm" and section == "termination":
-                cert.relterm_cert = _term_cert_from_json(rest)
+                method, _, facts = rest.partition(" ")
+                cert.relterm_cert = TerminationCertificate(method, _facts(facts) if facts else ())
             elif word == "join" and section == "joins":
                 head, left_s = rest.split("|", 1)
                 cond, branch = head.split()
@@ -422,10 +427,7 @@ def parse_certificate(text: str) -> CertificateData:
 
 
 def _replay_segment(seg: SegData, tables: dict, problems: list, label: str):
-    table = tables.get(seg.rules)
-    if table is None:
-        problems.append(f"{label}: unknown rule class {seg.rules}")
-        return None
+    table = tables[seg.rules]
     anchor = seg.end if seg.reverse else seg.start
     goal = seg.start if seg.reverse else seg.end
     cur = anchor
@@ -593,28 +595,25 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
         return False, problems + [f"unknown criterion {crit!r}"]
     (prop, linear_classes), relative_to, conditions = CRITERION_TABLE[crit]
 
-    # 4. P' ⊆ P∪P⁻¹, named by its rules there, and termination certificates
+    # 4. P' ⊆ P∪P⁻¹, named by its rules there, and the one termination
+    # certificate: S terminating relative to P' (or to P), so terminating
     try:
         p_prime = Trs([pp.rule(n) for n in cert.p_prime or ()])
     except KeyError as exc:
         return False, problems + [f"P' rule {exc.args[0]} is not a rule of P∪P⁻¹"]
     except ValueError as exc:  # a name given twice
         return False, problems + [f"bad P' set: {exc}"]
-    if relative_to == "P'":
-        checks = (("plain termination certificate for S", cert.term_cert, empty_trs()),
-                  ("relative termination certificate for S/P'", cert.relterm_cert, p_prime))
+    if relative_to == "P" and cert.p_prime is not None:
+        problems.append(f"{crit} fixes P' = ∅ and reads no pprime line")
+    label = f"relative termination certificate for S/{relative_to}"
+    if cert.relterm_cert is None:
+        problems.append(f"missing {label}")
     else:
-        if cert.p_prime is not None or cert.term_cert is not None:
-            problems.append(f"{crit} fixes P' = ∅ and reads no pprime or termcert line")
-        checks = (("relative termination certificate for S/P", cert.relterm_cert, p),)
-    for label, term_cert, p_part in checks:
-        if term_cert is None:
-            problems.append(f"missing {label}")
-            continue
         try:
-            if not replay_certificate(s, p_part, term_cert, hook=hook):
+            if not replay_certificate(s, p_prime if relative_to == "P'" else p,
+                                      cert.relterm_cert, hook=hook):
                 problems.append(f"{label} rejected")
-        except (MalformedCertificate, TypeError, ValueError) as exc:
+        except (MalformedCertificate, TypeError, ValueError, LookupError) as exc:
             problems.append(f"{label} malformed: {exc}")
 
     # 5. linearity preconditions

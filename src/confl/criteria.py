@@ -90,8 +90,7 @@ class CriterionReport:
     evidence: list = field(default_factory=list)
     failing: list = field(default_factory=list)
     p_prime: Trs | None = None
-    relterm_cert: TerminationCertificate | None = None
-    term_cert: TerminationCertificate | None = None
+    relterm_cert: TerminationCertificate | None = None  # S relative to P', or to P
     reversibility: ReversibilityWitness | None = None
 
     def holds(self) -> bool:
@@ -108,7 +107,7 @@ _PCP_III = (
 # One row per criterion: (linearity precondition, termination obligation,
 # conditions).  The precondition is a Trs predicate and the rule classes it
 # must hold for.  The obligation "P" asks S terminating relative to all of P
-# and fixes P' = ∅; "P'" asks S terminating, and terminating relative to P'.
+# and fixes P' = ∅; "P'" asks S terminating relative to P' (so terminating).
 # Each condition is (condition, pair family, join branches), checked in this
 # order, which fixes the order of the evidence.  A pair family (generator,
 # left class, right class) names a pair generator of critical_pairs and is
@@ -433,24 +432,27 @@ def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, relativ
         return False
     rep.reversibility = rev
     if relative_to == "P":
-        rcert, rwhy = prove_relative_termination(pt.s, pt.p, run=run)
-        if rcert is None:
-            rep.reason = f"relative termination of S w.r.t. P not established: {rwhy}"
-            return False
-        rep.relterm_cert = rcert
-        return True
+        return _relterm(rep, pt, pt.p, "P not established", run)
+    # implied by S/P' terminating, but a split whose S does not terminate
+    # fails here, before any join search
     cert, why = prove_termination(pt.s, run=run)
     if cert is None:
         rep.reason = f"termination of S not established: {why}"
         return False
-    rep.term_cert = cert
-    if pt.p_prime is not None:
-        rcert, rwhy = prove_relative_termination(pt.s, pt.p_prime, run=run)
-        if rcert is None:
-            rep.reason = f"relative termination of S w.r.t. P' not established: {rwhy}"
-            return False
-        rep.relterm_cert = rcert
-        rep.p_prime = pt.p_prime
+    if pt.p_prime is not None and not _relterm(rep, pt, pt.p_prime, "P' not established", run):
+        return False
+    rep.p_prime = pt.p_prime  # None in the automatic mode until _finish
+    return True
+
+
+def _relterm(rep: CriterionReport, pt: Partition, rel: Trs, failure: str, run: Run) -> bool:
+    """Record the certificate of S terminating relative to rel, the one
+    termination fact a proof carries; False, with the reason, without one."""
+    cert, why = prove_relative_termination(pt.s, rel, run=run)
+    if cert is None:
+        rep.reason = f"relative termination of S w.r.t. {failure}: {why}"
+        return False
+    rep.relterm_cert = cert
     return True
 
 
@@ -463,12 +465,9 @@ def _finish(rep: CriterionReport, pt: Partition, relative_to: str, run: Run) -> 
         rep.p_prime = empty_trs()
     elif pt.p_prime is None:
         used = collect_p_prime(rep.evidence, pt.s)
-        rcert, rwhy = prove_relative_termination(pt.s, used, run=run)
-        if rcert is None:
-            rep.reason = f"relative termination of S w.r.t. collected P' failed: {rwhy}"
+        if not _relterm(rep, pt, used, "collected P' failed", run):
             return rep
         rep.p_prime = used
-        rep.relterm_cert = rcert
     rep.outcome = "holds"
     return rep
 

@@ -19,10 +19,11 @@ Three engines, tried in order of cheapness:
   polynomials (coefficient 0 allowed), iterated removal of strictly
   decreasing pairs until the remaining graph is acyclic.
 
-A certificate carries its method and that method's facts, and nothing
-else: it is for the systems its caller hands over, so it names no system.
-replay_certificate re-checks every claim without searching, and rejects a
-fact its method does not read.
+A certificate is a method plus its facts, and nothing else: it is for the
+systems its caller hands over, so it names no system.  The facts are an lpo
+precedence (symbols, highest first), or poly or dp removal rounds ((interp
+items, names of the rules or pairs removed), ...); trivial and external
+have none.  replay_certificate re-checks every claim without searching.
 Nothing here recurses: `rule_decrease` reads a rule's flat key, and the
 other term walkers are generator bodies run by `terms.unrecurse`.
 """
@@ -30,7 +31,7 @@ other term walkers are generator bodies run by `terms.unrecurse`.
 from __future__ import annotations
 
 import subprocess
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import permutations, product
 
 from .rewriting import Rule, Trs, empty_trs
@@ -47,14 +48,7 @@ class MalformedCertificate(Exception):
 @dataclass(frozen=True)
 class TerminationCertificate:
     method: str  # trivial | lpo | poly | dp | external
-    precedence: tuple = ()  # lpo: symbols, highest first
-    rounds: tuple = ()  # poly: ((interp items, strict names), ...)
-    dp_rounds: tuple = ()  # dp: ((interp items, strict pair names), ...)
-
-
-# the one field each method's replay reads; every other is at its default
-_FACTS = {"trivial": None, "lpo": "precedence", "poly": "rounds", "dp": "dp_rounds",
-          "external": None}
+    facts: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +460,11 @@ def _prove_termination(s_trs: Trs, p_trs: Trs, run: Run):
     relative = bool(p_trs.rules)  # then only the polynomial engine applies
     prec = None if relative else _find_lpo(s_trs.rules, run)
     if prec is not None:
-        return TerminationCertificate("lpo", precedence=prec), ""
+        return TerminationCertificate("lpo", prec), ""
     rounds = _removal_rounds(list(s_trs.rules), list(p_trs.rules), _shapes_strict, shift=True,
                              sort=False, done=lambda rest: not rest, run=run)
     if rounds is not None:
-        return TerminationCertificate("poly", rounds=rounds), ""
+        return TerminationCertificate("poly", rounds), ""
     if relative:
         return None, "search exhausted"
     dps = dependency_pairs(s_trs, check=run.check)  # removed until the graph is acyclic
@@ -478,7 +472,7 @@ def _prove_termination(s_trs: Trs, p_trs: Trs, run: Run):
     dp_rounds = _removal_rounds(dps, list(s_trs.rules), _shapes_weak, shift=False, sort=True,
                                 done=lambda rest: not _has_cycle(rest, edges), run=run)
     if dp_rounds is not None:
-        return TerminationCertificate("dp", dp_rounds=dp_rounds), ""
+        return TerminationCertificate("dp", dp_rounds), ""
     if run.hook and run_external_prover(run.hook, s_trs):
         return TerminationCertificate("external"), ""
     return None, _failure_reason(s_trs.rules, run)
@@ -509,40 +503,59 @@ def replay_certificate(s_trs: Trs, p_trs: Trs, cert: TerminationCertificate, hoo
     Structural defects raise MalformedCertificate; honest claim failures
     return False.
     """
-    if not isinstance(cert, TerminationCertificate):
-        raise MalformedCertificate("not a termination certificate")
-    if cert.method not in _FACTS:
+    if cert.method not in ("trivial", "lpo", "poly", "dp", "external"):
         raise MalformedCertificate(f"unknown method {cert.method!r}")
-    unread = [f.name for f in fields(cert)[1:]
-              if f.name != _FACTS[cert.method] and getattr(cert, f.name) != f.default]
-    if unread:
-        raise MalformedCertificate(f"a {cert.method} certificate has no {', '.join(unread)}")
-    if p_trs.rules and cert.method in ("lpo", "dp"):
+    if cert.facts and cert.method in ("trivial", "external"):
+        raise MalformedCertificate(f"a {cert.method} certificate has no facts")
+    if p_trs.rules and cert.method in ("lpo", "dp", "external"):
         raise MalformedCertificate(f"{cert.method} certificates cannot be relative")
 
     if cert.method == "trivial":
         return not s_trs.rules
     if cert.method == "lpo":
-        if set(s_trs.signature) - set(cert.precedence):
+        if set(s_trs.signature) - set(cert.facts):
             raise MalformedCertificate("precedence does not cover the signature")
-        prec = {f: len(cert.precedence) - i for i, f in enumerate(cert.precedence)}
+        prec = {f: len(cert.facts) - i for i, f in enumerate(cert.facts)}
         return all(lpo_gt(r.lhs, r.rhs, prec) for r in s_trs)
     if cert.method == "poly":
-        return _replay_poly(s_trs, p_trs, cert)
+        if not cert.facts and s_trs.rules:
+            raise MalformedCertificate("poly certificate with no rounds")
+        return _replay_rounds(cert.facts, s_trs, p_trs.rules, shift=True,
+                              what="round", noun="rule") == []
     if cert.method == "dp":
-        return _replay_dp(s_trs, cert)
+        dps = dependency_pairs(s_trs)
+        left = _replay_rounds(cert.facts, dps, s_trs.rules, shift=False,
+                              what="dp round", noun="pair")
+        return left is not None and not _has_cycle(left, dp_graph(dps, {r.lhs.fn for r in s_trs}))
     # external: not independently checkable; accept only with the same hook present
     return bool(hook) and run_external_prover(hook, s_trs)
 
 
+def _monotone(shape, *, strict: bool) -> bool:
+    """Does the shape map the naturals >= 2 (with `strict`; else all
+    naturals) into themselves, strictly (else weakly) monotonically?"""
+    least = 1 if strict else 0
+    if shape[0] == "sq":
+        return isinstance(shape[1], int) and shape[1] >= least
+    if shape[0] != "lin":
+        return True  # prod is, on both domains; shape_value rejects other shapes
+    _, coeffs, const = shape
+    floor = 2 if strict and not coeffs else 0  # a constant's value lies in the domain
+    return (all(isinstance(c, int) for c in (*coeffs, const))
+            and min(coeffs, default=least) >= least and const >= floor)
+
+
 def _replay_rounds(rounds, candidates, weak, *, shift, what, noun):
     """The candidates that removal rounds leave, or None when a round's claim
-    fails: each round's interpretation must make the remaining candidates
-    and the weak rules weakly decreasing and the candidates it removes
-    strictly."""
+    fails: each round's interpretation must be monotone (strictly over the
+    naturals >= 2 with `shift`), make the remaining candidates and the weak
+    rules weakly decreasing and the candidates it removes strictly."""
     remaining = {r.name: r for r in candidates}
     for interp_items, strict_names in rounds:
         assign = dict(interp_items)
+        for f, shape in assign.items():
+            if not _monotone(shape, strict=shift):
+                raise MalformedCertificate(f"{what} interprets {f} by a non-monotone {shape}")
         if not strict_names:
             raise MalformedCertificate(f"{what} removes nothing")
         for n in strict_names:
@@ -557,17 +570,3 @@ def _replay_rounds(rounds, candidates, weak, *, shift, what, noun):
         for n in strict_names:
             remaining.pop(n, None)
     return list(remaining.values())
-
-
-def _replay_poly(s_trs: Trs, p_trs: Trs, cert) -> bool:
-    if not cert.rounds and s_trs.rules:
-        raise MalformedCertificate("poly certificate with no rounds")
-    return _replay_rounds(cert.rounds, s_trs, p_trs.rules, shift=True,
-                          what="round", noun="rule") == []
-
-
-def _replay_dp(s_trs: Trs, cert) -> bool:
-    dps = dependency_pairs(s_trs)
-    left = _replay_rounds(cert.dp_rounds, dps, s_trs.rules, shift=False,
-                          what="dp round", noun="pair")
-    return left is not None and not _has_cycle(left, dp_graph(dps, {r.lhs.fn for r in s_trs}))

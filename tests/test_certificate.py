@@ -7,7 +7,6 @@ clean (False, problems) rejection, never an exception.
 """
 import dataclasses
 import hashlib
-import json
 from types import SimpleNamespace
 
 import pytest
@@ -146,15 +145,15 @@ def test_yes_certificates_verify(cert_r3, cert_r2, cert_r5, cert_r8, cert_r3_hue
 # sha256 of each certificate above: a change that should leave the prover's
 # output alone (a speed-up, a refactor) must leave these bytes alone too
 GOLDEN_DIGESTS = {
-    "cert_r2": "bfef44ca9962c71be20ad2a0520133c3f83714f9913ddaaa762ec8b1bbadeebd",
-    "cert_r3": "5f590446ea251385150bc2e1c0e3fec13f349c1094c7e32f52b08d2843863bd8",
-    "cert_r5": "1578f973370b18591e487570e566018ae63914f97f00860fac1e7beb8d92d099",
-    "cert_r8": "85f0cba36730b1e77680d67fd36ce0bf93e714bd715fac60f4d9c09b5b6fa7c9",
-    "cert_r3_huet": "2d220ac734eb6478ff3d85aed8d38a5e4cb38e3aab91f939fd64d94c1b02eb2f",
-    "cert_fork_closed": "1383c2e05c974a09d2ae1aaeb5ecf9f1b0558a03d75e07beb327152c74d14e3a",
+    "cert_r2": "79646d07c5db64c2ef76fd8f5c3cd1d0d84bfcbe20251ea8201a8f05187332cd",
+    "cert_r3": "6eae9fcd5c2b09d862b8459239097f819c765f8c7408a7c89b050128da179f3e",
+    "cert_r5": "7287768ace049120db78def829662a50d703803edef7da914dcb07161d89d835",
+    "cert_r8": "95a1b2e77c330485373792e40a0047a88dc2aad561854293f16c5c8204aed2f5",
+    "cert_r3_huet": "6e33e12e9e0e66fa7c951771d5970ee0cc05197224f0a13aa344765ea8bb74ec",
+    "cert_fork_closed": "dbb2ae9b1ee18828d3bc73815a6eb70f757be4536b5c6f2376838b8f692ec687",
     # R6 and chain3 need completion: 4 and 11 additions
-    "cert_r6": "00fe75e1766dfa07fe195a4401a0ac1fb57cf80d51139ae20a6de1ead65c80b6",
-    "cert_chain3": "b972db10c42a1debff00be8c3c185a090a2b7f094159ab163c0d1bf834d4ff16",
+    "cert_r6": "85a9bd1aa229610968e54661a5e777e7ea079544ed7b1dc8b9612ab2b080a7b6",
+    "cert_chain3": "7093ccb91c7a3e1b3868f9d84a3f88b116db4084b0fa2873ef095383a208d673",
 }
 
 
@@ -288,8 +287,15 @@ def test_back_line_under_an_addition_rejected(cert_r2, cert_chain3, case, line):
     ("rule add1:", "rule add9: +(0,?v1)"),
     ("revseq ", "revseq A e C"),
     ("section partition", "section history\nreplace add2"),
+    ("rule add1:", "rule : +(0,?v1) -> ?v1"),
+    ("rule add1:", "rule add1,add2: +(0,?v1) -> ?v1"),
+    ("section partition", "section history\naddition : +(0,0)"),
+    ("section partition", "section history\nreplace add2 x with q1"),
+    ("section partition", "section history\nreplace add2 with q@1"),
 ], ids=["join-fields", "join-term", "segment-fields", "segment-direction", "step-fields",
-        "rule-colon", "rule-arrow", "revseq-colon", "replace-with"])
+        "rule-colon", "rule-arrow", "revseq-colon", "replace-with", "rule-empty-name",
+        "rule-name-comma", "addition-empty-name", "replace-old-name-space",
+        "replace-new-name-at"])
 def test_malformed_line_rejected_by_its_text(cert_r3, after, line):
     """A line short of a field, or with a field no line takes, is an error
     that quotes the line."""
@@ -301,11 +307,12 @@ def test_malformed_line_rejected_by_its_text(cert_r3, after, line):
 
 @pytest.mark.parametrize("after, line, problem", [
     ("criterion ", "criterion huet", "repeats an earlier line"),
-    ("relterm ", 'relterm {"method": "trivial"}', "repeats an earlier line"),
+    ("relterm ", "relterm trivial", "repeats an earlier line"),
     ("final-s ", "final-s add1", "repeats an earlier line"),
     ("section joins", "section joins", "repeats an earlier line"),
     ("section joins", "section notes", "no such section"),
-], ids=["criterion", "relterm", "final-s", "section", "unknown-section"])
+    ("relterm ", 'termcert lpo ["+","0","s"]', "unexpected in section 'termination'"),
+], ids=["criterion", "relterm", "final-s", "section", "unknown-section", "termcert"])
 def test_line_the_verifier_would_not_read_rejected(cert_r3, after, line, problem):
     # of two copies of a one-fact line only one would be read, and no line
     # would be read in a section the format does not have
@@ -318,14 +325,16 @@ def test_reason_in_a_yes_certificate_rejected(cert_r3):
     assert rejected(bad, R3) == ["a YES certificate gives no reason"]
 
 
-@pytest.mark.parametrize("after, line", [
-    ("section termination", 'termcert {"method": "trivial"}'),
-    ("final-p ", "pprime C"),
+@pytest.mark.parametrize("after, line, problem", [
+    ("section termination", "termcert trivial",
+     "unparsable certificate: line 'termcert trivial': unexpected in section 'termination'"),
+    ("final-p ", "pprime C", "huet fixes P' = ∅ and reads no pprime line"),
 ], ids=["termcert", "pprime"])
-def test_huet_reads_no_p_prime_and_no_plain_termination(cert_r3_huet, after, line):
-    # huet's obligation is S terminating relative to all of P, so P' = ∅
+def test_huet_reads_no_p_prime_and_no_plain_termination(cert_r3_huet, after, line, problem):
+    # huet's obligation is S terminating relative to all of P, so P' = ∅;
+    # no certificate has a plain termination line
     bad = mutate(cert_r3_huet, after, lambda ln: f"{ln}\n{line}")
-    assert rejected(bad, R3) == ["huet fixes P' = ∅ and reads no pprime or termcert line"]
+    assert rejected(bad, R3) == [problem]
 
 
 def test_unknown_format_or_verdict_rejected(cert_r3):
@@ -438,11 +447,12 @@ def test_join_through_a_branch_its_condition_lacks_rejected(cert_r3):
     assert rejected(bad, R3) == ["join <i,B>: no such condition/branch for pcp"]
 
 
-@pytest.mark.parametrize("segment", ["plus SP fwd", "star S fwd", "step S rev"])
+@pytest.mark.parametrize("segment", ["plus SP fwd", "star S fwd", "step S rev", "star XX fwd"])
 def test_join_segment_off_its_branch_rejected(cert_r3, segment):
     # the first written segment is star SP fwd in pcp's (i) branch A; its one
     # step, by the S rule add1, still replays as the other relation or class
-    # would.  pcp has step S rev segments, in (iii)'s branch B, but (i) has none
+    # would.  pcp has step S rev segments, in (iii)'s branch B, but (i) has
+    # none, and no branch has a class XX, so no segment is replayed over it
     bad = mutate(cert_r3, "segment star SP fwd",
                  lambda ln: ln.replace("star SP fwd", segment))
     assert rejected(bad, R3) == ["join <i,A>: segment shape mismatch"]
@@ -506,39 +516,81 @@ def test_wild_position_rejected_not_crash(cert_r3):
 
 
 def test_tampered_termination_payload_rejected(cert_r3):
-    def corrupt(fields):
-        def change(ln):
-            head, _, payload = ln.partition(" ")
-            d = json.loads(payload)
-            d.update(fields)
-            return head + " " + json.dumps(d, sort_keys=True)
-        return change
+    # an unknown method, facts its method has not, facts of the wrong type or
+    # shape, and no certificate at all
+    assert 'relterm lpo ["+","0","s"]' in cert_r3.splitlines()
+    for line, problem in (
+        ('relterm mystery ["+","0","s"]', "malformed: unknown method 'mystery'"),
+        ('relterm trivial ["+","0","s"]', "malformed: a trivial certificate has no facts"),
+        ("relterm poly [[1,2,3]]", "malformed: too many values to unpack"),
+        ("relterm lpo 5", "line 'relterm lpo 5': termination facts must be a nonempty"),
+        ("relterm lpo []", "line 'relterm lpo []': termination facts must be a nonempty"),
+        ('relterm lpo ["+"', "line 'relterm lpo [\"+\"': bad termination facts"),
+        ('relterm lpo {"precedence":["+","0","s"]}', "termination facts must be a nonempty"),
+        ('relterm poly [[[["+",[]],["0",["lin",[],2]],["s",["lin",[1],0]]],["add1"]]]',
+         "malformed: list index out of range"),
+        (None, "missing relative termination certificate for S/P'"),
+    ):
+        problems = rejected(mutate(cert_r3, "relterm ", line and (lambda ln: line)), R3)
+        assert len(problems) == 1 and problem in problems[0], (line, problems)
 
-    # an unknown method, then payloads of the wrong type or shape
-    edits = ({"method": "mystery"}, {"precedence": 5}, {"rounds": 3},
-             {"method": "poly", "rounds": [[1, 2, 3]]})
-    for prefix, label in (("termcert ", "plain termination"),
-                          ("relterm ", "relative termination")):
-        for fields in edits:
-            problems = rejected(mutate(cert_r3, prefix, corrupt(fields)), R3)
-            assert any(label in p for p in problems), (fields, problems)
-        problems = rejected(mutate(cert_r3, prefix, None), R3)
-        assert any(label in p for p in problems)
+
+# b -> a, g(a) -> g(b), g(a) -> d, g(b) -> e: every critical pair joins, but
+# d <- g(a) -> g(b) -> e, and g(a) -> g(b) -> g(a) -> ... does not terminate.
+# The poly rounds "remove" b, d and e's rules under g(x) = 0x + 3, which is
+# not monotone, and then g(a) -> g(b)
+NOT_CONFLUENT = parse_trs("(RULES\n  b -> a\n  g(a) -> g(b)\n  g(a) -> d\n  g(b) -> e\n)\n")
+FORGED_TERMINATION = """BEGIN CERTIFICATE
+format 6
+verdict YES
+criterion linear
+section input
+rule r1: b -> a
+rule r2: g(a) -> g(b)
+rule r3: g(a) -> d
+rule r4: g(b) -> e
+section partition
+final-s r1,r2,r3,r4
+final-p
+section reversibility
+section termination
+relterm poly [[[["a",["lin",[],2]],["b",["lin",[],3]],["d",["lin",[],2]],["e",["lin",[],2]],\
+["g",["lin",[0],3]]],["r1","r3","r4"]],[[["a",["lin",[],3]],["b",["lin",[],2]],\
+["g",["lin",[1],0]]],["r2"]]]
+section joins
+join i A | d
+segment star SP rev | g(b)
+step 1 r1
+step e r3
+join i A | g(b)
+segment star SP fwd | d
+step 1 r1
+step e r3
+join i A | g(a)
+segment star SP fwd | e
+step e r2
+step e r4
+END CERTIFICATE
+"""
+
+
+def test_a_non_monotone_interpretation_proves_no_yes():
+    # without the monotonicity check this certificate verifies
+    assert check_confluence(NOT_CONFLUENT).verdict == "MAYBE"
+    assert rejected(FORGED_TERMINATION, NOT_CONFLUENT) == [
+        "relative termination certificate for S/P' malformed: "
+        "round interprets g by a non-monotone ['lin', [0], 3]"]
 
 
 def test_deeply_nested_termination_payload_rejected_not_raised(cert_r3):
     # json.loads gives up on 100,000 nested arrays; that is a bad payload,
     # not a deep term
     def nest(ln):
-        head, _, payload = ln.partition(" ")
-        d = json.loads(payload)
-        d["precedence"] = "@"
-        return head + " " + json.dumps(d, sort_keys=True).replace(
-            '"@"', "[" * 100_000 + "]" * 100_000)
+        return "relterm lpo " + "[" * 100_000 + "]" * 100_000
 
-    problems = rejected(mutate(cert_r3, "termcert ", nest), R3)
+    problems = rejected(mutate(cert_r3, "relterm ", nest), R3)
     assert len(problems) == 1
-    assert "bad termination certificate payload" in problems[0]
+    assert "bad termination facts" in problems[0]
     assert "nested too deeply" not in problems[0]
 
 
@@ -676,7 +728,7 @@ def test_huet_certificate_shape(cert_r3_huet):
     cert = parse_certificate(cert_r3_huet)
     assert cert.criterion == "huet"
     assert cert.relterm_cert is not None
-    assert cert.p_prime is None and cert.term_cert is None
+    assert cert.p_prime is None
     assert not any(ln.startswith(("pprime", "termcert")) for ln in cert_r3_huet.splitlines())
     problems = rejected(mutate(cert_r3_huet, "relterm ", None), R3)
     assert any("relative termination" in p for p in problems)

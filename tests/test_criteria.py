@@ -97,13 +97,13 @@ def segments_replay(rep):
 
 
 def assert_certs_replay(rep):
-    if rep.term_cert is not None:
-        assert replay_certificate(rep.s, empty_trs(), rep.term_cert)
     if rep.relterm_cert is not None:
         # huet proves relative termination against all of P, the others
         # against the (explicit or collected) P'
         rel_part = rep.p if rep.criterion == "huet" else rep.p_prime
         assert replay_certificate(rep.s, rel_part, rep.relterm_cert)
+        # the one certificate proves S terminating on its own too
+        assert replay_certificate(rep.s, empty_trs(), rep.relterm_cert)
     if rep.reversibility is not None:
         assert replay_reversibility(rep.p, rep.reversibility)
 

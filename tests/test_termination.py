@@ -109,7 +109,7 @@ def test_certificate_names_the_callers_rules():
         cert, why = prove_relative_termination(s2, p2)
         assert cert is not None, why
         assert replay_certificate(s2, p2, cert)
-        if cert.rounds:  # poly rounds name the rules they remove
+        if cert.method == "poly":  # poly rounds name the rules they remove
             with pytest.raises(MalformedCertificate, match="removes unknown rule"):
                 replay_certificate(S3, p_trs, cert)
 
@@ -132,36 +132,68 @@ def test_replay_rejects_name_mismatch():
 def test_replay_rejects_tampered_claims():
     cert, _ = prove_termination(S3)
     if cert.method == "lpo":
-        bad = TerminationCertificate("lpo", precedence=tuple(reversed(cert.precedence)))
+        bad = TerminationCertificate("lpo", tuple(reversed(cert.facts)))
         assert not replay_certificate(S3, empty_trs(), bad)
     rel, _ = prove_relative_termination(S3, P_CA)
     # dropping the final rounds leaves rules unaccounted for
-    bad_rel = TerminationCertificate("poly", rounds=rel.rounds[:1])
-    assert replay_certificate(S3, P_CA, bad_rel) in (False,) or len(rel.rounds) == 1
+    bad_rel = TerminationCertificate("poly", rel.facts[:1])
+    assert replay_certificate(S3, P_CA, bad_rel) in (False,) or len(rel.facts) == 1
     with pytest.raises(MalformedCertificate):
         replay_certificate(
             S3,
             P_CA,
-            TerminationCertificate("poly", rounds=()),
+            TerminationCertificate("poly", ()),
         )
     with pytest.raises(MalformedCertificate):
         replay_certificate(S3, P_CA, TerminationCertificate("voodoo"))
 
 
 @pytest.mark.parametrize("cert", [
-    TerminationCertificate("lpo", precedence=("+", "0", "s"), rounds=((), ())),
-    TerminationCertificate("trivial", precedence=("+",)),
-    TerminationCertificate("external", dp_rounds=((), ())),
-], ids=["lpo-rounds", "trivial-precedence", "external-dp-rounds"])
+    TerminationCertificate("trivial", ("+",)),
+    TerminationCertificate("external", ((), ())),
+], ids=["trivial-precedence", "external-dp-rounds"])
 def test_a_fact_its_method_does_not_read_is_rejected(cert):
-    with pytest.raises(MalformedCertificate, match=f"a {cert.method} certificate has no "):
+    # trivial and external certificates have no facts
+    with pytest.raises(MalformedCertificate, match=f"a {cert.method} certificate has no facts"):
         replay_certificate(S3, empty_trs(), cert)
 
 
 def test_lpo_certificates_are_not_relative():
-    cert = TerminationCertificate("lpo", precedence=("+",))
+    cert = TerminationCertificate("lpo", ("+",))
     with pytest.raises(MalformedCertificate):
         replay_certificate(Trs([C]), Trs([A]), cert)
+
+
+def test_external_certificates_are_not_relative(tmp_path):
+    # the hook is asked whether S terminates, which says nothing of S/P';
+    # the hook named is never run, and no file holds it
+    with pytest.raises(MalformedCertificate, match="cannot be relative"):
+        replay_certificate(Trs([C]), Trs([A]), TerminationCertificate("external"),
+                           hook=str(tmp_path / "absent"))
+
+
+# f(a) -> f(b) -> f(a) -> ...; under f(x) = 0x + 2, b -> a decreases and
+# f(a) -> f(b) does not increase, so a non-monotone f "removes" b -> a first
+LOOP = parse_trs("(RULES\n  f(a) -> f(b)\n  b -> a\n)\n")
+
+
+def _loop_rounds(f_shape, a=("lin", (), 2)):
+    return (((("a", a), ("b", ("lin", (), 3)), ("f", f_shape)), ("r2",)),
+            ((("a", ("lin", (), 3)), ("b", ("lin", (), 2)), ("f", ("lin", (1,), 0))), ("r1",)))
+
+
+@pytest.mark.parametrize("cert", [
+    TerminationCertificate("poly", _loop_rounds(("lin", (0,), 2))),
+    TerminationCertificate("poly", _loop_rounds(("sq", 0))),
+    TerminationCertificate("poly", _loop_rounds(("lin", (0.5,), 2))),
+    TerminationCertificate("poly", _loop_rounds(("lin", (1,), 0), a=("lin", (), 1))),
+    TerminationCertificate("dp", (((("f#", ("lin", (-1,), 0)),), ("r1#1",)),)),
+], ids=["zero-coefficient", "zero-square", "fraction", "constant-below-2", "dp-negative"])
+def test_a_non_monotone_interpretation_is_rejected(cert):
+    # each round's interpretation must be strictly monotone over the
+    # naturals >= 2 (poly), or weakly monotone over the naturals (dp)
+    with pytest.raises(MalformedCertificate, match="non-monotone"):
+        replay_certificate(LOOP, empty_trs(), cert)
 
 
 def test_external_hook(tmp_path):
