@@ -11,10 +11,13 @@ a "fails" outcome therefore means "not established within the search
 budget", never "refuted".
 """
 from dataclasses import dataclass, field
+from functools import cache, partial
+from itertools import islice
 
 from .terms import Term
 from .rewriting import (
     ParallelStep,
+    ReachSet,
     Rule,
     Trs,
     empty_trs,
@@ -36,6 +39,9 @@ from .termination import (
 from .reversibility import ReversibilityWitness, is_reversible
 from .run import Run
 
+# A join scan compares at most this many (left end, right end) pairs per
+# choice of outer steps: it reads at most PAIR_SCAN_CAP // |right ends| left
+# ends, and gives up on that choice after them.
 PAIR_SCAN_CAP = 40_000
 
 
@@ -256,10 +262,16 @@ class _Searcher:
     A branch is split at its middle segment, the one over PP or P.  Each
     side is read inwards from the pair's term: an optional outer S-step,
     tried in `reducts` order, then an optional star/plus reach set over S or
-    SP (a side without one ends where it starts).  The scan cap is
-    checked on |ru|·|rv| before plus drops the empty paths.  The middle is a
-    single PP step (opt), a parallel PP step (with the variable condition
-    on a parallel pair's var_limit), or a P-conversion (conv).
+    SP (a side without one ends where it starts).  The middle is a single PP
+    step (opt), a parallel PP step (with the variable condition on a
+    parallel pair's var_limit), or a P-conversion (conv).
+
+    The scan is bounded by the ends it reads: per choice of outer steps it
+    reads at most PAIR_SCAN_CAP // |rv| left ends, counted before plus drops
+    the empty path, and then gives up on that choice.  The right ends rv are
+    built whole; the left ends, and the ends of a conversion from a left
+    end, are built only as far as the scan reads them (`ReachSet.ends`): a
+    scan that stops early expands no term past the end it stopped at.
 
     The scan order is part of the contract: the first join found is the one
     reported and certified, and in auto mode it decides which P' rules are
@@ -315,7 +327,8 @@ class _Searcher:
 
     def _side(self, side: tuple, t: Term):
         """Per choice of the outer S-step (None without one): that step and
-        the side's ends with their paths.  `side` is read inwards from t."""
+        the side's ends with their paths, a ReachSet or, for a side without a
+        reach set, {start: ()}.  `side` is read inwards from t."""
         if side and side[0][0] == "step":
             outer, side = reducts(t, self.pt.s, table=self._table("S")), side[1:]
         else:
@@ -325,11 +338,11 @@ class _Searcher:
             yield st, (self._reach(side[0][1], start) if side else {start: ()})
 
     def _middles(self, kind: str, reverse: bool, ru, rv, x_ids):
-        """(a, its path, b, its path, middle steps) for a in ru and b in rv,
-        in the contract order."""
+        """(a, its path, b, its path, middle steps) for a in ru() and b in
+        rv, in the contract order; ru() is a fresh read of the left ends."""
         if kind == "conv":
-            for a, pa in ru.items():
-                for c, pc in self._reach("P", a).items():
+            for a, pa in ru():
+                for c, pc in self._reach("P", a).ends():
                     pb = rv.get(c)
                     if pb is not None:
                         yield a, pa, c, pb, pc
@@ -340,11 +353,11 @@ class _Searcher:
 
         table = self._table("PP")
         if reverse:
-            for a, pa in ru.items():
+            for a, pa in ru():
                 pb = rv.get(a)
                 if pb is not None:
                     yield a, pa, a, pb, empty(a)
-        for a, pa in ru.items():
+        for a, pa in ru():
             for b, pb in rv.items():
                 if a == b:
                     if not reverse:
@@ -360,15 +373,14 @@ class _Searcher:
 
     def _branch(self, shape: tuple, pair):
         """The segments of the first join of the pair through one branch."""
-        k = next(i for i, (_, rules, _) in enumerate(shape) if rules in ("PP", "P"))
-        left, (kind, _, reverse), right = shape[:k], shape[k], shape[k + 1:]
+        left, kind, reverse, right, plus_u, plus_v = _split(shape)
         x_ids = pair.var_limit
         for first, ru in self._side(left, pair.left):
             for last, rv in self._side(right[::-1], pair.right):
-                if len(ru) * len(rv) > PAIR_SCAN_CAP:
-                    continue
-                ends_u = _drop_empty_if_plus(left, ru)
-                ends_v = _drop_empty_if_plus(right, rv)
+                if rv.__class__ is ReachSet:
+                    rv = rv.complete()
+                ends_u = partial(_read, ru, PAIR_SCAN_CAP // len(rv), plus_u)
+                ends_v = {b: pb for b, pb in rv.items() if pb} if plus_v else rv
                 for a, pa, b, pb, mid in self._middles(kind, reverse, ends_u, ends_v, x_ids):
                     lt, ls = _inwards(left, first, a, pa)
                     rt, rs = _inwards(right, last, b, pb)
@@ -390,10 +402,23 @@ class _Searcher:
         return None
 
 
-def _drop_empty_if_plus(side: tuple, ends: dict) -> dict:
-    if any(rel == "plus" for rel, _, _ in side):
-        return {x: path for x, path in ends.items() if path}
-    return ends
+@cache
+def _split(shape: tuple) -> tuple:
+    """(left side, middle relation, middle reversed, right side, plus on the
+    left, plus on the right) of a branch split at its middle segment, the one
+    over PP or P; worked out once per shape, as every join splits its
+    branches again."""
+    k = next(i for i, (_, rules, _) in enumerate(shape) if rules in ("PP", "P"))
+    left, (kind, _, reverse), right = shape[:k], shape[k], shape[k + 1:]
+    return (left, kind, reverse, right, any(rel == "plus" for rel, _, _ in left),
+            any(rel == "plus" for rel, _, _ in right))
+
+
+def _read(ends, n: int, plus: bool):
+    """The first n (end, path) of a side's ends in discovery order, a reach
+    set built only as far as they are read; plus drops the empty path."""
+    read = ends.ends(n) if ends.__class__ is ReachSet else islice(ends.items(), n)
+    return ((a, pa) for a, pa in read if pa) if plus else read
 
 
 def _inwards(side: tuple, st, end: Term, path) -> tuple:

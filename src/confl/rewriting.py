@@ -15,22 +15,23 @@ resolves rule names and reports a failing move as text.  A rule's key is
 `terms.shape_key` of its two sides, the identity up to renaming that pairs
 and witnesses use too.
 
-Reach sets and goal searches are one breadth-first walk, `_walk`, which
-builds a `Step` only for a term it has not reached before and, given a
-`check`, calls it before each term it expands, so a deadline holds inside
-the walk.  Its cap rule: a reach set holds at most `cap` terms, and the walk
-stops at the first new term past the cap, even mid-expansion; a goal search
-tests the start term first and each new term before the cap, so a goal found
-as term cap+1 is still returned.  `normalize_steps` is the one normalizer.
+Reach sets and goal searches are one breadth-first walk, `ReachSet`, which
+expands terms only as far as it is read, checks the deadline before each
+term it expands, and keeps one cap rule (see there); a goal search is the
+walk run to its end, which stops at the first term it wants.
+`normalize_steps` is the one normalizer.
 Nothing here recurses: `parallel_step` keeps an explicit stack, the
 normalizer runs on `unrecurse`.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .terms import (
     App,
@@ -381,52 +382,113 @@ def parallel_step(s: Term, t: Term, trs: Trs, allowed=None, *,
 # --- bounded reachability -----------------------------------------------------
 
 
-def _walk(s: Term, trs: Trs, depth: int, cap: int, want=None, *,
-          table: dict | None = None, check=None):
-    """(paths, found): shortest paths to the terms reached in discovery
-    order, and the path to the first term `want` accepts, or None.  `table`
-    is the root-contractum table of trs (one local to the walk if None), and
-    `check(layer)`, if given, is called before each term is expanded."""
-    table = {} if table is None else table
-    paths: dict[Term, tuple[Step, ...]] = {s: ()}
-    if want is not None and want(s):
-        return paths, ()
-    frontier = deque([(s, 0)])
-    while frontier:
-        t, d = frontier.popleft()
-        if d >= depth:
-            continue
-        if check is not None:
-            check("rewriting")
-        for p, rule, u in _rewrites(t, trs, table):
-            if u in paths:
+class ReachSet(Mapping):
+    """The terms reachable from s within `depth` steps of trs, mapped to
+    shortest witness paths in discovery order (s itself first), built
+    breadth-first only as far as it is read.  `ends()` reads it in discovery
+    order and expands no term the reader does not get to; every mapping read
+    (len, iteration, get, in) builds it whole first.
+
+    The walk builds a `Step` only for a term it has not reached before and,
+    given `check(layer)`, calls it before each term it expands, so a deadline
+    holds inside the walk; a term cut off by the deadline stays on the
+    frontier.  `table` is the root-contractum table of trs (one local to the
+    set if None).  The cap rule: the set holds at most `cap` terms, and the
+    walk stops at the first new term past the cap, even mid-expansion.
+    Given `want`, the walk tests s first and each new term before the cap,
+    stops at the first term it accepts, and keeps the path to it in `found`
+    (None if no term was accepted); so a goal found as term cap+1 is still
+    found."""
+
+    __slots__ = ("paths", "found", "_frontier", "_walk")
+
+    def __init__(self, s: Term, trs: Trs, depth: int, cap: int = 4000, want=None, *,
+                 table: dict | None = None, check=None):
+        self.paths: dict[Term, tuple[Step, ...]] = {s: ()}
+        self.found = () if want is not None and want(s) else None
+        self._frontier = self._walk = None  # both None once the walk is over
+        if self.found is None and depth > 0:
+            self._frontier = deque([(s, 0)])
+            self._walk = (trs, depth, cap, want, {} if table is None else table, check)
+
+    def _grow(self, until: float = math.inf):
+        """Expand frontier terms, in order, until the set holds `until`
+        terms or the walk is over."""
+        frontier = self._frontier
+        if frontier is None:
+            return
+        paths = self.paths
+        trs, depth, cap, want, table, check = self._walk
+        while frontier and len(paths) < until:
+            t, d = frontier[0]
+            if d < depth and check is not None:
+                check("rewriting")
+            frontier.popleft()
+            if d >= depth:
                 continue
-            path = paths[t] + (Step(t, u, p, rule),)
-            if want is not None and want(u):
-                return paths, path
-            if len(paths) >= cap:
-                return paths, None
-            paths[u] = path
-            frontier.append((u, d + 1))
-    return paths, None
+            for p, rule, u in _rewrites(t, trs, table):
+                if u in paths:
+                    continue
+                path = paths[t] + (Step(t, u, p, rule),)
+                if want is not None and want(u):
+                    self.found = path
+                    break
+                if len(paths) >= cap:
+                    break
+                paths[u] = path
+                frontier.append((u, d + 1))
+            else:
+                continue
+            frontier.clear()  # a goal or the cap stops the walk
+        if not frontier:
+            self._frontier = self._walk = None
+
+    def complete(self) -> dict:
+        """The whole set, as a plain dict."""
+        if self._frontier is not None:
+            self._grow()
+        return self.paths
+
+    def ends(self, n: int | None = None):
+        """The first n (term, path), all of them if n is None, in discovery
+        order; the set is built only as far as they are read."""
+        return islice(self.paths.items() if self._frontier is None else self._ends(), n)
+
+    def _ends(self):
+        paths, n = self.paths, 0
+        while True:
+            if n == len(paths):
+                self._grow(n + 1)
+                if n == len(paths):
+                    return
+            new = list(islice(reversed(paths.items()), len(paths) - n))
+            n = len(paths)
+            yield from reversed(new)
+
+    def __len__(self):
+        return len(self.complete())
+
+    def __iter__(self):
+        return iter(self.complete())
+
+    def __getitem__(self, t: Term):
+        return self.complete()[t]
 
 
-def reach_set_bounded(
-    s: Term, trs: Trs, depth: int, cap: int = 4000, *, table=None, check=None
-) -> dict[Term, tuple[Step, ...]]:
+def reach_set_bounded(s: Term, trs: Trs, depth: int, cap: int = 4000, *, table=None,
+                      check=None) -> ReachSet:
     """Breadth-first reachable set within `depth` steps, with shortest
-    witness paths; iteration order is discovery order (s itself first).
-    `table` and `check` are as for `_walk`."""
-    return _walk(s, trs, depth, cap, table=table, check=check)[0]
+    witness paths, built as far as it is read (see `ReachSet`)."""
+    return ReachSet(s, trs, depth, cap, table=table, check=check)
 
 
 def reach_bounded(s: Term, goal, trs: Trs, depth: int, cap: int = 4000, *, check=None):
     """Shortest rewrite sequence (list of Steps) from s to a goal, or None.
 
     `goal` is a term or a predicate on terms; the empty sequence is allowed.
-    `check` is as for `_walk`.
+    `check` is as for `ReachSet`.
     """
     want = goal if callable(goal) else (lambda t: t == goal)
-    found = _walk(s, trs, depth, cap, want, check=check)[1]
-    return None if found is None else list(found)
-
+    walk = ReachSet(s, trs, depth, cap, want, check=check)
+    walk.complete()
+    return None if walk.found is None else list(walk.found)

@@ -31,6 +31,7 @@ other term walkers are generator bodies run by `terms.unrecurse`.
 from __future__ import annotations
 
 import subprocess
+import threading
 from dataclasses import dataclass
 from itertools import permutations, product
 
@@ -479,18 +480,34 @@ def _prove_termination(s_trs: Trs, p_trs: Trs, run: Run):
 
 
 def run_external_prover(path: str, s_trs: Trs, timeout: float = 10.0) -> bool:
-    """Feed the system to an external prover; YES on the first line wins."""
+    """Feed the system to an external prover; YES on the first line wins.
+    Only the first line is read, and at most 4 KiB of it: the hook is stopped
+    as soon as that line is read, or at the timeout."""
     try:
-        proc = subprocess.run(
-            [path],
-            input=print_trs(s_trs).encode(),
-            capture_output=True,
-            timeout=timeout,
-        )
-    except (OSError, subprocess.TimeoutExpired):
+        proc = subprocess.Popen([path], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+    except OSError:
         return False
-    first = proc.stdout.decode(errors="replace").splitlines()
-    return bool(first) and first[0].strip() == "YES"
+    first = []
+
+    def talk():
+        try:
+            with proc.stdin:
+                proc.stdin.write(print_trs(s_trs).encode())
+        except OSError:  # the hook stopped, or did not read its input
+            pass
+        first.append(proc.stdout.readline(4096))
+
+    # not joined past the timeout: a process the hook started may hold its
+    # pipes open after the hook is stopped
+    talker = threading.Thread(target=talk, daemon=True)
+    talker.start()
+    talker.join(timeout)
+    proc.kill()
+    proc.wait()
+    if not talker.is_alive():
+        proc.stdout.close()
+    return bool(first) and first[0].decode(errors="replace").strip() == "YES"
 
 
 # ---------------------------------------------------------------------------

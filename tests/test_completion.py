@@ -259,6 +259,15 @@ def test_single_criterion_restriction():
     assert (result.verdict, result.explored) == ("MAYBE", 4)
 
 
+@pytest.mark.parametrize("criterion", ["linear", "pcp", "huet"])
+def test_r2_is_proved_by_each_criterion_alone_in_one_expansion(criterion):
+    result = check_confluence(R2, criteria=(criterion,))
+    assert (result.verdict, result.report.criterion) == ("YES", criterion)
+    assert result.explored <= 1
+    ok, problems = verify_certificate(certificate_text(R2, result), R2)
+    assert ok, problems
+
+
 def counted_calls(monkeypatch, *names):
     """Count the calls completion makes to each of `names`."""
     calls = dict.fromkeys(names, 0)
@@ -276,12 +285,12 @@ def counted_calls(monkeypatch, *names):
 
 def test_a_split_is_checked_under_every_criterion_and_expanded_once(monkeypatch):
     # R2's first split fails all three criteria on pairs, so it counts three
-    # expansions but is expanded once, from pcp's failing pairs; huet holds
-    # on a successor
+    # expansions but is expanded once, from pcp's failing pairs; pcp holds on
+    # a successor, the first criterion checked there
     calls = counted_calls(monkeypatch, "check_criterion", "successors")
     result = check_confluence(R2)
     assert (result.verdict, result.explored) == ("YES", 3)
-    assert calls == {"check_criterion": 9, "successors": 1}
+    assert calls == {"check_criterion": 7, "successors": 1}
 
 
 def test_each_failing_criterion_counts_one_expansion(monkeypatch):

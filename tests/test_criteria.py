@@ -5,6 +5,7 @@ kind of obstacle (precondition vs unjoined pairs) so regressions stay loud.
 """
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,15 +14,16 @@ from confl.completion import decompose
 from confl.criteria import (
     CRITERIA,
     CRITERION_TABLE,
+    PAIR_SCAN_CAP,
     Partition,
     PreconditionViolation,
     _Searcher,
     check_criterion,
 )
-from confl.rewriting import Rule, Trs, empty_trs, replay
+from confl.rewriting import Rule, Trs, empty_trs, reach_set_bounded, replay
 from confl.run import Run, TimedOut
 from confl.termination import replay_certificate
-from confl.terms import all_parallel
+from confl.terms import App, all_parallel
 from confl.trs_format import parse_trs
 
 from helpers import replay_reversibility, replay_steps
@@ -453,41 +455,43 @@ def test_a_family_drawn_through_the_runs_memo_is_the_generators_own(name, monkey
 def test_a_join_matches_each_rule_and_subterm_once_per_system(case, monkeypatch):
     """Within one join, a system matches a rule against equal subterms once:
     its root-contractum table holds what the first match found.  R2's final
-    partition joins by S-reach sets and P-conversions (huet); R6's pcp check
-    also takes outer S-steps, SP-reach sets and parallel PP steps."""
+    partition joins by outer S-steps, SP-reach sets and parallel PP steps
+    (pcp), as does R6's pcp check.  Every match of the join search is made in
+    `rewriting._contracta`, which names the system; the reach sets are built
+    as the scan reads them, after the call that makes them has returned."""
     if case == "R2 final":
         rep = decided(R2).report
         name, pt = rep.criterion, Partition(rep.s, rep.p)
     else:
         name, pt = "pcp", Partition(S6, P_CA)
-    joins, systems, seen, repeats = [0], [], set(), []
+    joins, in_join, systems, seen, repeats = [0], [False], [], set(), []
 
     def counting_join(self, *args):
         joins[0] += 1
-        return searcher_join(self, *args)
+        in_join[0] = True  # matches outside a join are not counted
+        try:
+            return searcher_join(self, *args)
+        finally:
+            in_join[0] = False
 
-    def under(fn, at):  # the rewriting call in progress names its system
-        def call(*args, **kwargs):
-            systems.append(args[at])
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                systems.pop()
-        return call
+    def naming_contracta(sub, trs, table):  # the match in progress names its system
+        systems.append(trs)
+        try:
+            return contracta(sub, trs, table)
+        finally:
+            systems.pop()
 
     def recording_match(pattern, subject):
-        if systems:
+        if in_join[0] and systems:
             key = (joins[0], id(systems[-1]), id(pattern), subject)
             if key in seen:
                 repeats.append(key)
             seen.add(key)
         return match_term(pattern, subject)
 
-    searcher_join, match_term = _Searcher.join, rewriting.match_term
+    searcher_join, contracta, match_term = _Searcher.join, rewriting._contracta, rewriting.match_term
     monkeypatch.setattr(_Searcher, "join", counting_join)
-    monkeypatch.setattr(criteria, "reach_set_bounded", under(criteria.reach_set_bounded, 1))
-    monkeypatch.setattr(criteria, "reducts", under(criteria.reducts, 1))
-    monkeypatch.setattr(criteria, "parallel_step", under(criteria.parallel_step, 2))
+    monkeypatch.setattr(rewriting, "_contracta", naming_contracta)
     monkeypatch.setattr(rewriting, "match_term", recording_match)
     assert check_criterion(name, pt).holds()
     assert joins[0] > 20 and len(seen) > 300
@@ -496,10 +500,62 @@ def test_a_join_matches_each_rule_and_subterm_once_per_system(case, monkeypatch)
 
 def test_a_join_reach_set_keeps_the_deadline():
     """The join search's reach sets check the run's deadline before each term
-    they expand.  Unchecked, this one fills its 4,000-term cap first."""
+    they expand.  Unchecked, this one fills its 4,000-term cap first.  A
+    reach set expands terms only when it is read, so it is read here."""
     t = s(s(zero))
     for _ in range(10):
         t = plus(s(s(zero)), t)
     searcher = _Searcher(Partition(S2, P_CA), Run(timeout=0))
     with pytest.raises(TimedOut, match="rewriting"):
-        searcher._reach("S", t)
+        len(searcher._reach("S", t))
+
+
+# --- the scan bound ----------------------------------------------------------------
+
+
+def test_a_pair_past_the_scan_cap_is_joined_within_the_bound():
+    """R2's final split has one cp(S,S) pair with 560 ends on each side, so
+    560 · 560 (a, b) combinations, past PAIR_SCAN_CAP.  The scan reads its
+    first PAIR_SCAN_CAP // 560 = 71 left ends and finds the join there."""
+    rep = decided(R2).report
+    assert rep.criterion == "pcp"
+    pt, run = Partition(rep.s, rep.p), Run()
+    rules = pt.search_rules(run)
+
+    def ends(t):
+        return len(reach_set_bounded(t, rules, run.depth))
+
+    wide = [pair for pair in pt.pairs("cp", "S", "S", run)
+            if ends(pair.left) * ends(pair.right) > PAIR_SCAN_CAP]
+    assert [(ends(pair.left), ends(pair.right)) for pair in wide] == [(560, 560)]
+    ev = _Searcher(pt, run).join("pcp", "i", CRITERION_TABLE["pcp"][2][0][2], wide[0])
+    assert ev is not None
+
+
+@pytest.mark.parametrize("k, joined", [(9, True), (10, False)])
+def test_the_scan_reads_the_bound_of_left_ends_and_builds_no_more(k, joined, monkeypatch):
+    """h(a,…,a) with ten arguments and a → b → c reaches 4,000 terms (the
+    cap), and so does its k-th end e_k, so the scan reads 40,000 // 4,000 =
+    10 left ends.  Each step moves one argument on, from a to b or from b to
+    c, so every other term reachable from e_k comes after e_k among the left
+    ends: (h(a,…,a), e_k) joins, by an empty step at e_k, exactly when e_k is
+    among the first 10 left ends.  The left set is built only as far as the
+    scan reads it: the 10 ends and at most one expansion's terms more."""
+    a, b, c = App("a", ()), App("b", ()), App("c", ())
+    pt, run = Partition(Trs([Rule(a, b, "ab"), Rule(b, c, "bc")]), empty_trs()), Run()
+    u = App("h", (a,) * 10)
+    e = list(reach_set_bounded(u, pt.s, run.depth))
+    assert len(e) == len(reach_set_bounded(e[k], pt.s, run.depth)) == 4000
+    built = {}
+
+    def recording(t, *args, **kwargs):
+        built[t] = reach_set_bounded(t, *args, **kwargs)
+        return built[t]
+
+    monkeypatch.setattr(criteria, "reach_set_bounded", recording)
+    pair = SimpleNamespace(left=u, right=e[k], var_limit=None)
+    ev = _Searcher(pt, run).join("linear", "i", CRITERION_TABLE["linear"][2][0][2], pair)
+    assert (ev is not None) == joined
+    bound = PAIR_SCAN_CAP // 4000
+    assert bound <= len(built[u].paths) <= bound + len(u.args)
+

@@ -430,6 +430,31 @@ def test_one_walk_reaches_what_the_two_loops_reached(name, searched):
 
 
 @pytest.mark.parametrize("name", ["R2", "chain3"])
+def test_a_reach_set_read_in_part_is_a_prefix_of_the_whole(name, searched):
+    """The first n ends of a reach set are the first n terms of the two
+    loops' set, with their paths, however its reads interleave; reading it
+    in part builds no term past the expansion that found the n-th end, and
+    a mapping read afterwards gives the whole set."""
+    reached, _ = searched[name]
+    grown = 0
+    for u, rules in sorted(reached, key=repr)[::SAMPLE[name]]:
+        for depth in (1, 3):
+            want = list(two_loop_reach_set(u, rules, depth, 50).items())
+            for n in (1, 2, 5):
+                ends = reach_set_bounded(u, rules, depth, 50)
+                first, second = ends.ends(), ends.ends(n)
+                assert list(second) == want[:n]
+                assert [next(first) for _ in want[:n]] == want[:n]
+                _, path = want[:n][-1]
+                expanded = path[-1].source if path else u  # found the last end read
+                assert len(ends.paths) <= len(want[:n]) + len(reducts(expanded, rules))
+                grown += len(ends.paths) < len(want)
+                assert list(first) == want[n:]
+                assert list(ends.items()) == want
+    assert grown > 0
+
+
+@pytest.mark.parametrize("name", ["R2", "chain3"])
 def test_one_normalizer_takes_the_restarting_steps(name, searched):
     reached, normalized = searched[name]
     systems = {rules for _, rules in normalized}  # the S parts of the run

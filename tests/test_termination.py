@@ -23,6 +23,7 @@ from confl.termination import (
     prove_relative_termination,
     prove_termination,
     replay_certificate,
+    run_external_prover,
 )
 from confl.terms import App, fun_subterms, signature, subterm_at
 from confl.trs_format import parse_trs
@@ -216,6 +217,17 @@ def test_external_hook(tmp_path):
     assert replay_certificate(hard, empty_trs(), cert2, hook=str(yes))
     assert not replay_certificate(hard, empty_trs(), cert2, hook=None)
     assert not replay_certificate(hard, empty_trs(), cert2, hook=str(no))
+
+
+def test_external_hook_is_stopped_after_its_first_line(tmp_path):
+    # the hook answers at once and then would run on; only its first line is
+    # read, so the answer comes well before the timeout
+    hook = tmp_path / "yes-then-sleep.sh"
+    hook.write_text("#!/bin/sh\necho YES\nexec sleep 10\n")
+    os.chmod(hook, os.stat(hook).st_mode | stat.S_IEXEC)
+    start = time.monotonic()
+    assert run_external_prover(str(hook), Trs([Rule(g1(g1(x)), g1(x), "gg")]), timeout=2)
+    assert time.monotonic() - start < 1
 
 
 def test_proof_is_deterministic():
