@@ -175,16 +175,16 @@ class Partition:
     """A candidate split of a rewrite system into S (to be terminating) and
     P (to be reversible), with an optional explicit P' ⊆ P ∪ P⁻¹ restricting
     the rules allowed inside →* search segments.  p_prime=None selects the
-    automatic mode: the largest prefix of P ∪ P⁻¹ that keeps S relatively
-    terminating is used, and the P' actually consumed is collected from the
-    evidence afterwards.
+    automatic mode: `pp_safe`, all of P ∪ P⁻¹ or else a greedily built
+    subset that keeps S relatively terminating, is used, and the P' actually
+    consumed is collected from the evidence afterwards.
 
     What the criteria checked on a split share is computed once and kept as
     long as the partition: each pair family (`pairs`), the reversibility
-    witness of P, and the search rules, so `pp_safe`'s prefix loop runs
-    once.  A partition is meant to be checked under one run.  Its families
-    are built from the run's pair memo, which outlives it: a split generates
-    pairs only for the rule pairs no earlier split of the run held."""
+    witness of P, and the search rules, so `pp_safe` runs once.  A partition
+    is meant to be checked under one run.  Its families are built from the
+    run's pair memo, which outlives it: a split generates pairs only for the
+    rule pairs no earlier split of the run held."""
 
     def __init__(self, s: Trs, p: Trs, p_prime: Trs | None = None):
         if not p.bidirectional():
@@ -224,9 +224,14 @@ class Partition:
                           lambda: is_reversible(self.p, bound=run.rev_bound, check=run.check))
 
     def pp_safe(self, run: Run) -> Trs:
-        """Largest greedily-built subset of P ∪ P⁻¹ relative to which S can be
-        shown terminating.  Searching inside S ∪ pp_safe guarantees that any
-        collected P' admits the same relative termination proof."""
+        """The subset of P ∪ P⁻¹ relative to which S can be shown
+        terminating: all of it when the whole set, tried first, has a proof;
+        else, greedily, each rule in turn that has one together with the
+        rules kept before it.  Searching inside S ∪ pp_safe guarantees that
+        any collected P' admits the same relative termination proof."""
+        run.check("criteria")
+        if prove_relative_termination(self.s, self.pp, run=run)[0] is not None:
+            return self.pp
         kept: list[Rule] = []
         for r in self.pp:
             run.check("criteria")

@@ -13,7 +13,9 @@ Three engines, tried in order of cheapness:
   certificate replays exactly.
   This engine also handles relative problems: all rules of S and P' must be
   weakly decreasing, some rules of S strictly; the strict ones are removed
-  and the search repeats on the rest.
+  and the search repeats on the rest.  It values a subterm again only when
+  the deepest of its symbols in the search order gets a new shape, through
+  interned polynomials and two memos that end with the search.
 * a small dependency-pair engine for plain termination: marked pairs, a
   unification-estimated graph, reduction pairs from weakly monotone linear
   polynomials (coefficient 0 allowed), iterated removal of strictly
@@ -24,8 +26,9 @@ systems its caller hands over, so it names no system.  The facts are an lpo
 precedence (symbols, highest first), or poly or dp removal rounds ((interp
 items, names of the rules or pairs removed), ...); trivial and external
 have none.  replay_certificate re-checks every claim without searching.
-Nothing here recurses: `rule_decrease` reads a rule's flat key, and the
-other term walkers are generator bodies run by `terms.unrecurse`.
+Nothing here recurses: `_nodes` reads a rule's flat key for the search and
+for `rule_decrease`, the checker, which keeps no memo; the other term
+walkers are generator bodies run by `terms.unrecurse`.
 """
 
 from __future__ import annotations
@@ -104,15 +107,6 @@ def _find_lpo(rules, run: Run) -> tuple | None:
 # polynomials: dict mapping monomials (sorted ((var, exp), ...)) to int
 
 
-def _p_add(a, b):
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = out.get(m, 0) + c
-        if out[m] == 0:
-            del out[m]
-    return out
-
-
 def _p_scale(a, k):
     if k == 0:
         return {}
@@ -131,14 +125,6 @@ def _p_mul(a, b):
             if out[m] == 0:
                 del out[m]
     return out
-
-
-def _p_sub(a, b):
-    return _p_add(a, _p_scale(b, -1))
-
-
-def _nonneg(p) -> bool:
-    return all(c >= 0 for c in p.values())
 
 
 # interpretation shapes: ("lin", coeffs, const) | ("prod",) | ("sq", k)
@@ -166,30 +152,63 @@ def shape_value(shape, args):
     raise MalformedCertificate(f"unknown interpretation shape {shape!r}")
 
 
-def rule_decrease(assign: dict, rule: Rule, *, shift: bool = True):
-    """(weak, strict) decrease of a rule under an interpretation.  Both sides
-    are evaluated from the rule's flat key read right to left, where an arity
-    says how many values the symbol before it takes.  With `shift`, each
-    variable x enters as x + 2, so the difference is taken over the naturals
-    >= 2."""
-    values: list = []
+def _nodes(rule: Rule, nodes: list, index: dict):
+    """The indexes in `nodes` of the rule's two sides, appending the nodes
+    they lack.  The rule's flat key is read right to left, where an arity
+    says how many nodes the symbol before it takes, so a node comes after
+    its children: a variable's is its negative index, a symbol's is (symbol,
+    indexes of its children).  `index` maps each node to its index, so equal
+    subterms share one."""
+    stack: list = []
     n = 0
     for c in reversed(rule.key()):
         if c.__class__ is str:
-            if c not in assign:
-                raise MalformedCertificate(f"no interpretation for symbol {c}")
-            args = values[len(values) - n:]
-            del values[len(values) - n:]
-            values.append(shape_value(assign[c], args[::-1]))
+            node = (c, tuple(stack[len(stack) - n:][::-1]))
+            del stack[len(stack) - n:]
         elif c < 0:
-            values.append({((c, 1),): 1, (): 2} if shift else {((c, 1),): 1})
+            node = c
         else:
             n = c
-    rhs, lhs = values
-    diff = _p_sub(lhs, rhs)
-    weak = _nonneg(diff)
-    strict = weak and diff.get((), 0) >= 1
-    return weak, strict
+            continue
+        i = index.get(node)
+        if i is None:
+            i = index[node] = len(nodes)
+            nodes.append(node)
+        stack.append(i)
+    rhs, lhs = stack
+    return lhs, rhs
+
+
+def _var_value(v: int, shift: bool) -> dict:
+    """A variable's value, entered as v + 2 with `shift`."""
+    return {((v, 1),): 1, (): 2} if shift else {((v, 1),): 1}
+
+
+def _decrease(lhs: dict, rhs: dict):
+    """(weak, strict): lhs - rhs has no negative coefficient, and for strict
+    a constant of at least 1 too."""
+    diff = dict(lhs)
+    for m, c in rhs.items():
+        diff[m] = diff.get(m, 0) - c
+    weak = all(c >= 0 for c in diff.values())
+    return weak, weak and diff.get((), 0) >= 1
+
+
+def rule_decrease(assign: dict, rule: Rule, *, shift: bool = True):
+    """(weak, strict) decrease of a rule under an interpretation, both sides
+    valued node by node with nothing kept.  With `shift`, each variable x
+    enters as x + 2, so the difference is taken over the naturals >= 2."""
+    nodes: list = []
+    lhs, rhs = _nodes(rule, nodes, {})
+    values: list = []
+    for node in nodes:
+        if node.__class__ is int:
+            values.append(_var_value(node, shift))
+        elif node[0] not in assign:
+            raise MalformedCertificate(f"no interpretation for symbol {node[0]}")
+        else:
+            values.append(shape_value(assign[node[0]], [values[i] for i in node[1]]))
+    return _decrease(values[lhs], values[rhs])
 
 
 def _shapes_strict(fn: str, arity: int):
@@ -219,6 +238,15 @@ def _shapes_weak(fn: str, arity: int):
     ]
 
 
+def _decrease_of(memo: dict, lhs: dict, rhs: dict):
+    """`_decrease(lhs, rhs)` for interned values, kept in memo."""
+    key = (id(lhs), id(rhs))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _decrease(lhs, rhs)
+    return hit
+
+
 def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, cap=300_000,
                          run: Run | None = None):
     """Search an interpretation making all weak_rules weakly decreasing and at
@@ -228,7 +256,16 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
     lists.  Symbols get their shapes in signature order, and a weak rule is
     checked as soon as its last symbol has one: a prefix that fails it is
     abandoned with every assignment that extends it.  The run's deadline is
-    checked every 1,024 assignments."""
+    checked every 1,024 assignments.
+
+    Evaluation is incremental.  The rules' sides are compiled once into
+    shared nodes (`_nodes`), and a node's level is the highest signature
+    position of a symbol under it: when symbol k gets a shape, only the
+    nodes of level k are valued again, and the lower ones keep their values.
+    Values are interned, one dict per polynomial, so a memo keyed by (shape,
+    ids of the child values) gives a node's value and one keyed by the ids
+    of a rule's two values gives its decrease.  Both memos end with the
+    call."""
     run = run or Run()
     rules = list(dict.fromkeys(list(weak_rules) + list(strict_candidates)))
     sig = signature(t for r in rules for t in (r.lhs, r.rhs))
@@ -239,20 +276,28 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
         total *= len(l)
     if total > cap or not names:
         return None
-    rule_syms = {id(r): list(signature((r.lhs, r.rhs))) for r in rules}
-    level = {f: k for k, f in enumerate(names)}
-    due = [[] for _ in names]  # the weak rules whose last symbol is names[k]
+    nodes: list = []
+    index: dict = {}
+    sides = {id(r): _nodes(r, nodes, index) for r in rules}
+    position = {f: k for k, f in enumerate(names)}
+    interned: dict = {}  # frozenset of a polynomial's items -> its one dict
+    levels, values = [], []
+    by_level = [[] for _ in names]  # the nodes of level k, children first
+    for i, node in enumerate(nodes):
+        if node.__class__ is int:
+            levels.append(-1)
+            value = _var_value(node, shift)
+            values.append(interned.setdefault(frozenset(value.items()), value))
+            continue
+        levels.append(max([position[node[0]], *(levels[j] for j in node[1])]))
+        values.append(None)
+        by_level[levels[i]].append((i, *node))
+    due = [[] for _ in names]  # the weak rules' sides whose last symbol is names[k]
     for r in dict.fromkeys(weak_rules):
-        due[max(level[f] for f in rule_syms[id(r)])].append(r)
-    cache: dict = {}
-
-    def decrease(r, assign):
-        key = (id(r), tuple(assign[f] for f in rule_syms[id(r)]))
-        hit = cache.get(key)
-        if hit is None:
-            hit = rule_decrease(assign, r, shift=shift)
-            cache[key] = hit
-        return hit
+        lhs, rhs = sides[id(r)]
+        due[max(levels[lhs], levels[rhs])].append((lhs, rhs))
+    valued: dict = {}  # (shape, ids of the child values) -> value
+    decreases: dict = {}  # (id of lhs value, id of rhs value) -> (weak, strict)
 
     # choice[k] indexes lists[k]; symbols before k are assigned, and the
     # dict's keys, set first in names order, keep that order
@@ -269,12 +314,21 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
         tried += 1
         if not tried & 1023:
             run.check("termination")
-        if not all(decrease(r, assign)[0] for r in due[k]):
+        for i, fn, kids in by_level[k]:
+            shape = assign[fn]
+            key = (shape, *[id(values[j]) for j in kids])
+            value = valued.get(key)
+            if value is None:
+                value = shape_value(shape, [values[j] for j in kids])
+                value = valued[key] = interned.setdefault(frozenset(value.items()), value)
+            values[i] = value
+        if not all(_decrease_of(decreases, values[lhs], values[rhs])[0] for lhs, rhs in due[k]):
             continue
         if k + 1 < len(names):
             k += 1
             continue
-        strict = [r for r in strict_candidates if decrease(r, assign)[1]]
+        strict = [r for r in strict_candidates
+                  if _decrease_of(decreases, *[values[i] for i in sides[id(r)]])[1]]
         if strict:
             return assign, strict
     return None

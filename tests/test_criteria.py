@@ -47,6 +47,7 @@ from systems import (
     S8,
     SS1,
     SWAP,
+    WIDE4,
     decided,
     plus,
     s,
@@ -389,6 +390,30 @@ def test_a_split_generates_each_pair_family_once(monkeypatch):
         rep = check_criterion(name, pt, run)
         assert rep.failing and not rep.holds(), name
     assert calls == {"cp": 3, "cp_in": 0, "pcp_in": 1, "is_reversible": 1}
+
+
+def test_pp_safe_tries_the_whole_set_first(monkeypatch):
+    """S terminates relative to all of wide4's P ∪ P⁻¹, so one proof keeps
+    it whole.  Where the whole set fails (R8's splits), the kept rules are
+    the greedy prefix loop's."""
+    calls = []
+    prove = criteria.prove_relative_termination
+
+    def counted(s_trs, p_trs, run=None):
+        calls.append(p_trs)
+        return prove(s_trs, p_trs, run=run)
+
+    monkeypatch.setattr(criteria, "prove_relative_termination", counted)
+    pt = Partition(*decompose(WIDE4)[0])
+    assert list(pt.pp_safe(Run())) == list(pt.pp)
+    assert len(calls) == 1
+    for s_trs, p_trs in decompose(R8):
+        pt, run = Partition(s_trs, p_trs), Run()
+        kept = []
+        for r in pt.pp:
+            if prove(s_trs, Trs(kept + [r]), run=run)[0] is not None:
+                kept.append(r)
+        assert list(pt.pp_safe(run)) == kept
 
 
 FAMILIES = list(dict.fromkeys(

@@ -28,7 +28,8 @@ from confl.termination import (
 from confl.terms import App, fun_subterms, signature, subterm_at
 from confl.trs_format import parse_trs
 
-from systems import ALL_SYSTEMS, R7, A, C, P_CA, S3, S6, f2, g1, plus, s, x, y, zero
+from systems import (ALL_SYSTEMS, CHAIN4, R7, R8, SWAP, A, C, P_CA, S3, S6, f2, g1, plus, s, x,
+                     y, zero)
 
 
 def test_empty_system_is_trivially_terminating():
@@ -317,6 +318,9 @@ def test_pruned_interpretation_search_finds_the_product_order_answer(monkeypatch
         assert check_confluence(trs).verdict == "YES"
     kinds = {(args[2], kwargs["shift"]) for args, kwargs in calls}
     assert kinds == {(_shapes_strict, True), (_shapes_weak, False)}
+    # runs that end MAYBE search too, and their searches answer alike
+    for trs in (CHAIN4, SWAP):
+        assert check_confluence(trs).verdict == "MAYBE"
     for args, kwargs in calls:
         assert_same_search(args, kwargs)
 
@@ -333,6 +337,31 @@ def test_pruned_interpretation_search_edge_cases():
     # no rules, no symbols: no interpretation removes anything
     assert _find_interpretation([], [], _shapes_strict, shift=True) is None
     assert_same_search(([], [], _shapes_strict), {"shift": True})
+
+
+def test_deciding_r8_values_each_subterm_few_times(monkeypatch):
+    # a subterm is valued again only when a symbol under it gets a new
+    # shape, and one polynomial under one shape is valued once per search
+    calls = []
+    shape_value = termination.shape_value
+
+    def counted(shape, args):
+        calls.append(shape)
+        return shape_value(shape, args)
+
+    monkeypatch.setattr(termination, "shape_value", counted)
+    assert check_confluence(R8).verdict == "YES"
+    assert len(calls) <= 15_000
+
+
+def test_an_exhausted_interpretation_search_keeps_the_deadline():
+    # every interpretation orients the rule weakly and none strictly, so the
+    # search tries all 9⁴ assignments of its four unary symbols and fails
+    same = App("f", (App("g", (App("h", (App("k", (x,)),)),)),))
+    rule = Rule(same, same, "same")
+    assert _find_interpretation([rule], [rule], _shapes_strict, shift=True) is None
+    with pytest.raises(TimedOut, match="termination"):
+        _find_interpretation([rule], [rule], _shapes_strict, shift=True, run=Run(timeout=0))
 
 
 def test_dp_graph_renames_each_pair_once(monkeypatch):
