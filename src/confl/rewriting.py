@@ -78,6 +78,16 @@ class Rule:
         # stored outside the fields, so == and hash are unaffected
         return shape_key((self.lhs, self.rhs))[0]
 
+    # linearity, stored outside the fields like `_key`: every criterion
+    # check asks for it
+    @cached_property
+    def left_linear(self) -> bool:
+        return _linear(self.lhs)
+
+    @cached_property
+    def linear(self) -> bool:
+        return self.left_linear and _linear(self.rhs)
+
     def __hash__(self):  # rules key the pair memo: hash the fields once
         return self._hash
 
@@ -154,10 +164,10 @@ class Trs:
         raise KeyError(name)
 
     def left_linear(self) -> bool:
-        return all(_linear(r.lhs) for r in self.rules)
+        return all(r.left_linear for r in self.rules)
 
     def linear(self) -> bool:
-        return all(_linear(r.lhs) and _linear(r.rhs) for r in self.rules)
+        return all(r.linear for r in self.rules)
 
     def bidirectional(self) -> bool:
         """Every rule can be flipped and still be a rule."""

@@ -1,9 +1,10 @@
 """The settings and state of one confluence check.  `check_confluence` builds
 one Run and passes it down, so nothing a check learns outlives it: the
-termination memo, and the pair memo, which holds the critical pairs of each
-rule pair once for every split and successor of the run.  Searches that can
-grow without bound call `check`, which raises TimedOut once the deadline has
-passed; `check_confluence` then answers MAYBE."""
+termination memo; the interpretation searches it settled, which later
+searches resume from; and the pair memo, which holds the critical pairs of
+each rule pair once for every split and successor of the run.  Searches
+that can grow without bound call `check`, which raises TimedOut once the
+deadline has passed; `check_confluence` then answers MAYBE."""
 import math
 import time
 from dataclasses import dataclass, field
@@ -30,6 +31,11 @@ class Run:
     # (S key, P key) -> (certificate or None, reason); a search cut off by
     # the deadline stores nothing
     termination: dict = field(default_factory=dict, repr=False)
+    # (shapes_for, shift, signature items) -> {(weak rule keys, candidate
+    # keys): choice vector of the search's first answer, or None when it
+    # failed}, read by termination._find_interpretation; a search cut off by
+    # the deadline records nothing
+    interpretations: dict = field(default_factory=dict, repr=False)
     # (outer Rule, inner Rule) -> cp's pairs of that overlap, and (outer Rule,
     # inner rules, joint) -> pcp_in's pairs of that outer rule, in generation
     # order and not deduplicated (see critical_pairs); cp and pcp_in called

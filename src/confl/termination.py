@@ -15,7 +15,10 @@ Three engines, tried in order of cheapness:
   weakly decreasing, some rules of S strictly; the strict ones are removed
   and the search repeats on the rest.  It values a subterm again only when
   the deepest of its symbols in the search order gets a new shape, through
-  interned polynomials and two memos that end with the search.
+  interned polynomials and two memos that end with the search.  The run
+  records each finished search, so a later one with more weak rules and
+  fewer candidates resumes past every assignment a recorded answer rules
+  out, and gets a recorded failure without searching.
 * a small dependency-pair engine for plain termination: marked pairs, a
   unification-estimated graph, reduction pairs from weakly monotone linear
   polynomials (coefficient 0 allowed), iterated removal of strictly
@@ -258,14 +261,23 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
     abandoned with every assignment that extends it.  The run's deadline is
     checked every 1,024 assignments.
 
+    A search resumes what the run's earlier ones settled.  Each finished
+    search over the same shape lists is recorded on the run by the keys of
+    its weak rules W and of its candidates C, with the choice vector of its
+    answer or None.  More weak rules or fewer candidates can only remove
+    answers, so a record with W inside these weak rules and C holding these
+    candidates rules out every assignment before its answer: the walk starts
+    at the largest such answer, and a recorded failure is the answer.  A
+    search cut off by the deadline records nothing.
+
     Evaluation is incremental.  The rules' sides are compiled once into
     shared nodes (`_nodes`), and a node's level is the highest signature
     position of a symbol under it: when symbol k gets a shape, only the
     nodes of level k are valued again, and the lower ones keep their values.
     Values are interned, one dict per polynomial, so a memo keyed by (shape,
     ids of the child values) gives a node's value and one keyed by the ids
-    of a rule's two values gives its decrease.  Both memos end with the
-    call."""
+    of a rule's two values gives its decrease.  These two memos end with the
+    call; only the record outlives it."""
     run = run or Run()
     rules = list(dict.fromkeys(list(weak_rules) + list(strict_candidates)))
     sig = signature(t for r in rules for t in (r.lhs, r.rhs))
@@ -276,6 +288,14 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
         total *= len(l)
     if total > cap or not names:
         return None
+    weak_keys = frozenset(r.key() for r in weak_rules)
+    candidate_keys = frozenset(r.key() for r in strict_candidates)
+    settled = run.interpretations.setdefault((shapes_for, shift, tuple(sig.items())), {})
+    found = [answer for (weak, candidates), answer in settled.items()
+             if candidate_keys <= candidates and weak <= weak_keys]
+    if None in found:
+        return None
+    floor = max(found, default=(0,) * len(names))  # every assignment before it fails
     nodes: list = []
     index: dict = {}
     sides = {id(r): _nodes(r, nodes, index) for r in rules}
@@ -300,16 +320,20 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
     decreases: dict = {}  # (id of lhs value, id of rhs value) -> (weak, strict)
 
     # choice[k] indexes lists[k]; symbols before k are assigned, and the
-    # dict's keys, set first in names order, keep that order
+    # dict's keys, set first in names order, keep that order.  The levels
+    # before `held` hold the floor's choices, and a level entered while all
+    # the levels before it do starts at the floor's choice, not at 0
     assign: dict = {}
-    choice = [-1] * len(names)
+    choice = [floor[0] - 1] + [-1] * (len(names) - 1)
+    held = len(names)
     k = tried = 0
     while k >= 0:
         choice[k] += 1
         if choice[k] == len(lists[k]):
-            choice[k] = -1
             k -= 1
             continue
+        if held > k and choice[k] != floor[k]:
+            held = k
         assign[names[k]] = lists[k][choice[k]]
         tried += 1
         if not tried & 1023:
@@ -326,11 +350,14 @@ def _find_interpretation(weak_rules, strict_candidates, shapes_for, *, shift, ca
             continue
         if k + 1 < len(names):
             k += 1
+            choice[k] = floor[k] - 1 if held > k else -1
             continue
         strict = [r for r in strict_candidates
                   if _decrease_of(decreases, *[values[i] for i in sides[id(r)]])[1]]
         if strict:
+            settled[weak_keys, candidate_keys] = tuple(choice)
             return assign, strict
+    settled[weak_keys, candidate_keys] = None
     return None
 
 

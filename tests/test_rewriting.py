@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from confl import completion, criteria
+from confl import completion, criteria, rewriting
 from confl.completion import check_confluence
 from confl.rewriting import (
     FuelExhausted,
@@ -504,3 +504,29 @@ def test_rule_key_cache_is_invisible():
     clash = s2.union(Trs([Rule(plus(x, zero), x, "add1")]))
     assert [m.name for m in clash] == ["add1", "add2", "add1'"]
     assert Trs([variant]) == Trs([r]) and hash(Trs([variant])) == hash(Trs([r]))
+
+
+def test_rule_linearity_is_computed_once_and_invisible(monkeypatch):
+    linear_calls = []
+    linear = rewriting._linear
+
+    def counted(t):
+        linear_calls.append(t)
+        return linear(t)
+
+    monkeypatch.setattr(rewriting, "_linear", counted)
+    # fresh rules: the shared ones may hold their linearity already
+    comm, assoc, add1 = (Rule(r.lhs, r.rhs, r.name) for r in (C, A, ADD1))
+    dup = Rule(App("f", (x, x)), x, "dup")
+    copy = Rule(plus(y, x), plus(x, plus(y, y)), "copy")
+    systems = [Trs([comm, assoc, dup]), Trs([comm, copy]), Trs([assoc, add1])]
+    before = {r: hash(r) for t in systems for r in t}
+    for _ in range(3):
+        assert [t.left_linear() for t in systems] == [False, True, True]
+        assert [t.linear() for t in systems] == [False, False, True]
+    # each side of each rule once, and the right side only of a rule whose
+    # left side is linear
+    assert len(linear_calls) == len({id(t) for t in linear_calls}) == 9
+    # the stored linearity changes neither equality nor hashing
+    assert all(hash(r) == h for r, h in before.items())
+    assert comm == C and Rule(dup.lhs, dup.rhs, "dup") == dup

@@ -1,10 +1,13 @@
 """Termination engines and certificate replay."""
+import math
 import os
 import stat
 import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confl import termination
 from confl.completion import check_confluence, decompose
@@ -28,8 +31,8 @@ from confl.termination import (
 from confl.terms import App, fun_subterms, signature, subterm_at
 from confl.trs_format import parse_trs
 
-from systems import (ALL_SYSTEMS, CHAIN4, R7, R8, SWAP, A, C, P_CA, S3, S6, f2, g1, plus, s, x,
-                     y, zero)
+from systems import (ALL_SYSTEMS, CHAIN4, R6, R7, R8, RA, RC, SWAP, A, C, P_CA, S3, S6, dbl, f2,
+                     g1, h1, plus, s, x, y, zero)
 
 
 def test_empty_system_is_trivially_terminating():
@@ -293,8 +296,12 @@ def product_find_interpretation(weak_rules, strict_candidates, shapes_for, *, sh
 
 
 def assert_same_search(args, kwargs):
-    got = _find_interpretation(*args, **kwargs)
-    want = product_find_interpretation(*args, **kwargs)
+    assert_same_answer(_find_interpretation(*args, **kwargs),
+                       product_find_interpretation(*args, **kwargs))
+
+
+def assert_same_answer(got, want):
+    """The same assignment, in the same key order, and the same strict rules."""
     if want is None:
         assert got is None
         return
@@ -321,8 +328,11 @@ def test_pruned_interpretation_search_finds_the_product_order_answer(monkeypatch
     # runs that end MAYBE search too, and their searches answer alike
     for trs in (CHAIN4, SWAP):
         assert check_confluence(trs).verdict == "MAYBE"
+    # replayed against its run's final memo, and on a fresh run
+    assert all(isinstance(kwargs["run"], Run) for _, kwargs in calls)
     for args, kwargs in calls:
         assert_same_search(args, kwargs)
+        assert_same_search(args, {**kwargs, "run": Run()})
 
 
 def test_pruned_interpretation_search_edge_cases():
@@ -339,9 +349,8 @@ def test_pruned_interpretation_search_edge_cases():
     assert_same_search(([], [], _shapes_strict), {"shift": True})
 
 
-def test_deciding_r8_values_each_subterm_few_times(monkeypatch):
-    # a subterm is valued again only when a symbol under it gets a new
-    # shape, and one polynomial under one shape is valued once per search
+def counted_shape_values(monkeypatch) -> list:
+    """The shapes of every `shape_value` call from now on, in call order."""
     calls = []
     shape_value = termination.shape_value
 
@@ -350,8 +359,102 @@ def test_deciding_r8_values_each_subterm_few_times(monkeypatch):
         return shape_value(shape, args)
 
     monkeypatch.setattr(termination, "shape_value", counted)
+    return calls
+
+
+def test_deciding_r8_values_each_subterm_few_times(monkeypatch):
+    # a subterm is valued again only when a symbol under it gets a new
+    # shape, and one polynomial under one shape is valued once per search
+    calls = counted_shape_values(monkeypatch)
     assert check_confluence(R8).verdict == "YES"
     assert len(calls) <= 15_000
+
+
+def test_deciding_r8_resumes_the_searches_it_settled(monkeypatch):
+    # pp_safe's greedy loop asks R8's splits nearly the same questions: four
+    # are answered by a recorded failure, and others start past the
+    # assignments an earlier answer rules out
+    calls = counted_shape_values(monkeypatch)
+    assert check_confluence(R8).verdict == "YES"
+    assert len(calls) <= 3_500
+
+
+def test_a_settled_failure_answers_a_harder_search_without_valuing(monkeypatch):
+    # C and A with either one strict: no interpretation manages it
+    run = Run()
+    assert _find_interpretation([C, A], [C, A], _shapes_strict, shift=True, run=run) is None
+    calls = counted_shape_values(monkeypatch)
+    harder = ([C, A, A.inverse()], [A], _shapes_strict)
+    assert _find_interpretation(*harder, shift=True, run=run) is None
+    assert calls == []
+    assert_same_search(harder, {"shift": True, "run": Run()})
+
+
+def test_a_resumed_search_starts_deeper_levels_afresh_past_the_floor():
+    # c alone answers (0, 0, 1) over f, g, h; with a weak too, that fails,
+    # and the answer (0, 1, 0) lies past the floor with a lower last choice
+    run = Run()
+    assert _find_interpretation([RC], [RC], _shapes_strict, shift=True, run=run) is not None
+    (records,) = run.interpretations.values()
+    assert list(records.values()) == [(0, 0, 1)]
+    assert_same_search(([RC, RA], [RC], _shapes_strict), {"shift": True, "run": run})
+    assert list(records.values()) == [(0, 0, 1), (0, 1, 0)]
+
+
+def test_a_search_cut_off_by_the_deadline_records_nothing(monkeypatch):
+    same = App("f", (App("g", (App("h", (App("k", (x,)),)),)),))
+    rule = Rule(same, same, "same")
+    run = Run(timeout=0)
+    with pytest.raises(TimedOut, match="termination"):
+        _find_interpretation([rule], [rule], _shapes_strict, shift=True, run=run)
+    assert not any(run.interpretations.values())
+    run.deadline = math.inf
+    calls = counted_shape_values(monkeypatch)
+    assert _find_interpretation([rule], [rule], _shapes_strict, shift=True, run=run) is None
+    assert calls
+
+
+def _pool(trs, every: App) -> list:
+    """every -> every, then trs's rules and the inverses of its bidirectional
+    ones.  The first rule, weak under every interpretation and strict under
+    none, holds every symbol: first among a search's weak rules, it fixes the
+    search's signature, so the searches that hold it share their records."""
+    inverses = [r.inverse() for r in trs if r.is_bidirectional()]
+    return [Rule(every, every, "every"), *trs.rules, *inverses]
+
+
+POOLS = [_pool(R6, dbl(plus(s(zero), x))), _pool(R8, f2(g1(x), h1(x)))]
+
+
+# a run's records never change an answer: sequences of searches, many of
+# them an earlier one made harder or easier, on one run and on fresh ones
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_shared_run_answers_every_search_as_a_fresh_run_does(data):
+    pool = data.draw(st.sampled_from(POOLS))
+    shapes_for, shift = data.draw(st.sampled_from([(_shapes_strict, True),
+                                                   (_shapes_weak, False)]))
+    first = [0] if data.draw(st.booleans()) else []
+    rules = st.lists(st.sampled_from(range(1, len(pool))), unique=True, max_size=6).map(sorted)
+    run = Run()
+    asked: list = []
+    for _ in range(data.draw(st.integers(2, 8))):
+        how = data.draw(st.sampled_from(["new", "harder", "easier"] if asked else ["new"]))
+        if how == "new":
+            weak, strict = first + data.draw(rules), data.draw(rules)
+        else:
+            # an earlier search with weak rules added and candidates dropped
+            # (harder), or the other way round (easier)
+            weak, strict = data.draw(st.sampled_from(asked))
+            added, kept = data.draw(rules), first + data.draw(rules)
+            if how == "harder":
+                weak, strict = sorted({*weak, *added}), [i for i in strict if i in kept]
+            else:
+                weak, strict = [i for i in weak if i in kept], sorted({*strict, *added})
+        asked.append((weak, strict))
+        args = ([pool[i] for i in weak], [pool[i] for i in strict], shapes_for)
+        got = _find_interpretation(*args, shift=shift, run=run)
+        assert_same_answer(got, _find_interpretation(*args, shift=shift, run=Run()))
 
 
 def test_an_exhausted_interpretation_search_keeps_the_deadline():
