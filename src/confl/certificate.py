@@ -15,12 +15,12 @@ A line the verifier would not read is an error: one outside its block or
 section, a second copy of a one-fact line, a YES certificate's reason, and
 `pprime` under huet, whose obligation fixes P' = ∅.  Errors quote the line.
 
-Format 6, a line each (<names> comma-separated, <pos> `e` or `1.2`, <name>
+Format 7, a line each (<names> comma-separated, <pos> `e` or `1.2`, <name>
 one word without `,;:@`, and ?v1, ?v2, ... variables numbered per rule,
-history block or join):
+history block or join; a join's are its pair's, below):
 
     BEGIN CERTIFICATE
-    format 6
+    format 7
     verdict YES                            (else: reason <text>, then END)
     criterion <linear|parallel|pcp|huet>
     section input                          then per input rule:
@@ -35,17 +35,19 @@ history block or join):
     section termination                    then relterm <method>, followed by
       its facts as a JSON array when it has any (S relative to P', or to P)
     section joins                          then per recomputed pair:
-      join <cond> <branch> | <left>        then per segment that steps:
+      join <cond> <branch>                 then per segment that steps:
       segment <rel> <rules> <fwd|rev> | <end>
       step <pos> <rule> lines, or one pstep <rule>@<pos>,... line
     END CERTIFICATE
 
 The k-th join is checked against the verifier's k-th pair: conditions in
-`CRITERION_TABLE` order, each family in `critical_pairs` order.  It must
-connect a variant of that pair (for pcp's (ii), with the variable condition
-read through the renaming) through a branch of its condition's row, which
-also gives the linearity precondition and termination obligation.  A segment
-starts where the one before it ends, the first at the join's left term.  A
+`CRITERION_TABLE` order, each family in `critical_pairs` order.  It writes
+no term of that pair, and its variables are the pair's: ?v1, ?v2, ... in
+`shape_key`'s order through the pair's left then right term.  It must
+connect the pair so renamed, by equality (pcp's (ii) reads the renamed
+constrained variables), through a branch of its condition's row, which also
+gives the linearity precondition and termination obligation.  A segment
+starts where the one before it ends, the first at the pair's left term.  A
 segment that does no step is not written: the written ones take the branch's
 entries in order, and an entry left over must be reflexive, as star, opt,
 conv and parallel are and step and plus are not.  A join still writes its
@@ -67,6 +69,7 @@ from .terms import (
     TermSyntaxError,
     Var,
     all_parallel,
+    apply,
     fresh_id,
     pos_str,
     read_term,
@@ -84,7 +87,7 @@ from .criteria import CRITERION_TABLE
 from .reversibility import reversal_problems
 from .termination import MalformedCertificate, TerminationCertificate, replay_certificate
 
-FORMAT = "6"
+FORMAT = "7"
 
 
 # --- term scope: stable local variable names per block ------------------------
@@ -234,8 +237,10 @@ def certificate_text(problem: Trs, result) -> str:
     tables = {"S": rep.s, "PP": pp, "SP": rep.s.union(Trs([pp.rule(n) for n in pp_names])),
               "P": pp}
     for ev in rep.evidence:
-        sc = _Scope()
-        lines.append(f"join {ev.condition} {ev.branch} | {sc.print_term(ev.pair_left)}")
+        sc = _Scope()  # named as the verifier names its pair's variables
+        _, index = shape_key((ev.pair_left, ev.pair_right))
+        sc.names = {x: f"v{i + 1}" for x, i in index.items()}
+        lines.append(f"join {ev.condition} {ev.branch}")
         for seg in ev.segments:
             parallel = seg.rel == "parallel"
             if not (seg.steps[0].parts if parallel else seg.steps):
@@ -261,7 +266,6 @@ class SegData:
     rel: str
     rules: str
     reverse: bool
-    start: Term
     end: Term
     ops: list = field(default_factory=list)  # ("step", pos, name) | ("pstep", [(name,pos)])
 
@@ -270,7 +274,7 @@ class SegData:
 class JoinData:
     condition: str
     branch: str
-    left: Term
+    scope: _ParseScope  # the join's variables, which are its pair's
     segments: list = field(default_factory=list)
 
 
@@ -333,7 +337,7 @@ def parse_certificate(text: str) -> CertificateData:
         raise CertificateError(f"unsupported certificate format {version!r}")
     section = ""
     seen = set()  # the one-fact lines' words and the section lines
-    cur_join = cur_seg = cur_scope = cur_hist = cur_back = None
+    cur_join = cur_seg = cur_hist = cur_back = None
     for line in lines[2:-1]:
         try:
             word, _, rest = line.partition(" ")
@@ -353,7 +357,7 @@ def parse_certificate(text: str) -> CertificateData:
                 if rest not in _SECTIONS:
                     raise CertificateError("no such section")
                 section = rest
-                cur_join = cur_seg = cur_scope = cur_hist = cur_back = None
+                cur_join = cur_seg = cur_hist = cur_back = None
             elif word == "rule" and section == "input":
                 name, body = rest.split(":", 1)
                 lhs_s, rhs_s = body.split("->")
@@ -392,10 +396,8 @@ def parse_certificate(text: str) -> CertificateData:
                 method, _, facts = rest.partition(" ")
                 cert.relterm_cert = TerminationCertificate(method, _facts(facts) if facts else ())
             elif word == "join" and section == "joins":
-                head, left_s = rest.split("|", 1)
-                cond, branch = head.split()
-                cur_scope = _ParseScope()
-                cur_join = JoinData(cond, branch, parse_term(left_s, cur_scope))
+                cond, branch = rest.split()
+                cur_join = JoinData(cond, branch, _ParseScope())
                 cur_seg = None
                 cert.joins.append(cur_join)
             elif word == "segment" and section == "joins":
@@ -404,8 +406,7 @@ def parse_certificate(text: str) -> CertificateData:
                 if dirn not in ("fwd", "rev"):
                     raise CertificateError(f"direction {dirn!r} is neither fwd nor rev")
                 join = _open(cur_join)
-                start = join.segments[-1].end if join.segments else join.left
-                cur_seg = SegData(rel, rules, dirn == "rev", start, parse_term(end_s, cur_scope))
+                cur_seg = SegData(rel, rules, dirn == "rev", parse_term(end_s, join.scope))
                 join.segments.append(cur_seg)
             elif word == "step" and section == "joins":
                 _open(cur_seg).ops.append(("step", *_move(rest)))
@@ -426,13 +427,10 @@ def parse_certificate(text: str) -> CertificateData:
 # --- verification --------------------------------------------------------------
 
 
-def _replay_segment(seg: SegData, tables: dict, problems: list, label: str):
+def _replay_segment(seg: SegData, start: Term, tables: dict, problems: list, label: str):
     table = tables[seg.rules]
-    anchor = seg.end if seg.reverse else seg.start
-    goal = seg.start if seg.reverse else seg.end
-    cur = anchor
-    simple = 0
-    psteps = 0
+    cur, goal = (seg.end, start) if seg.reverse else (start, seg.end)
+    simple = psteps = 0
     par_positions = ()
     for op in seg.ops:
         if op[0] == "step":
@@ -494,31 +492,28 @@ def _check_join(join: JoinData, criterion: str, cond: str, branches: tuple, pair
     if k < len(written):
         problems.append(f"{label}: segment shape mismatch")
         return
+    # the pair in the join's names: its i-th variable is ?v<i+1>
+    names = {x: join.scope.leaf(f"?v{i + 1}")
+             for x, i in shape_key((pair.left, pair.right))[1].items()}
+    start = apply(names, pair.left)
+    if (join.segments[-1].end if join.segments else start) != apply(names, pair.right):
+        problems.append(f"{label}: does not connect its pair {pair!r}")
+        return
     par_info = None
     for k, seg in enumerate(join.segments):
-        got = _replay_segment(seg, tables, problems, f"{label} segment {k + 1}")
+        got = _replay_segment(seg, start, tables, problems, f"{label} segment {k + 1}")
         if got is None:
             return
         if seg.rel == "parallel":
-            par_info = (seg, got)
-    end = join.segments[-1].end if join.segments else join.left
-    flat, index = shape_key((join.left, end))
-    pair_flat, pair_index = shape_key((pair.left, pair.right))
-    if flat != pair_flat:
-        problems.append(f"{label}: does not connect its pair {pair!r}")
-        return
+            par_info = (start if seg.reverse else seg.end, got)
+        start = seg.end
     if pair.var_limit is not None and par_info is not None:
-        # pcp's (ii): the variables below the parallel step, numbered as the
-        # pair's own variables are, must be constrained ones; replay has
-        # checked that the positions are in the term.  An unwritten parallel
-        # step has no redex, so nothing below it
-        seg, positions = par_info
-        target = seg.start if seg.reverse else seg.end
-        used = set()
-        for pos in positions:
-            used |= var_ids(subterm_at(target, pos))
-        allowed = {pair_index[x] for x in pair.var_limit if x in pair_index}
-        if not all(index.get(v) in allowed for v in used):
+        # pcp's (ii): the variables below the parallel step must be
+        # constrained ones; replay has checked that the positions are in the
+        # term.  An unwritten parallel step has no redex, so nothing below it
+        target, positions = par_info
+        used = set().union(*(var_ids(subterm_at(target, pos)) for pos in positions))
+        if not used <= {names[x].id for x in pair.var_limit if x in names}:
             problems.append(f"{label}: variable condition violated")
 
 

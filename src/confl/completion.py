@@ -219,20 +219,19 @@ def _addition_candidates(state: SearchState, report: CriterionReport, run: Run):
         if f.origin == "cp(S,S)":
             # a side S does not normalize within the fuel stands for itself
             left, right = ((_normal_form(t, s) or (t,))[0] for t in (pair.left, pair.right))
-            if left == right:
-                continue
-            conv = reach_bounded(left, right, p.with_inverses(), run.depth, check=run.check)
-            if conv is None:
-                continue
-            remember(u_big, _valid_rule(left, right, named), conv, ())
-            rule2 = _valid_rule(right, left, named)
-            if rule2 is not None:
-                remember(u_big, rule2, _reverse_steps(conv), ())
+            conv = None if left == right else reach_bounded(
+                left, right, p.with_inverses(), run.depth, check=run.check)
+            if conv is not None:
+                remember(u_big, _valid_rule(left, right, named), conv, ())
+                rule2 = _valid_rule(right, left, named)
+                if rule2 is not None:
+                    remember(u_big, rule2, _reverse_steps(conv), ())
         elif f.origin == "cp(S,PP)" or (f.origin.endswith("(PP,S)") and pair.kind == "inner"):
             # an outer (PP,S) pair mirrors a cp(S,PP) pair, so it is left out
             found = _through_peak(f, s, named)
             if found is not None:
                 remember(u_big if f.origin == "cp(S,PP)" else b_singles, *found)
+        run.check("completion")
     return u_big, b_singles
 
 
@@ -248,6 +247,7 @@ def _replacement_candidates(state: SearchState, report: CriterionReport, run: Ru
                 involved.add(r.key())
     out = []
     for rule in s:
+        run.check("completion")
         # the blocks of the split's cp(PP,S), shared through the run's pair memo
         if rule.key() not in involved and not cp_in(pp, Trs([rule]), run):
             continue
@@ -265,6 +265,7 @@ def _replacement_candidates(state: SearchState, report: CriterionReport, run: Ru
 
 
 def successors(state: SearchState, report: CriterionReport, run: Run) -> list:
+    run.check("completion")
     u_big, b_singles = _addition_candidates(state, report, run)
     repls = _replacement_candidates(state, report, run)
     q = state.system()
@@ -272,11 +273,10 @@ def successors(state: SearchState, report: CriterionReport, run: Run) -> list:
     new_systems = []
 
     def extend(adds):
-        # _addition_candidates leaves no rule with a variant in q and no repeat
-        q2, hist = q, state.history
-        for rule, just in adds:
-            q2, hist = q2.union(Trs([rule])), hist + (just,)
-        new_systems.append((q2, hist))
+        # _addition_candidates leaves no rule with a variant in q and no
+        # repeat, and the run's namer gives each rule a name of its own
+        new_systems.append((Trs([*q, *(rule for rule, _ in adds)]),
+                            state.history + tuple(just for _, just in adds)))
 
     if u_big:
         extend(u_big)

@@ -7,6 +7,7 @@ clean (False, problems) rejection, never an exception.
 """
 import dataclasses
 import hashlib
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -145,15 +146,15 @@ def test_yes_certificates_verify(cert_r3, cert_r2, cert_r5, cert_r8, cert_r3_hue
 # sha256 of each certificate above: a change that should leave the prover's
 # output alone (a speed-up, a refactor) must leave these bytes alone too
 GOLDEN_DIGESTS = {
-    "cert_r2": "4bb585c2a29bb5a3f2091c339c6015d71c63668a0f1392b37c8b9e60eb90f97c",
-    "cert_r3": "6eae9fcd5c2b09d862b8459239097f819c765f8c7408a7c89b050128da179f3e",
-    "cert_r5": "7287768ace049120db78def829662a50d703803edef7da914dcb07161d89d835",
-    "cert_r8": "95a1b2e77c330485373792e40a0047a88dc2aad561854293f16c5c8204aed2f5",
-    "cert_r3_huet": "6e33e12e9e0e66fa7c951771d5970ee0cc05197224f0a13aa344765ea8bb74ec",
-    "cert_fork_closed": "dbb2ae9b1ee18828d3bc73815a6eb70f757be4536b5c6f2376838b8f692ec687",
+    "cert_r2": "12854d5e216156092054098ec0c3eb81d195dfa6fa7f73d79df011c646e51b21",
+    "cert_r3": "d99e41581f6dec68b56166c41bdce6b0007909196807c099afdeac0b32bd13cb",
+    "cert_r5": "2d4ce99d2d849ae67984d21b02c704b9b452d9b048c4a987851b17d861beef81",
+    "cert_r8": "09689043cb60bdfd2877fdef878a97122288cedfd4bec17d4f9b8c83608b4afb",
+    "cert_r3_huet": "fcf575e153e7fa81fdb48b922c526ec268bd8bcf09f042d91b6bde880f8307e5",
+    "cert_fork_closed": "6326ea6208b77632294b05c18c3fda9035ce82bf1baacec65c6acd52574689ee",
     # R6 and chain3 need completion: 4 and 11 additions
-    "cert_r6": "85a9bd1aa229610968e54661a5e777e7ea079544ed7b1dc8b9612ab2b080a7b6",
-    "cert_chain3": "7093ccb91c7a3e1b3868f9d84a3f88b116db4084b0fa2873ef095383a208d673",
+    "cert_r6": "67e3047e92e05cc33871b54b9d1190f013704b4768eb38c6ba165ec37e0baebe",
+    "cert_chain3": "d511e7484c7254d62cf6c8da420a9b911d08cfa206b2bb575540f59d35593773",
 }
 
 
@@ -279,7 +280,7 @@ def test_back_line_under_an_addition_rejected(cert_r2, cert_chain3, case, line):
 
 @pytest.mark.parametrize("after, line", [
     ("section joins", "join i | 0"),
-    ("section joins", "join i A"),
+    ("section joins", "join i A s(0)"),
     ("join ", "segment star SP | 0"),
     ("join ", "segment star SP sideways | 0"),
     ("segment ", "step 1"),
@@ -424,15 +425,49 @@ def test_join_in_another_conditions_slot_rejected(cert_r3):
 
 
 def test_join_that_ends_off_its_pair_rejected(cert_r3):
-    # s(?v1) joins s(+(?v1,0)) by one add3 step backwards; without that
-    # segment the join ends at its left term s(?v1), which joins nothing
+    # s(?v1) joins s(+(?v1,0)) by one add3 step backwards; one add1 step
+    # backwards from s(+(0,?v1)) also reaches s(?v1), but that segment ends
+    # off the pair's right term
     lines = cert_r3.splitlines()
     start, end = segment_span(lines, "segment star SP rev | s(+(?v1,0))")
-    assert lines[start - 1] == "join i A | s(?v1)" and lines[start + 1:end] == ["step 1 add3"]
-    del lines[start:end]
+    assert lines[start - 1] == "join i A" and lines[start + 1:end] == ["step 1 add3"]
+    lines[start:end] = ["segment star SP rev | s(+(0,?v1))", "step 1 add1"]
     problems = rejected("\n".join(lines) + "\n", R3)
     assert len(problems) == 1
     assert problems[0].startswith("join <i,A>: does not connect its pair <s(")
+
+
+def test_consistently_renamed_join_rejected(cert_r3):
+    # a join's variables are its pair's: the first join whose segments name
+    # ?v1 and ?v2, with the two swapped on every segment end, connects a
+    # variant of its pair, but not the pair itself
+    lines, blocks = join_blocks(cert_r3)
+    start, end = next((i, j) for i, j in blocks
+                      if all(v in "\n".join(lines[i:j]) for v in ("?v1", "?v2")))
+    swap = {"?v1": "?v2", "?v2": "?v1"}
+    for k in range(start, end):
+        if lines[k].startswith("segment "):
+            lines[k] = re.sub(r"\?v[12]\b", lambda m: swap[m.group()], lines[k])
+    assert lines[start] == "join i A"
+    problems = rejected("\n".join(lines) + "\n", R3)
+    assert len(problems) == 1
+    assert problems[0].startswith("join <i,A>: does not connect its pair <s("), problems
+
+
+def test_join_line_writing_a_term_is_unparsable(cert_r3):
+    # format 6 wrote each join's left term after a bar; format 7 reads none
+    bad = mutate(cert_r3, "join i A", lambda ln: ln + " | s(?v1)", which=1)
+    assert rejected(bad, R3) == [
+        "unparsable certificate: line 'join i A | s(?v1)': "
+        "too many values to unpack (expected 2)"]
+
+
+def test_wide4_join_lines_write_no_term():
+    # a join line is its condition and branch: none of wide4's 255 joins
+    # writes a term of its pair
+    lines = certificate_text(WIDE4, decided(WIDE4)).splitlines()
+    joins = [ln.split() for ln in lines if ln.startswith("join ")]
+    assert len(joins) == 255 and all(len(words) == 3 for words in joins), joins
 
 
 def test_tampered_join_step_rule_rejected(cert_r3):
@@ -443,7 +478,7 @@ def test_tampered_join_step_rule_rejected(cert_r3):
 def test_join_through_a_branch_its_condition_lacks_rejected(cert_r3):
     # pcp's condition (i) has branch A only
     assert parse_certificate(cert_r3).criterion == "pcp"
-    bad = mutate(cert_r3, "join i A ", lambda ln: ln.replace("join i A ", "join i B "))
+    bad = mutate(cert_r3, "join i A", lambda ln: ln.replace("join i A", "join i B"))
     assert rejected(bad, R3) == ["join <i,B>: no such condition/branch for pcp"]
 
 
@@ -469,7 +504,7 @@ def test_join_without_its_step_or_plus_segment_rejected(cert_r3, cert_r3_huet, c
     text = {"step": cert_r3, "plus": cert_r3_huet}[case]
     lines = text.splitlines()
     start, end = segment_span(lines, header)
-    assert lines[start - 1].endswith(" | ?v1") and lines[end].startswith("join ")
+    assert lines[start - 1].startswith("join ") and lines[end].startswith("join ")
     del lines[start:end]
     assert rejected("\n".join(lines) + "\n", R3) == [problem]
 
@@ -480,19 +515,19 @@ def test_written_segments_out_of_branch_order_rejected(cert_r3):
     lines = cert_r3.splitlines()
     fwd = segment_span(lines, "segment star SP fwd | s(s(+(?v1,?v2)))")
     rev = segment_span(lines, "segment star SP rev | s(+(?v1,s(?v2)))")
-    assert lines[fwd[0] - 1] == "join i A | s(+(s(?v1),?v2))" and fwd[1] == rev[0]
+    assert lines[fwd[0] - 1] == "join i A" and fwd[1] == rev[0]
     lines[fwd[0]:rev[1]] = lines[rev[0]:rev[1]] + lines[fwd[0]:fwd[1]]
     assert rejected("\n".join(lines) + "\n", R3) == ["join <i,A>: segment shape mismatch"]
 
 
 def test_no_join_writes_a_term_twice():
-    # a written segment does a step, so a join's left term and its segments'
-    # ends are distinct terms, written once each
+    # a written segment does a step, so a join's segments' ends are distinct
+    # terms, written once each
     for trs in (R1, R2, R3, R4, R5, R6, R7, R8, CHAIN3, WIDE4, DEEP16):
         lines, blocks = join_blocks(certificate_text(trs, decided(trs)))
         for start, end in blocks:
             terms = [ln.rpartition(" | ")[2] for ln in lines[start:end]
-                     if ln.startswith(("join ", "segment "))]
+                     if ln.startswith("segment ")]
             assert len(set(terms)) == len(terms), lines[start:end]
 
 
@@ -501,8 +536,9 @@ def test_parallel_segment_of_a_single_step_rejected(cert_r3):
     # reaches the same end, but a parallel segment takes one pstep
     lines = cert_r3.splitlines()
     at = lines.index("pstep C@1")
-    join = next(ln for ln in reversed(lines[:at]) if ln.startswith("join "))
-    segment = sum(ln.startswith("segment ") for ln in lines[lines.index(join):at])
+    start = max(i for i in range(at) if lines[i].startswith("join "))
+    join = lines[start]
+    segment = sum(ln.startswith("segment ") for ln in lines[start:at])
     lines[at] = "step 1 C"
     label = f"join <{join.split()[1]},{join.split()[2]}>"
     assert rejected("\n".join(lines) + "\n", R3) == [
@@ -541,7 +577,7 @@ def test_tampered_termination_payload_rejected(cert_r3):
 # not monotone, and then g(a) -> g(b)
 NOT_CONFLUENT = parse_trs("(RULES\n  b -> a\n  g(a) -> g(b)\n  g(a) -> d\n  g(b) -> e\n)\n")
 FORGED_TERMINATION = """BEGIN CERTIFICATE
-format 6
+format 7
 verdict YES
 criterion linear
 section input
@@ -558,15 +594,15 @@ relterm poly [[[["a",["lin",[],2]],["b",["lin",[],3]],["d",["lin",[],2]],["e",["
 ["g",["lin",[0],3]]],["r1","r3","r4"]],[[["a",["lin",[],3]],["b",["lin",[],2]],\
 ["g",["lin",[1],0]]],["r2"]]]
 section joins
-join i A | d
+join i A
 segment star SP rev | g(b)
 step 1 r1
 step e r3
-join i A | g(b)
+join i A
 segment star SP fwd | d
 step 1 r1
 step e r3
-join i A | g(a)
+join i A
 segment star SP fwd | e
 step e r2
 step e r4

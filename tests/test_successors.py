@@ -18,6 +18,7 @@ from confl.completion import (
     SearchState,
     _addition_candidates,
     _forward,
+    _replacement_candidates,
     _rule_names,
     _valid_rule,
     check_confluence,
@@ -330,5 +331,12 @@ def test_addition_candidates_keep_the_deadline():
 def test_successors_keep_the_deadline():
     state, rep = fuel_report()
     assert completion.successors(state, rep, run=Run(named=_rule_names(FUEL)))
-    with pytest.raises(TimedOut):
+    with pytest.raises(TimedOut, match="completion"):
         completion.successors(state, rep, run=Run(named=_rule_names(FUEL), timeout=-1))
+
+
+def test_replacement_candidates_keep_the_deadline():
+    # each rule of S is checked for replacements after the deadline check
+    state, rep = fuel_report()
+    with pytest.raises(TimedOut, match="completion"):
+        _replacement_candidates(state, rep, Run(named=_rule_names(FUEL), timeout=-1))
