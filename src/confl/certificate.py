@@ -42,16 +42,17 @@ history block or join; a join's are its pair's, below):
 
 The k-th join is checked against the verifier's k-th pair: conditions in
 `CRITERION_TABLE` order, each family in `critical_pairs` order.  It writes
-no term of that pair, and its variables are the pair's: ?v1, ?v2, ... in
-`shape_key`'s order through the pair's left then right term.  It must
-connect the pair so renamed, by equality (pcp's (ii) reads the renamed
-constrained variables), through a branch of its condition's row, which also
-gives the linearity precondition and termination obligation.  A segment
-starts where the one before it ends, the first at the pair's left term.  A
-segment that does no step is not written: the written ones take the branch's
-entries in order, and an entry left over must be reflexive, as star, opt,
-conv and parallel are and step and plus are not.  A join still writes its
-condition, which its place gives, so a reader sees which family it closes.
+no term of that pair.  Its variables are the pair's own, ?v<i+1> for the
+pair's i-th `variables` entry, and `parse_certificate` keeps a segment's
+end as text, read in them when its join is checked: the verifier renames
+nothing.  A join must connect its pair by equality through a branch of its
+condition's row, which also gives the linearity precondition and
+termination obligation.  A segment starts where the one before it ends,
+the first at the pair's left term.  A segment that does no step is not
+written: the written ones take the branch's entries in order, and an entry
+left over must be reflexive, as star, opt, conv and parallel are and step
+and plus are not.  A join still writes its condition, which its place
+gives, so a reader sees which family it closes.
 
 A history step is a forward derivation in the current system Q, by Q's rule
 names: an addition l -> r gives l →*_Q r, a replacement of l -> r by l -> r'
@@ -69,11 +70,9 @@ from .terms import (
     TermSyntaxError,
     Var,
     all_parallel,
-    apply,
     fresh_id,
     pos_str,
     read_term,
-    shape_key,
     subterm_at,
     term_tokens,
     token_offset,
@@ -116,9 +115,8 @@ class _ParseScope:
     def leaf(self, name: str) -> Var | None:
         if name[0] != "?":
             return None
-        name = name[1:]
         if name not in self.vars:
-            self.vars[name] = Var(fresh_id(), name)
+            self.vars[name] = Var(fresh_id(), name[1:])
         return self.vars[name]
 
 
@@ -207,7 +205,7 @@ def certificate_text(problem: Trs, result) -> str:
             if j.kind == "addition":
                 lines.append(f"addition {j.rule.name}: {_Scope().print_term(j.rule.lhs)}")
                 lines.extend("step " + m for m in _moves(j.steps, q, "history"))
-                q = q.union(Trs([j.rule]))
+                q = Trs([*q, j.rule])
             else:
                 lines.append(f"replace {j.old_rule.name} with {j.rule.name}")
                 lines.extend("step " + m for m in _moves(j.steps, q, "history"))
@@ -238,8 +236,7 @@ def certificate_text(problem: Trs, result) -> str:
               "P": pp}
     for ev in rep.evidence:
         sc = _Scope()  # named as the verifier names its pair's variables
-        _, index = shape_key((ev.pair_left, ev.pair_right))
-        sc.names = {x: f"v{i + 1}" for x, i in index.items()}
+        sc.names = {x: f"v{i + 1}" for i, x in enumerate(ev.variables)}
         lines.append(f"join {ev.condition} {ev.branch}")
         for seg in ev.segments:
             parallel = seg.rel == "parallel"
@@ -266,15 +263,14 @@ class SegData:
     rel: str
     rules: str
     reverse: bool
-    end: Term
-    ops: list = field(default_factory=list)  # ("step", pos, name) | ("pstep", [(name,pos)])
+    end: str  # read when its join is checked, in its pair's variables
+    ops: list = field(default_factory=list)  # ("step", pos, name) | ("pstep", [(pos,name)])
 
 
 @dataclass
 class JoinData:
     condition: str
     branch: str
-    scope: _ParseScope  # the join's variables, which are its pair's
     segments: list = field(default_factory=list)
 
 
@@ -397,7 +393,7 @@ def parse_certificate(text: str) -> CertificateData:
                 cert.relterm_cert = TerminationCertificate(method, _facts(facts) if facts else ())
             elif word == "join" and section == "joins":
                 cond, branch = rest.split()
-                cur_join = JoinData(cond, branch, _ParseScope())
+                cur_join = JoinData(cond, branch)
                 cur_seg = None
                 cert.joins.append(cur_join)
             elif word == "segment" and section == "joins":
@@ -405,16 +401,15 @@ def parse_certificate(text: str) -> CertificateData:
                 rel, rules, dirn = head.split()
                 if dirn not in ("fwd", "rev"):
                     raise CertificateError(f"direction {dirn!r} is neither fwd nor rev")
-                join = _open(cur_join)
-                cur_seg = SegData(rel, rules, dirn == "rev", parse_term(end_s, join.scope))
-                join.segments.append(cur_seg)
+                cur_seg = SegData(rel, rules, dirn == "rev", end_s)
+                _open(cur_join).segments.append(cur_seg)
             elif word == "step" and section == "joins":
                 _open(cur_seg).ops.append(("step", *_move(rest)))
             elif word == "pstep" and section == "joins":
                 parts = []
                 for chunk in rest.split(","):
                     rn, _, pos_s = chunk.strip().rpartition("@")
-                    parts.append((rn, _parse_pos(pos_s)))
+                    parts.append((_parse_pos(pos_s), rn))
                 _open(cur_seg).ops.append(("pstep", parts))
             else:
                 raise CertificateError(f"unexpected in section {section!r}")
@@ -427,9 +422,10 @@ def parse_certificate(text: str) -> CertificateData:
 # --- verification --------------------------------------------------------------
 
 
-def _replay_segment(seg: SegData, start: Term, tables: dict, problems: list, label: str):
+def _replay_segment(seg: SegData, start: Term, end: Term, tables: dict, problems: list,
+                    label: str):
     table = tables[seg.rules]
-    cur, goal = (seg.end, start) if seg.reverse else (start, seg.end)
+    cur, goal = (end, start) if seg.reverse else (start, end)
     simple = psteps = 0
     par_positions = ()
     for op in seg.ops:
@@ -438,8 +434,7 @@ def _replay_segment(seg: SegData, start: Term, tables: dict, problems: list, lab
             steps = [(pos, rn)]
             simple += 1
         else:
-            _, parts = op
-            steps = [(pos, rn) for rn, pos in parts]
+            _, steps = op
             positions = [pos for pos, _rn in steps]
             if not all_parallel(positions):
                 problems.append(f"{label}: parallel step positions overlap")
@@ -492,29 +487,32 @@ def _check_join(join: JoinData, criterion: str, cond: str, branches: tuple, pair
     if k < len(written):
         problems.append(f"{label}: segment shape mismatch")
         return
-    # the pair in the join's names: its i-th variable is ?v<i+1>
-    names = {x: join.scope.leaf(f"?v{i + 1}")
-             for x, i in shape_key((pair.left, pair.right))[1].items()}
-    start = apply(names, pair.left)
-    if (join.segments[-1].end if join.segments else start) != apply(names, pair.right):
+    # the ends in the pair's own variables: its i-th is ?v<i+1>
+    scope, ends = _ParseScope(), []
+    scope.vars = {f"?v{i + 1}": Var(x) for i, x in enumerate(pair.variables)}
+    try:
+        for seg in join.segments:
+            ends.append(parse_term(seg.end, scope))
+    except CertificateError as exc:
+        problems.append(f"{label} segment {len(ends) + 1}: {exc}")
+        return
+    if (ends[-1] if ends else pair.left) != pair.right:
         problems.append(f"{label}: does not connect its pair {pair!r}")
         return
-    par_info = None
-    for k, seg in enumerate(join.segments):
-        got = _replay_segment(seg, start, tables, problems, f"{label} segment {k + 1}")
-        if got is None:
+    start = pair.left
+    for k, (seg, end) in enumerate(zip(join.segments, ends), 1):
+        positions = _replay_segment(seg, start, end, tables, problems, f"{label} segment {k}")
+        if positions is None:
             return
-        if seg.rel == "parallel":
-            par_info = (start if seg.reverse else seg.end, got)
-        start = seg.end
-    if pair.var_limit is not None and par_info is not None:
-        # pcp's (ii): the variables below the parallel step must be
-        # constrained ones; replay has checked that the positions are in the
-        # term.  An unwritten parallel step has no redex, so nothing below it
-        target, positions = par_info
-        used = set().union(*(var_ids(subterm_at(target, pos)) for pos in positions))
-        if not used <= {names[x].id for x in pair.var_limit if x in names}:
-            problems.append(f"{label}: variable condition violated")
+        if seg.rel == "parallel" and pair.var_limit is not None:
+            # pcp's (ii): the variables below the parallel step must be
+            # constrained ones; replay has checked that the positions are in
+            # the term.  An unwritten parallel step has no redex, so no check
+            target = start if seg.reverse else end
+            used = set().union(*(var_ids(subterm_at(target, pos)) for pos in positions))
+            if not used <= pair.var_limit:
+                problems.append(f"{label}: variable condition violated")
+        start = end
 
 
 def verify_certificate(text: str, problem: Trs | None = None, hook=None):
@@ -525,8 +523,8 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     except (CertificateError, ValueError, AttributeError, KeyError, IndexError) as exc:
         return False, [f"unparsable certificate: {exc}"]
 
-    if cert.verdict == "MAYBE":
-        return True, []
+    if cert.verdict == "MAYBE":  # it has no pairs to read join ends against
+        return (False, ["a MAYBE certificate gives no joins"]) if cert.joins else (True, [])
     if cert.verdict != "YES":
         return False, [f"unknown verdict {cert.verdict!r}"]
     if cert.reason:

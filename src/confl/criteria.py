@@ -51,14 +51,13 @@ class PreconditionViolation(Exception):
 
 @dataclass(frozen=True)
 class Segment:
-    """One relational segment of a join.  Chains left to right: a segment's
-    start is the previous segment's end.  ``reverse`` means the underlying
-    steps rewrite end towards start."""
+    """One relational segment of a join.  Chains left to right: a segment
+    starts where the previous one ends, the first at the pair's left term.
+    ``reverse`` means the underlying steps rewrite end towards start."""
 
     rel: str  # "step" | "opt" | "star" | "plus" | "parallel" | "conv"
     rules: str  # "S" | "PP" | "SP" | "P"
     reverse: bool
-    start: Term
     end: Term
     steps: tuple = ()
 
@@ -70,12 +69,12 @@ class Segment:
 
 
 @dataclass(frozen=True)
-class JoinEvidence:
-    criterion: str
+class JoinEvidence:  # the pair's terms, not the pair: its peak and rules cost 3.3 MB peak RSS
     condition: str  # "i" | "ii" | "iii"
     branch: str  # "A" | "B"
     pair_left: Term
     pair_right: Term
+    variables: tuple  # the pair's, by which a certificate names its variables
     segments: tuple
 
 
@@ -389,21 +388,19 @@ class _Searcher:
                 for a, pa, b, pb, mid in self._middles(kind, reverse, ends_u, ends_v, x_ids):
                     lt, ls = _inwards(left, first, a, pa)
                     rt, rs = _inwards(right, last, b, pb)
-                    terms = [pair.left, *lt, *rt[::-1], pair.right]
+                    ends = [*lt, *rt[::-1], pair.right]
                     steps = [*ls, mid, *rs[::-1]]
-                    return tuple(
-                        Segment(rel, rules, rev, start, end, path)
-                        for (rel, rules, rev), start, end, path
-                        in zip(shape, terms, terms[1:], steps))
+                    return tuple(Segment(rel, rules, rev, end, path)
+                                 for (rel, rules, rev), end, path in zip(shape, ends, steps))
         return None
 
-    def join(self, crit: str, cond: str, branches: tuple, pair) -> JoinEvidence | None:
+    def join(self, cond: str, branches: tuple, pair) -> JoinEvidence | None:
         """The first join of the pair through its condition's branches."""
         self._memo = {}
         for branch, shape in zip("AB", branches):
             segments = self._branch(shape, pair)
             if segments is not None:
-                return JoinEvidence(crit, cond, branch, pair.left, pair.right, segments)
+                return JoinEvidence(cond, branch, pair.left, pair.right, pair.variables, segments)
         return None
 
 
@@ -525,7 +522,7 @@ def check_criterion(name: str, pt: Partition, run: Run | None = None) -> Criteri
             continue
         for pair in pairs:
             run.check("criteria")
-            ev = sr.join(name, cond, branches, pair)
+            ev = sr.join(cond, branches, pair)
             if ev is None:
                 rep.failing.append(FailingPair(pair, origin))
             else:

@@ -38,7 +38,8 @@ A pair's key is its identity up to renaming: the kind and the flat
 kept on the pair, so deduplicating memoized pairs again costs no walk.  A
 parallel pair's key adds the indexes of its constrained variables, numbered
 through left, right and then peak, so the peak counts only through the
-variables it constrains.
+variables it constrains.  The same walk gives `variables`, the ids of the
+sides' variables in that numbering, by which a certificate names a join's.
 
 pcp_in(Q, R) generalizes the inner case to any nonempty set of pairwise
 parallel non-root function positions rewritten simultaneously by rules of Q,
@@ -110,19 +111,23 @@ class CriticalPair:
 
     def key(self):
         """The kind, the pair up to renaming and, for a parallel pair, the
-        indexes of its constrained variables.  Variables are numbered
-        through left, right, then peak, so the peak only fixes the numbering
-        of constrained variables that occur in neither side."""
-        return self._key
+        indexes of its constrained variables (see the module docstring)."""
+        return self._walk[0]
+
+    @property
+    def variables(self) -> tuple:
+        """The ids of left's, then right's, variables in the key's numbering."""
+        return self._walk[1]
 
     @cached_property
-    def _key(self):  # computed once, outside the fields, like Rule._key
+    def _walk(self):  # computed once, outside the fields, like Rule._key
         flat, index = shape_key((self.left, self.right))
+        variables = tuple(index)
         if self.var_limit is None:
-            return self.kind, flat
+            return (self.kind, flat), variables
         for v in term_vars(self.peak):
             index.setdefault(v.id, len(index))
-        return self.kind, flat, frozenset(index[x] for x in self.var_limit)
+        return (self.kind, flat, frozenset(index[x] for x in self.var_limit)), variables
 
     def __repr__(self):
         xs = ""

@@ -8,6 +8,8 @@ clean (False, problems) rejection, never an exception.
 import dataclasses
 import hashlib
 import re
+import sys
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -31,7 +33,7 @@ from confl.criteria import Partition, check_criterion
 from confl.critical_pairs import _dedup
 from confl.rewriting import Rule, Trs
 from confl.run import Run
-from confl.terms import App, unify_all, var_ids
+from confl.terms import App, shape_key, unify_all, var_ids
 from confl.trs_format import parse_trs
 
 from systems import CHAIN3, DEEP16, R1, R2, R3, R4, R5, R6, R7, R8, WIDE4, decided
@@ -182,6 +184,34 @@ def test_the_verifier_generates_its_pairs_without_a_memo(case, unifications, ren
     assert calls == {"unify_all": unifications, "rename_apart": renamings}
 
 
+def test_the_verifier_walks_each_pair_once(monkeypatch):
+    """A recomputed pair's key walk also names its variables, so verifying
+    wide4's certificate walks each pair's (left, right) with shape_key once,
+    whichever confl module calls it."""
+    text = certificate_text(WIDE4, decided(WIDE4))
+    walked, pairs = [], []  # walked keeps each walked tuple, so no id is reused
+
+    def counted(ts):
+        walked.append(ts)
+        return shape_key(ts)
+
+    def recording(gen):
+        def call(*args, **kwargs):
+            pairs.extend(got := gen(*args, **kwargs))
+            return got
+        return call
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "confl" and hasattr(module, "shape_key"):
+            monkeypatch.setattr(module, "shape_key", counted)
+    for gen in ("cp", "cp_in", "pcp_in"):
+        monkeypatch.setattr(certificate, gen, recording(getattr(certificate, gen)))
+    assert verify_certificate(text, WIDE4) == (True, [])
+    walks = Counter((id(ts[0]), id(ts[1])) for ts in walked if len(ts) == 2)
+    assert len(pairs) >= 255
+    assert [walks[id(pr.left), id(pr.right)] for pr in pairs] == [1] * len(pairs)
+
+
 def test_certificate_bytes_are_pinned(cert_r2, cert_r3, cert_r5, cert_r8, cert_r3_huet,
                                       cert_fork_closed, cert_r6, cert_chain3):
     texts = dict(cert_r2=cert_r2, cert_r3=cert_r3, cert_r5=cert_r5, cert_r8=cert_r8,
@@ -293,10 +323,13 @@ def test_back_line_under_an_addition_rejected(cert_r2, cert_chain3, case, line):
     ("section partition", "section history\naddition : +(0,0)"),
     ("section partition", "section history\nreplace add2 x with q1"),
     ("section partition", "section history\nreplace add2 with q@1"),
+    ("rule add1:", "rule add9: +(0,?v1 -> ?v1"),
+    ("rule add1:", "rule add9: +(0,?v1) -> ?v1)"),
+    ("section partition", "section history\naddition q1: s(("),
 ], ids=["join-fields", "join-term", "segment-fields", "segment-direction", "step-fields",
         "rule-colon", "rule-arrow", "revseq-colon", "replace-with", "rule-empty-name",
         "rule-name-comma", "addition-empty-name", "replace-old-name-space",
-        "replace-new-name-at"])
+        "replace-new-name-at", "rule-term-open", "rule-term-trailing", "addition-term"])
 def test_malformed_line_rejected_by_its_text(cert_r3, after, line):
     """A line short of a field, or with a field no line takes, is an error
     that quotes the line."""
@@ -319,6 +352,34 @@ def test_line_the_verifier_would_not_read_rejected(cert_r3, after, line, problem
     # would be read in a section the format does not have
     bad = mutate(cert_r3, after, lambda ln: f"{ln}\n{line}")
     assert rejected(bad, R3) == [f"unparsable certificate: line {line!r}: {problem}"]
+
+
+@pytest.mark.parametrize("end, problem", [
+    ("s((", "bad term syntax at offset 2 in 's((': expected an identifier, found '('"),
+    ("s(?v1))", "trailing input after term: ')'"),
+    ("?v1(0)", "bad term syntax at offset 0 in '?v1(0)': variable ?v1 used as a function symbol"),
+    ("", "bad term syntax at offset 0 in '': expected an identifier, found 'end of input'"),
+], ids=["open", "trailing", "variable-applied", "empty"])
+def test_malformed_segment_end_is_one_problem_of_its_join(cert_r3, end, problem):
+    """A segment's end is read when its join is checked, in its pair's
+    variables: a malformed one is that join's one problem, naming the
+    segment and quoting the end."""
+    lines, blocks = join_blocks(cert_r3)
+    start, stop = blocks[2]
+    at = [k for k in range(start, stop) if lines[k].startswith("segment ")][-1]
+    segment = sum(ln.startswith("segment ") for ln in lines[start:at + 1])
+    lines[at] = lines[at].rpartition("| ")[0] + "| " + end
+    _, cond, branch = lines[start].split()
+    assert rejected("\n".join(lines) + "\n", R3) == [
+        f"join <{cond},{branch}> segment {segment}: {problem}"]
+
+
+def test_maybe_certificate_with_a_join_rejected():
+    # a MAYBE has no pairs, so its join ends would never be read
+    text = "\n".join(["BEGIN CERTIFICATE", f"format {FORMAT}", "verdict MAYBE", "reason none",
+                      "section joins", "join i A", "segment star S fwd | s((", "step e r",
+                      "END CERTIFICATE"]) + "\n"
+    assert verify_certificate(text) == (False, ["a MAYBE certificate gives no joins"])
 
 
 def test_reason_in_a_yes_certificate_rejected(cert_r3):

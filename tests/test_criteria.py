@@ -69,16 +69,14 @@ def segments_replay(rep):
         "P": pp,
     }
     for ev in rep.evidence:
-        assert ev.criterion == rep.criterion
         shape = tuple((seg.rel, seg.rules, seg.reverse) for seg in ev.segments)
         rows = {cond: dict(zip("AB", branches))
                 for cond, _family, branches in CRITERION_TABLE[rep.criterion][2]}
         assert shape == rows[ev.condition][ev.branch]
         cur = ev.pair_left
         for seg in ev.segments:
-            assert seg.start == cur
             rules = tables[seg.rules]
-            src, dst = (seg.end, seg.start) if seg.reverse else (seg.start, seg.end)
+            src, dst = (seg.end, cur) if seg.reverse else (cur, seg.end)
             if seg.rel == "parallel":
                 (wit,) = seg.steps
                 assert wit.source == src and wit.target == dst
@@ -553,7 +551,7 @@ def test_a_pair_past_the_scan_cap_is_joined_within_the_bound():
     wide = [pair for pair in pt.pairs("cp", "S", "S", run)
             if ends(pair.left) * ends(pair.right) > PAIR_SCAN_CAP]
     assert [(ends(pair.left), ends(pair.right)) for pair in wide] == [(560, 560)]
-    ev = _Searcher(pt, run).join("pcp", "i", CRITERION_TABLE["pcp"][2][0][2], wide[0])
+    ev = _Searcher(pt, run).join("i", CRITERION_TABLE["pcp"][2][0][2], wide[0])
     assert ev is not None
 
 
@@ -578,8 +576,8 @@ def test_the_scan_reads_the_bound_of_left_ends_and_builds_no_more(k, joined, mon
         return built[t]
 
     monkeypatch.setattr(criteria, "reach_set_bounded", recording)
-    pair = SimpleNamespace(left=u, right=e[k], var_limit=None)
-    ev = _Searcher(pt, run).join("linear", "i", CRITERION_TABLE["linear"][2][0][2], pair)
+    pair = SimpleNamespace(left=u, right=e[k], var_limit=None, variables=())
+    ev = _Searcher(pt, run).join("i", CRITERION_TABLE["linear"][2][0][2], pair)
     assert (ev is not None) == joined
     bound = PAIR_SCAN_CAP // 4000
     assert bound <= len(built[u].paths) <= bound + len(u.args)

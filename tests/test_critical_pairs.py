@@ -29,8 +29,8 @@ from confl.terms import (
 )
 
 from helpers import cp_out, rename_apart, replay_steps
-from systems import (CHAIN3, P5, P8, P_CA, R2, R3, S2, S3, S4, S6, S8, SS1, SS2, decided, f2,
-                     g1, h1, plus, s, x, y, z, zero)
+from systems import (ALL_SYSTEMS, CHAIN3, P5, P8, P_CA, R2, R3, S2, S3, S4, S6, S8, SS1, SS2,
+                     WIDE4, decided, f2, g1, h1, plus, s, x, y, z, zero)
 
 
 def keyset(pairs):
@@ -188,6 +188,26 @@ def test_dedup_is_up_to_renaming():
     # variants collapse: same pairs as from a single copy
     single = cp(Trs([Rule(plus(zero, y), y, "a1")]), P_CA.with_inverses())
     assert keyset(got) == keyset(single)
+
+
+def test_a_pairs_variables_are_numbered_by_its_key_walk():
+    """`variables` lists the ids of the pair's variables in the order the
+    key's `shape_key` walk numbers them, through left then right."""
+    for trs in (*ALL_SYSTEMS, WIDE4):
+        pairs = cp(trs, trs) + pcp_in(trs, trs)
+        assert pairs
+        for pr in pairs:
+            assert pr.variables == tuple(shape_key((pr.left, pr.right))[1]), pr
+
+
+def test_a_variable_only_the_peak_holds_is_keyed_but_not_listed():
+    # g(x) -> a erases x: the one parallel pair <h(a), c> of it into
+    # h(g(x)) -> c constrains x, which occurs only in its peak h(g(x))
+    erasing = Trs([Rule(g1(x), App("a", ()), "er")])
+    (pr,) = pcp_in(erasing, Trs([Rule(h1(g1(x)), App("c", ()), "h")]))
+    assert len(pr.var_limit) == 1 and pr.var_limit <= var_ids(pr.peak)
+    assert pr.key()[2] == frozenset({0})
+    assert pr.variables == ()
 
 
 # --- the brute-force enumeration, kept as an oracle for order and content ---
