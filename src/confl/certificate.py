@@ -12,8 +12,9 @@ P' is named by its rules in P ∪ P⁻¹, and the one termination certificate,
 for S relative to P' (or to all of P), is its method and that method's
 facts, for the systems the verifier hands it; it proves S terminating too.
 A line the verifier would not read is an error: one outside its block or
-section, a second copy of a one-fact line, a YES certificate's reason, and
-`pprime` under huet, whose obligation fixes P' = ∅.  Errors quote the line.
+section, a second copy of a one-fact line, a YES certificate's reason, a
+MAYBE certificate's criterion or section, and `pprime` under huet, whose
+obligation fixes P' = ∅.  Errors quote the line.
 
 Format 7, a line each (<names> comma-separated, <pos> `e` or `1.2`, <name>
 one word without `,;:@`, and ?v1, ?v2, ... variables numbered per rule,
@@ -297,6 +298,7 @@ class CertificateData:
     rev_seqs: list = field(default_factory=list)  # (name, [(pos, rulename)])
     relterm_cert: TerminationCertificate | None = None
     joins: list = field(default_factory=list)
+    parts: list = field(default_factory=list)  # "criterion" and section names, as written
 
 
 # the lines that state one fact each, so a second copy is never read
@@ -349,10 +351,12 @@ def parse_certificate(text: str) -> CertificateData:
                 cert.reason = rest
             elif word == "criterion":
                 cert.criterion = rest
+                cert.parts.append(word)
             elif word == "section":
                 if rest not in _SECTIONS:
                     raise CertificateError("no such section")
                 section = rest
+                cert.parts.append(rest)
                 cur_join = cur_seg = cur_hist = cur_back = None
             elif word == "rule" and section == "input":
                 name, body = rest.split(":", 1)
@@ -523,8 +527,8 @@ def verify_certificate(text: str, problem: Trs | None = None, hook=None):
     except (CertificateError, ValueError, AttributeError, KeyError, IndexError) as exc:
         return False, [f"unparsable certificate: {exc}"]
 
-    if cert.verdict == "MAYBE":  # it has no pairs to read join ends against
-        return (False, ["a MAYBE certificate gives no joins"]) if cert.joins else (True, [])
+    if cert.verdict == "MAYBE":  # it states its verdict and reason only
+        return not cert.parts, [f"a MAYBE certificate gives no {part}" for part in cert.parts]
     if cert.verdict != "YES":
         return False, [f"unknown verdict {cert.verdict!r}"]
     if cert.reason:

@@ -31,6 +31,7 @@ from .rewriting import (
 )
 from .critical_pairs import cp_in
 from .criteria import CriterionReport, Partition, check_criterion
+from .reversibility import reversals
 from .run import DEFAULT_DEPTH, Run, TimedOut
 
 COMPLETION_CRITERIA = ("pcp", "linear", "huet")
@@ -84,11 +85,12 @@ class CompletionResult:
         return self.state.history if self.state is not None else ()
 
 
-def decompose(q: Trs, rev_bound: int = DEFAULT_DEPTH, *, check=None) -> list:
+def decompose(q: Trs, run: Run | None = None) -> list:
     """Candidate (S, P) splits of q: the largest reversible P whose rules
     either have their reversal in q or keep root and function symbols, plus
-    the trivial split with empty P.  `check(layer)`, if given, is called
-    before each term the pruning rounds expand."""
+    the trivial split with empty P; the pruning rounds read the run's
+    reversal searches (`reversibility.reversals`)."""
+    run = run or Run()
     cand = []
     for r in q:
         if not r.is_bidirectional():
@@ -101,9 +103,8 @@ def decompose(q: Trs, rev_bound: int = DEFAULT_DEPTH, *, check=None) -> list:
             cand.append(r)
     # prune until every candidate rule is undone inside the candidate set
     while cand:
-        p = Trs(cand)
-        keep = [r for r in cand
-                if reach_bounded(r.rhs, r.lhs, p, rev_bound, check=check) is not None]
+        found = reversals(Trs(cand), run.rev_bound, run)
+        keep = [r for r, steps in zip(cand, found) if steps is not None]
         if len(keep) == len(cand):
             break
         cand = keep
@@ -297,7 +298,7 @@ def successors(state: SearchState, report: CriterionReport, run: Run) -> list:
         run.check("completion")
         if q2.key() == q_key:
             continue
-        for s2, p2 in decompose(q2, run.rev_bound, check=run.check):
+        for s2, p2 in decompose(q2, run):
             k = (s2.key(), p2.key())
             if k not in seen:
                 seen.add(k)
@@ -314,7 +315,8 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
     """Breadth-first completion over (S, P) splits.  A split answers YES at
     the first of the criteria that holds on it; otherwise it is expanded from
     the failures of the first criterion that failed on pairs, at a cost of
-    one expansion per such criterion, if that keeps within max_steps.
+    one expansion per such criterion, if that keeps within max_steps; a later
+    criterion stops at its first unjoined pair, as only the first's are read.
     Returns YES with the successful report and state, or MAYBE with the last
     reason."""
     run = Run(depth, rev_bound, hook, timeout, named=_rule_names(trs))
@@ -330,7 +332,7 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
     explored = 0
     last_reason = "no applicable partition"
     try:
-        for s0, p0 in decompose(trs, rev_bound, check=run.check):
+        for s0, p0 in decompose(trs, run):
             enqueue(SearchState(s0, p0))
         while queue:
             run.check("completion")
@@ -338,7 +340,7 @@ def check_confluence(trs: Trs, criteria=COMPLETION_CRITERIA,
             pt = Partition(state.s, state.p)  # decompose only makes bidirectional P
             failed = []
             for crit in criteria:
-                rep = check_criterion(crit, pt, run=run)
+                rep = check_criterion(crit, pt, run=run, first_only=bool(failed))
                 if rep.holds():
                     return CompletionResult(
                         "YES", f"criterion {rep.tag} holds after {len(state.history)} "

@@ -220,7 +220,7 @@ class Partition:
 
     def reversibility(self, run: Run) -> ReversibilityWitness | None:
         return self._once(("rev", run.rev_bound),
-                          lambda: is_reversible(self.p, bound=run.rev_bound, check=run.check))
+                          lambda: is_reversible(self.p, bound=run.rev_bound, run=run))
 
     def pp_safe(self, run: Run) -> Trs:
         """The subset of P ∪ P⁻¹ relative to which S can be shown
@@ -440,11 +440,6 @@ def _tag(name: str, pt: Partition) -> str:
     return f"{name}(P'=[{names}])"
 
 
-def _base_report(name: str, pt: Partition) -> CriterionReport:
-    return CriterionReport(criterion=name, tag=_tag(name, pt), outcome="fails",
-                           s=pt.s, p=pt.p)
-
-
 def _check_preconditions(rep: CriterionReport, pt: Partition, linearity, relative_to: str,
                          run: Run) -> bool:
     """Fill in reversibility/termination facts; False if a precondition fails."""
@@ -499,15 +494,18 @@ def _finish(rep: CriterionReport, pt: Partition, relative_to: str, run: Run) -> 
     return rep
 
 
-def check_criterion(name: str, pt: Partition, run: Run | None = None) -> CriterionReport:
+def check_criterion(name: str, pt: Partition, run: Run | None = None, *,
+                    first_only: bool = False) -> CriterionReport:
     """Check criterion `name` on the partition: P must be shown reversible
     within run.rev_bound steps, and each critical pair joined within
-    run.depth.  Without a run, a default Run() with no deadline is used."""
+    run.depth.  Without a run, a default Run() with no deadline is used.
+    first_only stops the scan at the first pair it does not join: the
+    outcome is the full scan's, but with that one failing pair."""
     if name not in CRITERION_TABLE:
         raise ValueError(f"unknown criterion {name!r}; expected one of {CRITERIA}")
     run = run or Run()
     linearity, relative_to, conditions = CRITERION_TABLE[name]
-    rep = _base_report(name, pt)
+    rep = CriterionReport(criterion=name, tag=_tag(name, pt), outcome="fails", s=pt.s, p=pt.p)
     if not _check_preconditions(rep, pt, linearity, relative_to, run):
         return rep
     sr = _Searcher(pt, run)
@@ -525,6 +523,9 @@ def check_criterion(name: str, pt: Partition, run: Run | None = None) -> Criteri
             ev = sr.join(cond, branches, pair)
             if ev is None:
                 rep.failing.append(FailingPair(pair, origin))
+                if first_only:
+                    rep.reason = "at least 1 critical pair(s) not joined within the bound"
+                    return rep
             else:
                 rep.evidence.append(ev)
     return _finish(rep, pt, relative_to, run)

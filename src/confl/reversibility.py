@@ -1,12 +1,13 @@
 """Reversibility of a rule system: every step can be undone by the system
 itself.  It suffices that for each rule l -> r the system rewrites r back to
-l; searched breadth-first up to a step bound (default 10)."""
+l; searched breadth-first up to a step bound (default 10), once per run."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .rewriting import Trs, reach_bounded, replay_named
+from .run import Run
 
 
 @dataclass(frozen=True)
@@ -22,22 +23,30 @@ class ReversibilityWitness:
         raise KeyError(name)
 
 
-def is_reversible(p_trs: Trs, bound: int = 10, *, check=None) -> ReversibilityWitness | None:
-    """A witness that p_trs is reversible, or None if none found in bound.
+def reversals(p_trs: Trs, bound: int, run: Run) -> tuple:
+    """Per rule of p_trs, its steps from rhs back to lhs within bound, or
+    None.  Searched under `run.check` once per run for each P and bound, P's
+    rules in order (the order fixes the breadth-first search), and kept in
+    the run's reversal memo for `decompose` and every witness."""
+    key = (p_trs.rules, bound)
+    found = run.reversals.get(key)
+    if found is None:
+        found = run.reversals[key] = tuple(
+            reach_bounded(rule.rhs, rule.lhs, p_trs, bound, check=run.check)
+            for rule in p_trs)
+    return found
 
-    Being bidirectional (flippable rules) is necessary, so that is checked
-    first as a fast filter.  `check(layer)`, if given, is called before each
-    term the search expands.
-    """
-    if not p_trs.bidirectional():
+
+def is_reversible(p_trs: Trs, bound: int = 10, *, run: Run | None = None):
+    """A witness that p_trs is reversible, or None if none found in bound,
+    from the run's `reversals` (a fresh Run's without one).  A rule that is
+    not bidirectional is never undone, as its rhs is a variable or lacks one
+    of its lhs."""
+    found = reversals(p_trs, bound, run or Run())
+    if any(steps is None for steps in found):
         return None
-    sequences = []
-    for rule in p_trs:
-        steps = reach_bounded(rule.rhs, rule.lhs, p_trs, bound, check=check)
-        if steps is None:
-            return None
-        sequences.append((rule.name, tuple(steps)))
-    return ReversibilityWitness(bound, tuple(sequences))
+    return ReversibilityWitness(bound, tuple(
+        (rule.name, tuple(steps)) for rule, steps in zip(p_trs, found)))
 
 
 def reversal_problems(p_trs: Trs, sequences) -> list[str]:

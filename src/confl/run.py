@@ -1,10 +1,11 @@
 """The settings and state of one confluence check.  `check_confluence` builds
 one Run and passes it down, so nothing a check learns outlives it: the
 termination memo; the interpretation searches it settled, which later
-searches resume from; and the pair memo, which holds the critical pairs of
-each rule pair once for every split and successor of the run.  Searches
-that can grow without bound call `check`, which raises TimedOut once the
-deadline has passed; `check_confluence` then answers MAYBE."""
+searches resume from; the pair memo, which holds the critical pairs of each
+rule pair once for every split and successor of the run; and the reversal
+memo, each P's reversal searches.  Searches that can grow without bound call
+`check`, which raises TimedOut once the deadline has passed;
+`check_confluence` then answers MAYBE."""
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,6 +43,9 @@ class Run:
     # without a run fill a fresh Run's; a block cut off by the deadline
     # stores nothing
     pairs: dict = field(default_factory=dict, repr=False)
+    # (P's rules in order, bound) -> reversibility.reversals' answer; a
+    # search cut off by the deadline stores nothing
+    reversals: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.deadline = math.inf if self.timeout is None else time.monotonic() + self.timeout

@@ -382,6 +382,18 @@ def test_maybe_certificate_with_a_join_rejected():
     assert verify_certificate(text) == (False, ["a MAYBE certificate gives no joins"])
 
 
+def test_maybe_certificate_with_the_lines_of_a_proof_rejected():
+    # a MAYBE states its verdict and reason only: the verifier reads none of
+    # a proof's lines under it, so each part it gives is an error
+    text = "\n".join(["BEGIN CERTIFICATE", f"format {FORMAT}", "verdict MAYBE", "reason x",
+                      "criterion pcp", "section input", "rule r: f(?v1) -> ?v1",
+                      "section partition", "final-s nosuch", "final-p r",
+                      "section termination", 'relterm lpo ["f"]', "END CERTIFICATE"]) + "\n"
+    assert verify_certificate(text) == (False, [
+        f"a MAYBE certificate gives no {part}"
+        for part in ("criterion", "input", "partition", "termination")])
+
+
 def test_reason_in_a_yes_certificate_rejected(cert_r3):
     bad = mutate(cert_r3, "verdict ", lambda ln: f"{ln}\nreason trust me")
     assert rejected(bad, R3) == ["a YES certificate gives no reason"]

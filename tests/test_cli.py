@@ -1,5 +1,6 @@
 """End-to-end runs of the command line front end."""
 import io
+import os
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from confl.certificate import verify_certificate
 from confl.cli import main
 from confl.trs_format import parse_trs, print_trs
 
-from systems import R3
+from systems import CHAIN4, FORK, R2, R3
 
 MAYBE_SOURCE = "(RULES\n  f -> a\n  f -> b\n)\n"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -82,6 +83,27 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "YES"
+
+
+def test_answers_do_not_depend_on_the_hash_seed(tmp_path):
+    """A run's output and certificate are the same in every process: nothing
+    the prover decides may follow the per-process order of str hashes.  Each
+    system is decided by the CLI under two hash seeds, all six at once."""
+    procs = {}
+    for name, trs in (("chain4", CHAIN4), ("fork", FORK), ("R2", R2)):
+        path = write_system(tmp_path, trs, f"{name}.trs")
+        for seed in ("1", "2"):
+            cert = tmp_path / f"{name}-{seed}.cert"
+            procs[name, seed] = cert, subprocess.Popen(
+                [sys.executable, "-m", "confl.cli", str(path), "--certificate", str(cert)],
+                stdout=subprocess.PIPE, text=True, env={**os.environ, "PYTHONHASHSEED": seed})
+    got = {}
+    for key, (cert, proc) in procs.items():
+        out, _ = proc.communicate(timeout=60)
+        got[key] = (out, proc.returncode, cert.read_bytes())
+    for name, verdict in (("chain4", "MAYBE"), ("fork", "MAYBE"), ("R2", "YES")):
+        assert got[name, "1"] == got[name, "2"], name
+        assert got[name, "1"][0].splitlines()[0] == verdict, name
 
 
 def test_timeout_holds_inside_a_state(tmp_path):

@@ -26,7 +26,9 @@ from helpers import replay_steps
 from systems import (
     ADD3,
     ADD4,
+    CHAIN3,
     CHAIN4,
+    FORK,
     SWAP,
     A,
     P5,
@@ -82,7 +84,7 @@ def test_decompose_prunes_oriented_leftovers():
 def test_decompose_keeps_the_deadline():
     # the pruning rounds' reach searches call the check before each term
     with pytest.raises(TimedOut, match="rewriting"):
-        decompose(R6, check=Run(timeout=0).check)
+        decompose(R6, Run(timeout=0))
     # a deadline passed while splitting the input still answers MAYBE
     got = check_confluence(R6, timeout=0)
     assert (got.verdict, got.reason) == ("MAYBE", "timed out in rewriting after 0 expansion(s)")
@@ -303,6 +305,43 @@ def test_each_failing_criterion_counts_one_expansion(monkeypatch):
     # a split is expanded only while its failing criteria fit the budget
     for max_steps in range(6):
         assert check_confluence(SWAP, max_steps=max_steps).explored <= max_steps
+
+
+CUT_INPUTS = {"R2": R2, "chain3": CHAIN3, "chain4": CHAIN4, "swap": SWAP, "fork": FORK}
+
+
+@pytest.mark.parametrize("name", CUT_INPUTS)
+def test_a_scan_cut_at_its_first_unjoined_pair_decides_as_the_full_scan(name, monkeypatch):
+    """A criterion checked after one failed on pairs stops at its first
+    unjoined pair.  On every split the run checks, under every criterion, the
+    cut scan agrees with the full one: it holds with the same joins, or fails
+    with the full scan's first failing pair, or fails with no pair for the
+    same reason."""
+    checked, check = {}, completion.check_criterion
+
+    def recording(crit, pt, run=None, **kwargs):
+        checked.setdefault((pt.s.rules, pt.p.rules), (pt.s, pt.p))
+        return check(crit, pt, run, **kwargs)
+
+    monkeypatch.setattr(completion, "check_criterion", recording)
+    check_confluence(CUT_INPUTS[name])
+    cut_short = 0
+    for s_trs, p_trs in checked.values():
+        run = Run()
+        for crit in COMPLETION_CRITERIA:
+            full = check_criterion(crit, Partition(s_trs, p_trs), run)
+            cut = check_criterion(crit, Partition(s_trs, p_trs), run, first_only=True)
+            assert cut.holds() == full.holds()
+            assert bool(cut.failing) == bool(full.failing)
+            if full.failing:
+                first, got = full.failing[0], cut.failing
+                assert [(f.origin, f.pair.key()) for f in got] == \
+                    [(first.origin, first.pair.key())]
+                assert cut.reason == "at least 1 critical pair(s) not joined within the bound"
+                cut_short += len(full.failing) > 1
+            else:
+                assert (cut.reason, cut.evidence) == (full.reason, full.evidence)
+    assert cut_short
 
 
 def test_budget_exhaustion_returns_maybe():

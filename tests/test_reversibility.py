@@ -1,13 +1,15 @@
 """Reversibility witnesses: found where expected, replayable, honest."""
 import pytest
 
+from confl import completion, reversibility
+from confl.completion import check_confluence
 from confl.criteria import Partition
 from confl.reversibility import ReversibilityWitness, is_reversible
 from confl.rewriting import Rule, Trs
 from confl.run import Run, TimedOut
 
 from helpers import replay_reversibility
-from systems import A, C, P5, P_CA, S2, S3, SS1, SS2, g1, h1, plus, s, x, y, z
+from systems import CHAIN4, A, C, P5, P_CA, S2, S3, SS1, SS2, g1, h1, plus, s, x, y, z
 
 
 def test_assoc_comm_is_reversible():
@@ -72,3 +74,39 @@ def test_reversibility_keeps_the_deadline():
         split.reversibility(Run(timeout=-1))
     # the cut-off search stored nothing
     assert split.reversibility(Run()) == is_reversible(P_CA)
+
+
+def test_a_run_searches_each_reversal_once(monkeypatch):
+    """chain4's run decomposes many systems and checks many splits, each
+    asking whether its P is reversible.  Each P, as its rules stand in order,
+    is searched once per bound: one reach search per rule, wherever the run
+    asks, in `decompose`'s pruning rounds or for a criterion's witness."""
+    searches = []
+
+    def recording(module):
+        reach = module.reach_bounded
+
+        def call(start, goal, trs, depth, *args, **kwargs):
+            if any((r.rhs, r.lhs) == (start, goal) for r in trs):  # a reversal
+                searches.append((trs.rules, depth, start, goal))
+            return reach(start, goal, trs, depth, *args, **kwargs)
+        return call
+
+    decomposed, decompose = [], completion.decompose
+
+    def counted(q, *args, **kwargs):
+        decomposed.append(q)
+        return decompose(q, *args, **kwargs)
+
+    for module in (completion, reversibility):
+        monkeypatch.setattr(module, "reach_bounded", recording(module))
+    monkeypatch.setattr(completion, "decompose", counted)
+    assert check_confluence(CHAIN4).verdict == "MAYBE"
+    per_p = {}
+    for rules, depth, start, goal in searches:
+        per_p.setdefault((rules, depth), []).append((start, goal))
+    # 56 systems decomposed, and all their P the same commutativity and
+    # associativity, searched once
+    assert len(decomposed) > 50 and len(per_p) == 1
+    for (rules, _), asked in per_p.items():
+        assert asked == [(r.rhs, r.lhs) for r in rules]

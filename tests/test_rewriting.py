@@ -23,7 +23,8 @@ from confl.terms import (App, Var, all_parallel, apply, fun_subterms, match_term
                          shape_key, subterm_at, var_ids)
 
 from helpers import replay_steps
-from systems import ADD1, ADD2, ADD3, ADD4, CHAIN3, A, C, P_CA, R2, R3, S2, S3, plus, s, x, y, z, zero
+from systems import (ADD1, ADD2, ADD3, ADD4, CHAIN3, CHAIN4, A, C, P_CA, R2, R3, S2, S3, plus, s,
+                     x, y, z, zero)
 
 
 def num(n):
@@ -282,9 +283,11 @@ def scanned_reducts(t, trs):
 @pytest.fixture(scope="module")
 def searched():
     """Per system, the (term, rules) of every reach-set term and of every
-    normalize_steps call in a completion run of it."""
+    normalize_steps call in a completion run of it, which must answer its
+    verdict."""
     out = {}
-    for name, trs in (("R2", R2), ("chain3", CHAIN3)):
+    for name, trs, verdict in (("R2", R2, "YES"), ("chain3", CHAIN3, "YES"),
+                               ("chain4", CHAIN4, "MAYBE")):
         reached, normalized = set(), set()
 
         def recording_reach(t, rules, depth, cap=4000, **kwargs):
@@ -300,12 +303,14 @@ def searched():
             mp.setattr(criteria, "reach_set_bounded", recording_reach)
             mp.setattr(criteria, "normalize_steps", recording_normalize)
             mp.setattr(completion, "normalize_steps", recording_normalize)
-            assert check_confluence(trs).verdict == "YES"
+            assert check_confluence(trs).verdict == verdict
         out[name] = (reached, normalized)
     return out
 
 
-@pytest.mark.parametrize("name", ["R2", "chain3"])
+# chain3's run, whose later criteria stop at their first unjoined pair,
+# reaches 129 terms; chain4's reaches 295
+@pytest.mark.parametrize("name", ["R2", "chain4"])
 def test_reducts_walk_lists_the_steps_of_the_scan(name, searched):
     reached, _ = searched[name]
     assert len(reached) >= 200

@@ -211,7 +211,7 @@ def ref_successors(state, report, run):
     for q2, hist in new_systems:
         if q2.key() == state.system().key():
             continue
-        for s2, p2 in decompose(q2, run.rev_bound):
+        for s2, p2 in decompose(q2, run):
             k = (s2.key(), p2.key())
             if k not in seen:
                 seen.add(k)

@@ -258,7 +258,7 @@ def positions_dependency_pairs(s_trs):
 
 @pytest.mark.parametrize("trs", ALL_SYSTEMS, ids=[f"R{i}" for i in range(1, 9)])
 def test_dependency_pairs_keep_their_names_and_order(trs):
-    for s_trs, _ in decompose(trs, 10):
+    for s_trs, _ in decompose(trs):
         got = [(d.name, d.lhs, d.rhs) for d in dependency_pairs(s_trs)]
         assert got == [(d.name, d.lhs, d.rhs) for d in positions_dependency_pairs(s_trs)]
 
