@@ -1,12 +1,17 @@
 """Rewrite rules, rule systems, single/parallel steps and bounded searches.
 
-`_contract` is the one place a rule is applied: it matches the rule's left
-side against a subterm and instantiates the right side.  Steps and
-normalization call it directly; reducts, reach sets and parallel steps go
+`_contract` is the trusted application of a rule: it matches the rule's
+left side against a subterm (`match_term`) and instantiates the right side
+(`apply`).  Steps, normalization and `replay`, and so all of certificate
+verification, call it directly; reducts, reach sets and parallel steps go
 through `_contracta`, every rule at the root of one subterm, which looks the
 subterm up in a table first.  A caller that passes one table to every call
 over one system, as the join search does per join, matches each (rule,
-subterm) once however many terms hold the subterm.  Steps are plain records
+subterm) once however many terms hold the subterm.  The prover's join search
+passes `Contractions` tables, which contract by contractors instead: per
+rule key, straight-line code compiled once per run (`compile_contractor`),
+its fast path, which must agree with `_contract` on every term; a rule past
+`COMPILE_NODES` nodes keeps `_contract`.  Steps are plain records
 built from a match (by `step_at` and `parallel_step`).  A step is checked
 when it is replayed, by `replay`, the one routine that re-applies
 (position, rule) moves and returns the steps it takes; `replay_named`, which
@@ -21,7 +26,8 @@ term it expands, and keeps one cap rule (see there); a goal search is the
 walk run to its end, which stops at the first term it wants.
 `normalize_steps` is the one normalizer.
 Nothing here recurses: `parallel_step` keeps an explicit stack, the
-normalizer runs on `unrecurse`.
+normalizer runs on `unrecurse`, and a contractor is flat code, one statement
+per node, generated by a loop.
 """
 
 from __future__ import annotations
@@ -30,8 +36,9 @@ import math
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
+from types import CodeType, FunctionType
 
 from .terms import (
     App,
@@ -243,21 +250,156 @@ def _contract(rule: Rule, sub: Term) -> Term | None:
 def _contracta(sub: App, trs: Trs, table: dict) -> tuple:
     """(rule, contractum) for every rule of trs that rewrites sub at its root,
     in rule order.  `table` maps subterms to these tuples for this one trs;
-    most are empty, and () is one shared object.  A subterm whose root symbol
-    is no left side's root is not looked up: in the join search most
-    subterms are such, and looking them up cost more than it saved."""
+    most are empty, and () is one shared object.  A plain dict table
+    contracts by `_contract`, a `Contractions` table by the contractors it
+    carries.  A subterm whose root symbol is no left side's root is not
+    looked up: in the join search most subterms are such, and looking them
+    up cost more than it saved."""
     if sub.fn not in trs.roots:
         return ()
     out = table.get(sub)
     if out is None:
         out = ()
-        for rule in trs:
-            if rule.lhs.fn == sub.fn:
-                c = _contract(rule, sub)
+        if table.__class__ is Contractions:
+            for rule, contract in table.rules[sub.fn]:
+                c = contract(sub)
                 if c is not None:
                     out += ((rule, c),)
+        else:
+            for rule in trs:
+                if rule.lhs.fn == sub.fn:
+                    c = _contract(rule, sub)
+                    if c is not None:
+                        out += ((rule, c),)
         table[sub] = out
     return out
+
+
+# --- contractors --------------------------------------------------------------
+
+# A rule whose two sides hold more nodes than this keeps `_contract`.  On
+# s^n(x) -> s^(n-1)(x), compiling costs about 40 µs per node and saves under
+# 1 µs per node and contraction, so only a rule contracted some 50 times
+# earns its compile back, and a deep rule is contracted a few times.
+COMPILE_NODES = 64
+
+
+class Contractions(dict):
+    """A root-contractum table (see `_contracta`) that contracts by given
+    contractors: `rules` maps each left side's root symbol to the (rule,
+    contractor) pairs of the table's trs with that root, in rule order, as
+    `root_contractors` makes them."""
+
+    __slots__ = ("rules",)
+
+    def __init__(self, rules: dict):
+        super().__init__()
+        self.rules = rules
+
+
+def root_contractors(trs: Trs, memo: dict) -> dict:
+    """Root symbol -> ((rule, contractor), ...) of trs in rule order, for a
+    `Contractions` table.  Each contractor is taken from memo (a run's
+    `contractors`: rule key -> contractor, generated source -> code), or made
+    and stored there at its first request."""
+    out: dict = {}
+    for rule in trs:
+        key = rule.key()
+        contract = memo.get(key)
+        if contract is None:
+            small = _nodes_within(rule, COMPILE_NODES)
+            contract = memo[key] = (compile_contractor(rule, memo) if small
+                                    else partial(_contract, rule))
+        out[rule.lhs.fn] = out.get(rule.lhs.fn, ()) + ((rule, contract),)
+    return out
+
+
+def _nodes_within(rule: Rule, n: int) -> bool:
+    """The rule's two sides hold at most n nodes; walks at most n + 1."""
+    stack = [rule.lhs, rule.rhs]
+    while stack:
+        n -= 1
+        if n < 0:
+            return False
+        u = stack.pop()
+        if u.__class__ is App:
+            stack += u.args
+    return True
+
+
+def compile_contractor(rule: Rule, codes: dict):
+    """The contractor of rule: a function of one term that returns what
+    `_contract(rule, term)` does, compiled from straight-line code, and so
+    the same for every rule of rule's key.  The code tests the left side's
+    symbols and arities breadth-first, then the equal copies of each repeated
+    variable, and builds the right side bottom-up, a ground subterm of it
+    being the rule's own.  It is one flat statement per node; symbols and
+    ground terms are globals of the function, never text of its source, so
+    rules of one shape share their source, which `codes` (source -> code)
+    compiles once."""
+    glob = {"App": App, "len": len}
+    names: dict = {}  # symbol, or id of a ground term -> its global's name
+
+    def global_name(key, value) -> str:
+        name = names.get(key)
+        if name is None:
+            name = names[key] = f"g{len(names)}"
+            glob[name] = value
+        return name
+
+    lines = ["def contract(t0):"]
+    bound: dict = {}  # variable id -> the local holding its match
+    repeats = []
+    todo, n = deque([(rule.lhs, "t0")]), 1
+    while todo:
+        p, local = todo.popleft()
+        if p.__class__ is Var:
+            if p.id in bound:
+                repeats.append(f"    if {local} != {bound[p.id]}: return None")
+            else:
+                bound[p.id] = local
+            continue
+        arity = len(p.args)
+        shape = f"len({local}.args) != {arity}" if arity else f"{local}.args"
+        lines.append(f"    if {local}.__class__ is not App or {local}.fn != "
+                     f"{global_name(p.fn, p.fn)} or {shape}: return None")
+        if arity:
+            subs = [f"t{n + i}" for i in range(arity)]
+            n += arity
+            lines.append(f"    {', '.join(subs)}, = {local}.args")
+            todo.extend(zip(p.args, subs))
+    lines += repeats
+    # the right side bottom-up: the local of each node built, None for a
+    # ground node, which is the rule's own and a global where it is used
+    built: dict = {}  # id of a right-side node -> its local, or None
+
+    def arg(u) -> str:
+        return built[id(u)] or global_name(id(u), u)
+
+    preorder, stack = [], [rule.rhs]
+    while stack:
+        u = stack.pop()
+        preorder.append(u)
+        if u.__class__ is App:
+            stack += u.args
+    for u in reversed(preorder):  # each node after its arguments
+        if id(u) in built:
+            continue
+        if u.__class__ is Var:
+            built[id(u)] = bound[u.id]
+        elif all(built[id(a)] is None for a in u.args):
+            built[id(u)] = None
+        else:
+            local = built[id(u)] = f"r{len(built)}"
+            args = "".join(f"{arg(a)}, " for a in u.args)
+            lines.append(f"    {local} = App({global_name(u.fn, u.fn)}, ({args}))")
+    lines.append(f"    return {arg(rule.rhs)}")
+    source = "\n".join(lines)
+    code = codes.get(source)
+    if code is None:  # the function's code, so that glob does not hold the function
+        module = compile(source, "<contractor>", "exec")
+        code = codes[source] = next(c for c in module.co_consts if c.__class__ is CodeType)
+    return FunctionType(code, glob)
 
 
 def replay(t: Term, moves) -> tuple[Step, ...]:

@@ -2,10 +2,11 @@
 one Run and passes it down, so nothing a check learns outlives it: the
 termination memo; the interpretation searches it settled, which later
 searches resume from; the pair memo, which holds the critical pairs of each
-rule pair once for every split and successor of the run; and the reversal
-memo, each P's reversal searches.  Searches that can grow without bound call
-`check`, which raises TimedOut once the deadline has passed;
-`check_confluence` then answers MAYBE."""
+rule pair once for every split and successor of the run; the reversal memo,
+each P's reversal searches; and the contractor memo, each rule key's
+contraction compiled once for the join search.  Searches that can grow
+without bound call `check`, which raises TimedOut once the deadline has
+passed; `check_confluence` then answers MAYBE."""
 import math
 import time
 from dataclasses import dataclass, field
@@ -46,6 +47,10 @@ class Run:
     # (P's rules in order, bound) -> reversibility.reversals' answer; a
     # search cut off by the deadline stores nothing
     reversals: dict = field(default_factory=dict, repr=False)
+    # rule key -> its contractor, which the join search contracts by, and
+    # generated source -> its compiled code (rewriting.root_contractors); only
+    # looked up, never iterated
+    contractors: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.deadline = math.inf if self.timeout is None else time.monotonic() + self.timeout

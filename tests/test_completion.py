@@ -2,7 +2,7 @@
 side conditions."""
 import pytest
 
-from confl import completion, termination
+from confl import completion, rewriting, termination
 from confl.certificate import certificate_text, verify_certificate
 from confl.completion import (
     COMPLETION_CRITERIA,
@@ -226,17 +226,21 @@ def test_r8_completes():
     replay_history(result, R8)
 
 
-def test_a_400_deep_left_side_is_confluent_and_verifies():
+def test_a_400_deep_left_side_is_confluent_and_verifies(monkeypatch):
     # its join search and certificate hold terms 400 deep, more than the
-    # interpreter's recursion limit allows a recursive walker
+    # interpreter's recursion limit allows a recursive walker; the rule is
+    # past rewriting.COMPILE_NODES, so its join search compiles nothing
     lhs = "x"
     for _ in range(400):
         lhs = f"s({lhs})"
     trs = parse_trs(f"(VAR x)\n(RULES\n  {lhs} -> x\n)\n")
+    compiled = []
+    monkeypatch.setattr(rewriting, "compile_contractor", lambda *args: compiled.append(args))
     result = check_confluence(trs)
     assert result.verdict == "YES"
     ok, problems = verify_certificate(certificate_text(trs, result), trs)
     assert ok, problems
+    assert compiled == []
 
 
 def test_a_5000_deep_rule_is_confluent_and_verifies():

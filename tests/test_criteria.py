@@ -494,9 +494,10 @@ def test_a_join_matches_each_rule_and_subterm_once_per_system(case, monkeypatch)
     """Within one join, a system matches a rule against equal subterms once:
     its root-contractum table holds what the first match found.  R2's final
     partition joins by outer S-steps, SP-reach sets and parallel PP steps
-    (pcp), as does R6's pcp check.  Every match of the join search is made in
-    `rewriting._contracta`, which names the system; the reach sets are built
-    as the scan reads them, after the call that makes them has returned."""
+    (pcp), as does R6's pcp check.  Every match of the join search is a call
+    of a rule's contractor, made in `rewriting._contracta`, which names the
+    system; the reach sets are built as the scan reads them, after the call
+    that makes them has returned."""
     if case == "R2 final":
         rep = decided(R2).report
         name, pt = rep.criterion, Partition(rep.s, rep.p)
@@ -519,18 +520,23 @@ def test_a_join_matches_each_rule_and_subterm_once_per_system(case, monkeypatch)
         finally:
             systems.pop()
 
-    def recording_match(pattern, subject):
-        if in_join[0] and systems:
-            key = (joins[0], id(systems[-1]), id(pattern), subject)
-            if key in seen:
-                repeats.append(key)
-            seen.add(key)
-        return match_term(pattern, subject)
+    def recording_compile(rule, codes):
+        contract = compile_contractor(rule, codes)
 
-    searcher_join, contracta, match_term = _Searcher.join, rewriting._contracta, rewriting.match_term
+        def recording_contract(subject):
+            if in_join[0] and systems:
+                key = (joins[0], id(systems[-1]), rule.key(), subject)
+                if key in seen:
+                    repeats.append(key)
+                seen.add(key)
+            return contract(subject)
+        return recording_contract
+
+    searcher_join, contracta = _Searcher.join, rewriting._contracta
+    compile_contractor = rewriting.compile_contractor
     monkeypatch.setattr(_Searcher, "join", counting_join)
     monkeypatch.setattr(rewriting, "_contracta", naming_contracta)
-    monkeypatch.setattr(rewriting, "match_term", recording_match)
+    monkeypatch.setattr(rewriting, "compile_contractor", recording_compile)
     assert check_criterion(name, pt).holds()
     assert joins[0] > 20 and len(seen) > 300
     assert not repeats, f"{len(repeats)} repeated matches, the first in join {repeats[0][0]}"

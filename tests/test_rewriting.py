@@ -1,16 +1,21 @@
 """Rules, rewrite steps, parallel steps and bounded searches."""
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confl import completion, criteria, rewriting
+from confl.certificate import certificate_text, verify_certificate
 from confl.completion import check_confluence
 from confl.rewriting import (
+    Contractions,
     FuelExhausted,
     Rule,
     Step,
     Trs,
+    compile_contractor,
     normalize_steps,
     parallel_step,
     reach_bounded,
@@ -19,12 +24,12 @@ from confl.rewriting import (
     replay,
     step_at,
 )
-from confl.terms import (App, Var, all_parallel, apply, fun_subterms, match_term, replace_parallel,
-                         shape_key, subterm_at, var_ids)
+from confl.terms import (App, Var, all_parallel, apply, fun_subterms, match_term, replace_at,
+                         replace_parallel, shape_key, subterm_at, term_vars, var_ids)
 
 from helpers import replay_steps
-from systems import (ADD1, ADD2, ADD3, ADD4, CHAIN3, CHAIN4, A, C, P_CA, R2, R3, S2, S3, plus, s,
-                     x, y, z, zero)
+from systems import (ADD1, ADD2, ADD3, ADD4, CHAIN3, CHAIN4, A, C, P_CA, R2, R3, S2, S3, decided,
+                     plus, s, x, y, z, zero)
 
 
 def num(n):
@@ -535,3 +540,152 @@ def test_rule_linearity_is_computed_once_and_invisible(monkeypatch):
     # the stored linearity changes neither equality nor hashing
     assert all(hash(r) == h for r, h in before.items())
     assert comm == C and Rule(dup.lhs, dup.rhs, "dup") == dup
+
+
+# --- contractors ----------------------------------------------------------------
+
+_LEAVES = [Var(1, "x"), Var(2, "y"), Var(3, "z"), App("a", ()), App("b", ())]
+
+
+def _terms(leaves):
+    """Terms over the symbols f/2, g/1, h/3 and the given leaves."""
+    return st.recursive(st.sampled_from(leaves), lambda inner: st.one_of(
+        st.builds(lambda u: App("g", (u,)), inner),
+        st.builds(lambda u, v: App("f", (u, v)), inner, inner),
+        st.builds(lambda u, v, w: App("h", (u, v, w)), inner, inner, inner)), max_leaves=7)
+
+
+def _near_misses(lhs, t):
+    """Terms that differ from t, an instance of lhs, where lhs has a symbol
+    (another symbol, one argument more or less, a variable), and, per
+    repeated variable of lhs, t with one copy of it made unequal."""
+    out = []
+    for p, sub in fun_subterms(lhs):
+        u = subterm_at(t, p)
+        variants = [App(u.fn + "'", u.args), App(u.fn, u.args + (App("a", ()),)), Var(13, "w")]
+        if u.args:
+            variants.append(App(u.fn, u.args[:-1]))
+        out += [replace_at(t, p, v) for v in variants]
+    occurrences = {}
+    for p, sub in _positions(lhs):
+        if sub.__class__ is Var:
+            occurrences.setdefault(sub.id, []).append(p)
+    for ps in occurrences.values():
+        for p in ps[1:]:
+            out.append(replace_at(t, p, App("g", (subterm_at(t, p),))))
+    return out
+
+
+def _positions(t):
+    """(position, subterm) for every subterm of t, variables included."""
+    stack, out = [((), t)], []
+    while stack:
+        p, u = stack.pop()
+        out.append((p, u))
+        if u.__class__ is App:
+            stack += [((*p, i), a) for i, a in enumerate(u.args, start=1)]
+    return out
+
+
+def assert_contractor_agrees(rule, subjects):
+    contract = compile_contractor(rule, {})
+    variant = compile_contractor(rule.rename_apart(), {})  # one contractor serves a key
+    for t in subjects:
+        want = rewriting._contract(rule, t)
+        assert contract(t) == want and variant(t) == want, (rule, t)
+
+
+_TERMS = _terms(_LEAVES)
+_VALUES = _terms([App("a", ()), App("b", ()), Var(11, "u"), Var(12, "v")])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_TERMS.filter(lambda t: t.__class__ is App), _TERMS,
+       st.lists(_VALUES, min_size=3, max_size=3), _TERMS)
+def test_a_contractor_agrees_with_match_and_apply(lhs, rhs, values, other):
+    # the right side's variables that the left side lacks become a constant
+    held = var_ids(lhs)
+    rule = Rule(lhs, apply({v.id: App("b", ()) for v in _LEAVES[:3] if v.id not in held}, rhs))
+    t = apply({v.id: value for v, value in zip(_LEAVES, values)}, lhs)
+    # a copy whose equal subterms are other objects, so a repeated variable's
+    # copies are compared by structure, not identity
+    assert_contractor_agrees(rule, [t, apply({}, t), *_near_misses(lhs, t), other])
+
+
+def test_a_contractors_source_holds_no_symbol_text(monkeypatch):
+    sources = []
+
+    def recording_compile(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(rewriting, "compile", recording_compile, raising=False)
+    quote, dquote, backslash, newline, call = ("q'", 'q"', "q\\", "q\nr", "__import__('os')")
+    u = App(newline, ())
+    rules = [
+        Rule(App(quote, (x, App(backslash, ()))), App(call, (x, App(dquote, (u,))))),
+        Rule(App(call, (x, x)), App(quote, (App(backslash, ()), x))),
+        Rule(App(dquote, (App(newline, ()),)), App("App", (u,))),
+    ]
+    for rule in rules:
+        t = apply({v.id: App("len", ()) for v in term_vars(rule.lhs)}, rule.lhs)
+        assert rewriting._contract(rule, t) is not None
+        assert_contractor_agrees(rule, [t, *_near_misses(rule.lhs, t)])
+    assert len(sources) == 2 * len(rules)
+    for text in (quote, dquote, backslash, newline, call, repr(newline)[1:-1]):
+        assert not any(text in source for source in sources), text
+
+
+def test_a_run_compiles_each_rule_key_it_contracts_once(monkeypatch):
+    """On the join search's tables each rule is contracted by its compiled
+    contractor: a chain4 run compiles every rule key it contracts there once,
+    however many splits, criteria and joins hold the rule."""
+    compiled, contracted = Counter(), set()
+    compile_contractor, contracta = rewriting.compile_contractor, rewriting._contracta
+
+    def counting_compile(rule, codes):
+        compiled[rule.key()] += 1
+        return compile_contractor(rule, codes)
+
+    def noting_contracta(sub, trs, table):
+        if table.__class__ is Contractions and sub not in table:
+            contracted.update(rule.key() for rule, _ in table.rules.get(sub.fn, ()))
+        return contracta(sub, trs, table)
+
+    monkeypatch.setattr(rewriting, "compile_contractor", counting_compile)
+    monkeypatch.setattr(rewriting, "_contracta", noting_contracta)
+    assert check_confluence(CHAIN4).verdict == "MAYBE"
+    assert len(contracted) > 10 and contracted <= set(compiled)
+    assert set(compiled.values()) == {1}
+
+
+def test_verifying_compiles_nothing(monkeypatch):
+    result = decided(R2)
+    text = certificate_text(R2, result)
+    compiled = []
+    monkeypatch.setattr(rewriting, "compile_contractor", lambda *args: compiled.append(args))
+    assert verify_certificate(text, R2) == (True, [])
+    assert compiled == []
+
+
+def test_a_rule_past_the_node_bound_is_not_compiled():
+    """Toyama's rules plus s³⁰⁰⁰(x) -> s²⁹⁹⁹(x): a table over them compiles
+    Toyama's three rules, and the deep rule keeps `_contract`.  (A run on
+    them times out in `decompose`, before any join search builds a table.)"""
+    toyama = [Rule(App("f", (App("a", ()), App("b", ()), x)), App("f", (x, x, x))),
+              Rule(App("g", (x, y)), x), Rule(App("g", (x, y)), y)]
+    deep = Rule(_tower(3000, x), _tower(2999, x))
+    memo = {}
+    rules = rewriting.root_contractors(Trs(toyama + [deep]), memo)
+    (rule, contract), = rules["s"]
+    assert rule.key() == deep.key()
+    assert contract.func is rewriting._contract and contract.args == (rule,)
+    assert memo[deep.key()] is contract
+    assert all(memo[r.key()].__code__.co_filename == "<contractor>" for r in toyama)
+    assert contract(_tower(3000, zero)) == _tower(2999, zero)
+
+
+def _tower(n, t):
+    for _ in range(n):
+        t = s(t)
+    return t
